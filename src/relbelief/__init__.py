@@ -28,12 +28,14 @@ from .model import (
     BeliefTables,
     FiniteModel,
     PredictiveTables,
+    SampleSpaceTables,
     belief_tables,
     compute_posterior,
     marginalize,
     normalized,
     posterior_predictive,
     prior_predictive,
+    sample_space_tables,
 )
 from .losses import (
     LossSpec,

@@ -222,7 +222,7 @@ def _convergence_rows(
         if capped:
             lrse_bin = lrse(tables).psi_index
             eta = eta_schedule(grid, lrse_bin)
-            loss = LossSpec.capped_grid(eta, grid.lam)
+            loss = LossSpec.capped(eta)
             chosen = bayes_rule(loss, tables).psi_index
         else:
             eta = None
@@ -311,7 +311,7 @@ def region_refinement(
         d_rs = distance(_project_members(rs_region(tables, gamma), grid, ref_grid))
         capped = []
         for eta in etas:
-            loss = LossSpec.capped_grid(float(eta), grid.lam)
+            loss = LossSpec.capped(float(eta))
             reg = lpl_region(loss, tables, gamma)
             capped.append((float(eta), distance(_project_members(reg, grid, ref_grid))))
         rows.append(

@@ -12,28 +12,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .losses import LossSpec, h_vector, posterior_risk_vector
-from .model import BeliefTables, FiniteModel, PredictiveTables, belief_tables
+from .losses import LossSpec, check_rule, h_vector, posterior_risk_vector
+from .model import BeliefTables, FiniteModel, PredictiveTables, sample_space_tables
 
 TIE_RTOL = 1e-12
 
 
-def tied_argmax(values: np.ndarray) -> tuple[int, tuple[int, ...], bool]:
-    """Index of the maximum plus the set of ties within tolerance.
+def _tie_mask(values: np.ndarray) -> np.ndarray:
+    """Entries tied with the maximum along the first axis (per column of a table).
 
     The tolerance is relative to the spread of the values, so criteria that
     differ only by an additive constant (ratios versus negated risks) give
     the same tie classes.
     """
-    vals = np.asarray(values, dtype=float)
-    best = float(vals.max())
-    tol = TIE_RTOL * float(vals.max() - vals.min())
-    ties = tuple(int(i) for i in np.flatnonzero(vals >= best - tol))
+    best = values.max(axis=0)
+    return values >= best - TIE_RTOL * (best - values.min(axis=0))
+
+
+def tied_argmax(values: np.ndarray) -> tuple[int, tuple[int, ...], bool]:
+    """Index of the maximum plus the set of ties within tolerance."""
+    ties = tuple(int(i) for i in np.flatnonzero(_tie_mask(np.asarray(values, dtype=float))))
     return ties[0], ties, len(ties) > 1
 
 
@@ -53,26 +55,26 @@ class EstimateResult:
             raise InvariantViolation("chosen index must belong to the argmax set")
 
 
-def _from_tables(tables: BeliefTables, values: np.ndarray) -> EstimateResult:
+def _estimate(labels, values: np.ndarray, tail_bound: float | None = None) -> EstimateResult:
     idx, ties, tie = tied_argmax(values)
     return EstimateResult(
         psi_index=idx,
-        psi_label=tables.psi_labels[idx],
+        psi_label=labels[idx],
         criterion_value=float(values[idx]),
         tie=tie,
         argmax_set=ties,
-        tail_bound=tables.tail_bound,
+        tail_bound=tail_bound,
     )
 
 
 def lrse(tables: BeliefTables) -> EstimateResult:
     """Least relative surprise estimator: argmax of the relative belief ratio."""
-    return _from_tables(tables, tables.rb)
+    return _estimate(tables.psi_labels, tables.rb, tables.tail_bound)
 
 
 def map_estimate(tables: BeliefTables) -> EstimateResult:
     """MAP estimator: argmax of the marginal posterior."""
-    return _from_tables(tables, tables.marg_post)
+    return _estimate(tables.psi_labels, tables.marg_post, tables.tail_bound)
 
 
 def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
@@ -82,40 +84,25 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     is better, matching the other estimators.
     """
     risks = posterior_risk_vector(loss, tables)
-    return _from_tables(tables, -risks)
+    return _estimate(tables.psi_labels, -risks, tables.tail_bound)
 
 
 def predict_lrse(pred: PredictiveTables) -> EstimateResult:
     """Future value maximizing the predictive belief ratio."""
-    idx, ties, tie = tied_argmax(pred.rb_pred)
-    return EstimateResult(
-        psi_index=idx,
-        psi_label=pred.y_labels[idx],
-        criterion_value=float(pred.rb_pred[idx]),
-        tie=tie,
-        argmax_set=ties,
-    )
+    return _estimate(pred.y_labels, pred.rb_pred)
 
 
 # -- decision rules over a finite sample space -----------------------------
 
 
-def rule_from_estimator(
-    model: FiniteModel, chooser: Callable[[BeliefTables], EstimateResult]
-) -> np.ndarray:
-    """Tabulate an estimator into a decision rule over the sample space."""
-    return np.array(
-        [chooser(belief_tables(model, x)).psi_index for x in range(model.n_x)],
-        dtype=np.intp,
-    )
-
-
 def lrse_rule(model: FiniteModel) -> np.ndarray:
-    return rule_from_estimator(model, lrse)
+    """The LRSE at every sample point: the first of its tied ratio maximizers."""
+    return np.argmax(_tie_mask(sample_space_tables(model).rb), axis=0)
 
 
 def map_rule(model: FiniteModel) -> np.ndarray:
-    return rule_from_estimator(model, map_estimate)
+    """The MAP estimate at every sample point, ties resolved as in :func:`lrse_rule`."""
+    return np.argmax(_tie_mask(sample_space_tables(model).marg_post), axis=0)
 
 
 def anti_lrse_rule(model: FiniteModel) -> np.ndarray:
@@ -124,10 +111,7 @@ def anti_lrse_rule(model: FiniteModel) -> np.ndarray:
     Serves as the negative control for the unbiasedness diagnostics: it
     deliberately chooses a value the data argues against.
     """
-    return np.array(
-        [int(np.argmin(belief_tables(model, x).rb)) for x in range(model.n_x)],
-        dtype=np.intp,
-    )
+    return np.argmin(sample_space_tables(model).rb, axis=0)
 
 
 # -- Bayesian unbiasedness --------------------------------------------------
@@ -145,17 +129,12 @@ def unbiasedness_gap(loss: LossSpec, rule, model: FiniteModel) -> float:
     nonnegative gap means the rule's prior risk does not exceed its expected
     loss against an independently prior-drawn false value.
     """
-    rule_arr = np.asarray(rule, dtype=np.intp)
-    if rule_arr.shape != (model.n_x,):
-        raise InvariantViolation("decision rule must assign one psi per sample point")
-    marg_prior = model.marginal_prior()
-    h = h_vector(loss, marg_prior)
-    terms = []
-    for x in range(model.n_x):
-        tab = belief_tables(model, x)
-        j = int(rule_arr[x])
-        terms.append(tab.evidence * h[j] * (tab.marg_post[j] - marg_prior[j]))
-    return math.fsum(terms)
+    rule_arr = check_rule(rule, model)
+    tabs = sample_space_tables(model)
+    h = h_vector(loss, tabs.marg_prior)
+    chosen_post = tabs.marg_post[rule_arr, np.arange(model.n_x)]
+    prior = tabs.marg_prior[rule_arr]
+    return math.fsum(tabs.evidence * h[rule_arr] * (chosen_post - prior))
 
 
 def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:
@@ -166,13 +145,7 @@ def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:
     uniformly Bayesian unbiased; the LRSE rule always passes because the
     maximal relative belief ratio is at least one.
     """
-    rule_arr = np.asarray(rule, dtype=np.intp)
-    if rule_arr.shape != (model.n_x,):
-        raise InvariantViolation("decision rule must assign one psi per sample point")
-    marg_prior = model.marginal_prior()
-    out = np.zeros(model.n_x, dtype=bool)
-    for x in range(model.n_x):
-        tab = belief_tables(model, x)
-        j = int(rule_arr[x])
-        out[x] = tab.marg_post[j] >= marg_prior[j] * (1.0 - 1e-12)
-    return out
+    rule_arr = check_rule(rule, model)
+    tabs = sample_space_tables(model)
+    chosen_post = tabs.marg_post[rule_arr, np.arange(model.n_x)]
+    return chosen_post >= tabs.marg_prior[rule_arr] * (1.0 - 1e-12)

@@ -8,13 +8,15 @@ family members differ in how the penalty depends on the prior:
 * ``prior-based``   — penalty ``1 / marg_prior[Psi(theta)]``, so errors on
   prior-unlikely values are punished hard.
 * ``capped``        — ``1 / max(eta, marg_prior[Psi(theta)])``; bounds the
-  prior-based penalty so it stays usable on countable supports.
-* ``capped-grid``   — the capped loss for a bin-discretized problem; behaves
-  like ``capped`` on the grid model and records the bin width.
+  prior-based penalty so it stays usable on countable supports and on
+  bin-discretized problems.
 * ``weighted``      — ``h[Psi(theta)]`` for a user-supplied nonnegative
   weight per marginal value.
 * ``ball``          — indicator that ``Psi(theta)`` falls outside the closed
   ball of a given radius around the action; needs psi coordinates.
+
+Every kind but ``ball`` is ``I(true != action) * h(true)`` (:func:`h_vector`);
+:func:`loss_matrix` gives any kind as a ``(true, action)`` table.
 """
 
 from __future__ import annotations
@@ -30,16 +32,15 @@ from .errors import (
     InvariantViolation,
     UnknownPsi,
 )
-from .model import BeliefTables, FiniteModel, belief_tables
+from .model import BeliefTables, FiniteModel, sample_space_tables
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
 CAPPED = "capped"
-CAPPED_GRID = "capped-grid"
 WEIGHTED = "weighted"
 BALL = "ball"
 
-_KINDS = (ZERO_ONE, PRIOR_BASED, CAPPED, CAPPED_GRID, WEIGHTED, BALL)
+_KINDS = (ZERO_ONE, PRIOR_BASED, CAPPED, WEIGHTED, BALL)
 
 IDENTITY_TOL = 1e-10
 
@@ -52,17 +53,13 @@ class LossSpec:
     eta: float | None = None
     radius: float | None = None
     weights: np.ndarray | None = None
-    bin_width: float | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvariantViolation(f"unknown loss kind {self.kind!r}")
-        if self.kind in (CAPPED, CAPPED_GRID):
+        if self.kind == CAPPED:
             if self.eta is None or not self.eta > 0:
                 raise InvariantViolation("capped losses need eta > 0")
-        if self.kind == CAPPED_GRID:
-            if self.bin_width is None or not self.bin_width > 0:
-                raise InvariantViolation("grid losses need a positive bin width")
         if self.kind == BALL:
             if self.radius is None or not self.radius > 0:
                 raise InvariantViolation("ball losses need a positive radius")
@@ -90,25 +87,12 @@ class LossSpec:
         return cls(CAPPED, eta=float(eta))
 
     @classmethod
-    def capped_grid(cls, eta: float, bin_width: float) -> "LossSpec":
-        return cls(CAPPED_GRID, eta=float(eta), bin_width=float(bin_width))
-
-    @classmethod
     def weighted(cls, weights) -> "LossSpec":
         return cls(WEIGHTED, weights=np.asarray(weights, dtype=float))
 
     @classmethod
     def ball(cls, radius: float) -> "LossSpec":
         return cls(BALL, radius=float(radius))
-
-    def describe(self) -> str:
-        if self.kind == CAPPED:
-            return f"capped:{self.eta:g}"
-        if self.kind == CAPPED_GRID:
-            return f"capped-grid:{self.eta:g}@{self.bin_width:g}"
-        if self.kind == BALL:
-            return f"ball:{self.radius:g}"
-        return self.kind
 
 
 def parse_loss(text: str, base_dir: str | Path | None = None) -> LossSpec:
@@ -163,36 +147,7 @@ class RiskReport:
         object.__setattr__(self, "per_class_error", errs)
 
 
-# -- pointwise loss values -------------------------------------------------
-
-
-def loss_value(loss: LossSpec, theta_index: int, psi_index: int, model: FiniteModel) -> float:
-    """Evaluate the indicator-form loss for one (theta, action) pair."""
-    if not 0 <= psi_index < model.n_psi:
-        raise UnknownPsi(f"psi index {psi_index} out of range")
-    if not 0 <= theta_index < model.n_theta:
-        raise InvariantViolation(f"theta index {theta_index} out of range")
-    true_psi = int(model.psi_map[theta_index])
-    if loss.kind == BALL:
-        coords = model.psi_coords
-        if coords is None:
-            raise InvariantViolation("ball loss needs psi coordinates")
-        dist = float(np.linalg.norm(np.atleast_1d(coords[true_psi] - coords[psi_index])))
-        return 0.0 if dist <= loss.radius else 1.0
-    if true_psi == psi_index:
-        return 0.0
-    if loss.kind == ZERO_ONE:
-        return 1.0
-    marg_prior = model.marginal_prior()
-    if loss.kind == PRIOR_BASED:
-        return 1.0 / float(marg_prior[true_psi])
-    if loss.kind in (CAPPED, CAPPED_GRID):
-        return 1.0 / max(loss.eta, float(marg_prior[true_psi]))
-    if loss.kind == WEIGHTED:
-        if loss.weights.size != model.n_psi:
-            raise InvariantViolation("weight vector length does not match psi support")
-        return float(loss.weights[true_psi])
-    raise InvariantViolation(f"unhandled loss kind {loss.kind!r}")
+# -- loss tables -------------------------------------------------------------
 
 
 def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
@@ -205,13 +160,40 @@ def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
         return np.ones_like(marg_prior)
     if loss.kind == PRIOR_BASED:
         return 1.0 / marg_prior
-    if loss.kind in (CAPPED, CAPPED_GRID):
+    if loss.kind == CAPPED:
         return 1.0 / np.maximum(loss.eta, marg_prior)
     if loss.kind == WEIGHTED:
         if loss.weights.size != marg_prior.size:
             raise InvariantViolation("weight vector length does not match psi support")
         return np.asarray(loss.weights, dtype=float)
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
+
+
+def _ball_inside(radius: float, coords: np.ndarray | None, actions=slice(None)) -> np.ndarray:
+    """``inside[true, k]``: whether ``true`` lies in the ball around ``actions[k]``."""
+    if coords is None:
+        raise InvariantViolation("ball loss needs psi coordinates")
+    pts = coords.reshape(len(coords), -1)  # one row of coordinates per psi
+    diff = pts[:, None, :] - pts[actions][None, :, :]
+    return np.linalg.norm(diff, axis=-1) <= radius
+
+
+def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
+    """``L[true, k]``: the loss of acting with ``actions[k]``, one column per action."""
+    actions = np.asarray(actions, dtype=np.intp)
+    if loss.kind == BALL:
+        return 1.0 - _ball_inside(loss.radius, model.psi_coords, actions)
+    h = h_vector(loss, model.marginal_prior())
+    return h[:, None] * (np.arange(model.n_psi)[:, None] != actions)
+
+
+def loss_value(loss: LossSpec, theta_index: int, psi_index: int, model: FiniteModel) -> float:
+    """Loss of acting with ``psi_index`` when ``theta_index`` is true."""
+    if not 0 <= psi_index < model.n_psi:
+        raise UnknownPsi(f"psi index {psi_index} out of range")
+    if not 0 <= theta_index < model.n_theta:
+        raise InvariantViolation(f"theta index {theta_index} out of range")
+    return float(loss_matrix(loss, model, [psi_index])[model.psi_map[theta_index], 0])
 
 
 # -- posterior risk --------------------------------------------------------
@@ -224,22 +206,14 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
         return 1.0 - post
     if loss.kind == PRIOR_BASED:
         return float(np.sum(tables.rb)) - tables.rb
-    if loss.kind in (CAPPED, CAPPED_GRID):
+    if loss.kind == CAPPED:
         capped = post / np.maximum(loss.eta, tables.marg_prior)
         return float(np.sum(capped)) - capped
     if loss.kind == WEIGHTED:
         weighted = h_vector(loss, tables.marg_prior) * post
         return float(np.sum(weighted)) - weighted
     if loss.kind == BALL:
-        coords = tables.psi_coords
-        if coords is None:
-            raise InvariantViolation("ball loss needs psi coordinates on the tables")
-        pts = np.atleast_2d(coords.astype(float))
-        if pts.shape[0] != tables.n_psi:
-            pts = pts.T
-        diff = pts[:, None, :] - pts[None, :, :]
-        inside = np.linalg.norm(diff, axis=-1) <= loss.radius
-        return 1.0 - inside @ post
+        return 1.0 - _ball_inside(loss.radius, tables.psi_coords) @ post
     raise InvariantViolation(f"unhandled loss kind {loss.kind!r}")
 
 
@@ -253,19 +227,18 @@ def posterior_risk(loss: LossSpec, candidate: int, tables: BeliefTables) -> floa
 # -- prior risk over the whole sample space --------------------------------
 
 
-def _require_stochastic_rows(model: FiniteModel) -> np.ndarray:
+def _require_stochastic_rows(model: FiniteModel) -> None:
     if not model.is_table:
         raise InfiniteSampleSpace("prior risk needs an enumerable sample space")
-    lik = model.likelihood
-    row_sums = lik.sum(axis=1)
+    row_sums = model.likelihood.sum(axis=1)
     if np.max(np.abs(row_sums - 1.0)) > 1e-9:
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )
-    return lik
 
 
-def _check_rule(rule, model: FiniteModel) -> np.ndarray:
+def check_rule(rule, model: FiniteModel) -> np.ndarray:
+    """A decision rule as one valid psi index per sample point."""
     arr = np.asarray(rule, dtype=np.intp)
     if arr.shape != (model.n_x,):
         raise InvariantViolation("decision rule must assign one psi per sample point")
@@ -281,57 +254,46 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
     is true, averaging the per-theta sampling distributions under the prior
     conditioned on the fiber.
     """
-    lik = _require_stochastic_rows(model)
-    marg_prior = model.marginal_prior()
-    out = np.zeros((model.n_psi, model.n_x))
-    for j in range(model.n_psi):
-        fiber = model.fiber(j)
-        cond = model.prior[fiber] / marg_prior[j]
-        out[j] = cond @ lik[fiber]
-    return out
+    _require_stochastic_rows(model)
+    tabs = sample_space_tables(model)
+    return tabs.marg_joint / tabs.marg_prior[:, None]
 
 
 def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     """Exact prior risk of a decision rule, with per-class error probabilities.
 
-    Summation uses :func:`math.fsum` so results are invariant to how the
-    sample space might be chunked across workers.
+    The risk is ``sum_{j, x} marg_joint[j, x] * L[j, rule(x)]``.  Summation
+    uses :func:`math.fsum` so results are invariant to how the sample space
+    might be chunked across workers.  Every call checks the identities:
+    prior-based risk = sum of the conditional error probabilities =
+    ``n_psi - E[rb(rule(x))]``; zero-one risk = prior-weighted error.
 
     Raises
     ------
     InfiniteSampleSpace
         If the model carries a density callback instead of a table.
     """
-    rule_arr = _check_rule(rule, model)
-    sampling = conditional_sampling_table(model)
-    marg_prior = model.marginal_prior()
+    _require_stochastic_rows(model)
+    rule_arr = check_rule(rule, model)
+    tabs = sample_space_tables(model)
+    sampling = tabs.marg_joint / tabs.marg_prior[:, None]
 
+    # Zeros in the right cells leave each fsum exact; plain floats from
+    # tolist() are several times faster for fsum than numpy scalars.
     wrong = rule_arr[None, :] != np.arange(model.n_psi)[:, None]
-    per_class = np.array(
-        [math.fsum(sampling[j, wrong[j]]) for j in range(model.n_psi)]
-    )
+    per_class = np.array([math.fsum(row) for row in (sampling * wrong).tolist()])
     unweighted = math.fsum(per_class)
-    weighted = math.fsum(per_class * marg_prior)
-
-    lik = model.likelihood
-    contributions = []
-    for i in range(model.n_theta):
-        for x in range(model.n_x):
-            lval = loss_value(loss, i, int(rule_arr[x]), model)
-            if lval:
-                contributions.append(model.prior[i] * lik[i, x] * lval)
-    risk = math.fsum(contributions)
+    weighted = math.fsum(per_class * tabs.marg_prior)
+    cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
+    risk = math.fsum(cells.ravel().tolist())
 
     if loss.kind == PRIOR_BASED:
         if abs(risk - unweighted) > IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal the sum of conditional error probabilities"
             )
-        rb_terms = []
-        for x in range(model.n_x):
-            tab = belief_tables(model, x)
-            rb_terms.append(tab.evidence * tab.rb[rule_arr[x]])
-        alt = model.n_psi - math.fsum(rb_terms)
+        chosen_rb = tabs.rb[rule_arr, np.arange(model.n_x)]
+        alt = model.n_psi - math.fsum(tabs.evidence * chosen_rb)
         if abs(risk - alt) > IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal n_psi minus the expected chosen ratio"

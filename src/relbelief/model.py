@@ -392,6 +392,61 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     return marginalize(posterior, model, x=x, evidence=evidence)
 
 
+@dataclass(frozen=True)
+class SampleSpaceTables:
+    """Belief tables at every point of a finite sample space at once.
+
+    Column ``x`` of ``marg_post`` and ``rb`` equals that of
+    ``belief_tables(model, x)`` bit for bit; ``marg_joint[j, x]`` is the prior
+    probability of the j-th marginal value together with ``x``.
+    """
+
+    evidence: np.ndarray  # (n_x,)
+    marg_prior: np.ndarray  # (n_psi,)
+    marg_joint: np.ndarray  # (n_psi, n_x)
+    marg_post: np.ndarray  # (n_psi, n_x)
+    rb: np.ndarray  # (n_psi, n_x)
+
+
+def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
+    """Evidence, marginal joint, posterior and ratio for every ``x`` in one pass.
+
+    The arithmetic is that of :func:`compute_posterior` then
+    :func:`marginalize`, in the same order, so ties come out as they do at
+    single points.  Raises :class:`InfiniteSampleSpace` for a density
+    callback and :class:`ZeroEvidence` if some ``x`` is impossible.
+    """
+    n_psi, n_x = model.n_psi, model.n_x
+    joint = model.prior[:, None] * model.likelihood
+    # Summing contiguous rows makes numpy add each column pairwise, as the
+    # 1-D sum in compute_posterior does; a sum over axis 0 would not.
+    evidence = np.ascontiguousarray(joint.T).sum(axis=1)
+    if np.any(evidence <= 0.0):
+        raise ZeroEvidence(f"sample point {int(np.argmin(evidence))} has zero evidence")
+    # One bincount over (psi, x) cells adds each fiber in theta order, as
+    # the per-x bincount in marginalize does.
+    cells = (model.psi_map[:, None] * n_x + np.arange(n_x)).ravel()
+
+    def fiber_sums(per_theta: np.ndarray) -> np.ndarray:
+        sums = np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * n_x)
+        return _frozen(sums.reshape(n_psi, n_x))
+
+    marg_prior = model.marginal_prior()
+    marg_post = fiber_sums(joint / evidence)
+    rb = marg_post / marg_prior[:, None]
+    if np.max(np.abs(marg_post.sum(axis=0) - 1.0)) > SUM_TOL:
+        raise InvariantViolation("marginal posterior must be a probability vector at every x")
+    if np.any(rb.max(axis=0) < 1.0 - SUM_TOL):
+        raise InvariantViolation("max relative belief ratio must be >= 1 at every x")
+    return SampleSpaceTables(
+        evidence=_frozen(evidence),
+        marg_prior=_frozen(marg_prior),
+        marg_joint=fiber_sums(joint),
+        marg_post=marg_post,
+        rb=_frozen(rb),
+    )
+
+
 # -- predictive tables -----------------------------------------------------
 
 

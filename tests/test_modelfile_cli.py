@@ -1,10 +1,15 @@
 """Model file schema, round-trips, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relbelief
 from relbelief import (
     BinomialClassifier,
     FiniteModel,
@@ -264,6 +269,16 @@ class TestCli:
             ["--output-dir", str(tmp_path / "r"), "validate", "--model", classifier_file]
         )
         assert code == 0
+
+    def test_module_entry_point(self, classifier_file, tmp_path):
+        src = str(Path(relbelief.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "relbelief", "--output-dir", str(tmp_path / "r"),
+             "validate", "--model", classifier_file],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_classify_with_risks(self, tmp_path, capsys):
         out = tmp_path / "run"
