@@ -75,6 +75,7 @@ from .discretize import (
     eta_schedule,
     grid_lrse_refinement,
     grid_tables,
+    refinement_experiments,
     region_refinement,
 )
 from .closed_form import (

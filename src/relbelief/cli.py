@@ -29,11 +29,7 @@ from .closed_form import (
     regression_estimates,
     regression_predict,
 )
-from .discretize import (
-    capped_rule_refinement,
-    grid_lrse_refinement,
-    region_refinement,
-)
+from .discretize import refinement_experiments
 from .errors import InvariantViolation, ModelSpecError, RelBeliefError
 from .estimators import bayes_rule, lrse, map_estimate
 from .losses import parse_loss
@@ -244,14 +240,17 @@ def _run_converge(args, outdir: Path) -> list[Path]:
     lambdas = _float_list(args.lambdas)
     etas = _float_list(args.etas)
     columns = ["kind", "lambda", "eta", "estimate", "error", "within_lambda", "distance"]
+    capped_rows, lrse_rows, region_rows = refinement_experiments(
+        cmodel, args.x, args.gamma, lambdas, etas, target
+    )
     rows = []
-    for row in capped_rule_refinement(cmodel, args.x, lambdas, target):
+    for row in capped_rows:
         rows.append(["capped-bayes", row.lam, row.eta, row.estimate, row.error,
                      row.within_lambda, ""])
-    for row in grid_lrse_refinement(cmodel, args.x, lambdas, target):
+    for row in lrse_rows:
         rows.append(["grid-lrse", row.lam, "", row.estimate, row.error,
                      row.within_lambda, ""])
-    for row in region_refinement(cmodel, args.x, args.gamma, lambdas, etas):
+    for row in region_rows:
         rows.append(["region-rs", row.lam, "", "", "", "", row.rs_distance])
         for eta, dist in row.capped_distances:
             rows.append(["region-capped", row.lam, eta, "", "", "", dist])

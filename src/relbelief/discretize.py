@@ -20,7 +20,7 @@ from .errors import HypothesisViolated, InvariantViolation, ZeroBinMass
 from .estimators import bayes_rule, lrse
 from .losses import LossSpec
 from .model import BeliefTables, FiniteModel, belief_tables
-from .quadrature import adaptive_gauss_legendre
+from .quadrature import adaptive_gauss_legendre, integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
 TRUNCATION_TOL = 1e-6
@@ -94,7 +94,8 @@ def build_grid(
     """Discretize a continuous model onto an equal-width grid.
 
     Bin prior masses and integrated likelihoods are computed by adaptive
-    Gauss-Legendre quadrature (relative error 1e-10), and the returned
+    Gauss-Legendre quadrature (relative error 1e-10 per bin, all bins
+    together in array passes), and the returned
     finite model reproduces the exact bin posterior masses: its likelihood
     column is the bin-averaged likelihood under the prior conditioned on
     the bin.
@@ -114,14 +115,10 @@ def build_grid(
     edges = a + eff_lam * np.arange(n_bins + 1)
     reps = 0.5 * (edges[:-1] + edges[1:])
 
-    prior_mass = np.empty(n_bins)
-    joint_mass = np.empty(n_bins)
-    for i in range(n_bins):
-        lo, hi = float(edges[i]), float(edges[i + 1])
-        prior_mass[i] = adaptive_gauss_legendre(cmodel.prior_density, lo, hi)
-        joint_mass[i] = adaptive_gauss_legendre(
-            lambda t: cmodel.prior_density(t) * cmodel.likelihood(t, x), lo, hi
-        )
+    prior_mass = integrate_bins(cmodel.prior_density, edges)
+    joint_mass = integrate_bins(
+        lambda t: cmodel.prior_density(t) * cmodel.likelihood(t, x), edges
+    )
     if np.any(prior_mass <= 0.0):
         bad = int(np.argmin(prior_mass))
         raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
@@ -143,7 +140,7 @@ def build_grid(
         x=x,
         evidence=total_joint / total_prior,
     )
-    labels = tuple(f"bin{i}@{reps[i]:.6g}" for i in range(n_bins))
+    labels = tuple(f"bin{i}@{rep:.6g}" for i, rep in enumerate(reps.tolist()))
     model = FiniteModel(
         theta_labels=labels,
         prior=prior_mass,
@@ -200,6 +197,23 @@ def check_peak_separation(tables: BeliefTables, *, rel_tol: float = 1e-9, max_ru
 # -- refinement experiments --------------------------------------------------
 
 
+class _Grids(dict):
+    """Belief tables and grid of one problem per bin width, built on first use.
+
+    The refinement experiments of one run share this map, so each width is
+    discretized once however many experiments visit it.
+    """
+
+    def __init__(self, cmodel: ContinuousModel1D, x):
+        super().__init__()
+        self.cmodel = cmodel
+        self.x = x
+
+    def __missing__(self, lam: float) -> tuple[BeliefTables, RegularGrid]:
+        self[lam] = built = grid_tables(self.cmodel, self.x, lam)
+        return built
+
+
 @dataclass(frozen=True)
 class RuleConvergenceRow:
     lam: float
@@ -210,15 +224,15 @@ class RuleConvergenceRow:
 
 
 def _convergence_rows(
-    cmodel: ContinuousModel1D, x, lambdas, target: float, *, capped: bool
+    grids: _Grids, lambdas, target: float, *, capped: bool
 ) -> list[RuleConvergenceRow]:
     lams = _check_schedule(lambdas, "lambda")
-    finest_tables, _ = grid_tables(cmodel, x, float(lams.min()))
+    finest_tables, _ = grids[float(lams.min())]
     check_peak_separation(finest_tables)
 
     rows = []
     for lam in lams:
-        tables, grid = grid_tables(cmodel, x, float(lam))
+        tables, grid = grids[float(lam)]
         if capped:
             lrse_bin = lrse(tables).psi_index
             eta = eta_schedule(grid, lrse_bin)
@@ -251,14 +265,14 @@ def capped_rule_refinement(
     continuous-problem target.  Under the separation hypothesis the error
     eventually drops below the bin width.
     """
-    return _convergence_rows(cmodel, x, lambdas, target, capped=True)
+    return _convergence_rows(_Grids(cmodel, x), lambdas, target, capped=True)
 
 
 def grid_lrse_refinement(
     cmodel: ContinuousModel1D, x, lambdas, target: float
 ) -> list[RuleConvergenceRow]:
     """Discretized-problem LRSE along a refining grid schedule."""
-    return _convergence_rows(cmodel, x, lambdas, target, capped=False)
+    return _convergence_rows(_Grids(cmodel, x), lambdas, target, capped=False)
 
 
 @dataclass(frozen=True)
@@ -268,13 +282,34 @@ class RegionConvergenceRow:
     capped_distances: tuple[tuple[float, float], ...]  # (eta, distance) pairs
 
 
-def _project_members(
-    region: CredibleRegion, grid: RegularGrid, ref_grid: RegularGrid
-) -> set[int]:
-    """Reference-grid bins covered by the undiscretized union of members."""
-    member_bins = set(int(m) for m in region.members)
-    owner = grid.bin_index_of(ref_grid.representatives)
-    return {i for i, o in enumerate(owner) if int(o) in member_bins}
+def _region_rows(
+    grids: _Grids, gamma: float, lambdas, etas, ref_lambda: float | None = None
+) -> list[RegionConvergenceRow]:
+    lams = _check_schedule(lambdas, "lambda")
+    etas = _check_schedule(etas, "eta")
+    if ref_lambda is None:
+        ref_lambda = float(lams.min()) / 4.0
+    ref_tables, ref_grid = grids[float(ref_lambda)]
+    ref_mask = np.isin(np.arange(ref_grid.n_bins), rs_region(ref_tables, gamma).members)
+
+    def distance(owner: np.ndarray, region: CredibleRegion) -> float:
+        # Reference posterior mass of the symmetric difference between the
+        # reference region and the reference bins the region's members cover.
+        return math.fsum(ref_tables.marg_post[ref_mask ^ np.isin(owner, region.members)])
+
+    rows = []
+    for lam in lams:
+        tables, grid = grids[float(lam)]
+        owner = grid.bin_index_of(ref_grid.representatives)
+        d_rs = distance(owner, rs_region(tables, gamma))
+        capped = tuple(
+            (float(eta), distance(owner, lpl_region(LossSpec.capped(float(eta)), tables, gamma)))
+            for eta in etas
+        )
+        rows.append(
+            RegionConvergenceRow(lam=grid.lam, rs_distance=d_rs, capped_distances=capped)
+        )
+    return rows
 
 
 def region_refinement(
@@ -294,29 +329,21 @@ def region_refinement(
     smallest tested width unless overridden).  The distance is the reference
     posterior mass of the symmetric difference.
     """
-    lams = _check_schedule(lambdas, "lambda")
-    etas = _check_schedule(etas, "eta")
-    if ref_lambda is None:
-        ref_lambda = float(lams.min()) / 4.0
-    ref_tables, ref_grid = grid_tables(cmodel, x, ref_lambda)
-    ref_members = set(rs_region(ref_tables, gamma).members)
+    return _region_rows(_Grids(cmodel, x), gamma, lambdas, etas, ref_lambda)
 
-    def distance(projected: set[int]) -> float:
-        sym = sorted(ref_members ^ projected)
-        return math.fsum(ref_tables.marg_post[sym]) if sym else 0.0
 
-    rows = []
-    for lam in lams:
-        tables, grid = grid_tables(cmodel, x, float(lam))
-        d_rs = distance(_project_members(rs_region(tables, gamma), grid, ref_grid))
-        capped = []
-        for eta in etas:
-            loss = LossSpec.capped(float(eta))
-            reg = lpl_region(loss, tables, gamma)
-            capped.append((float(eta), distance(_project_members(reg, grid, ref_grid))))
-        rows.append(
-            RegionConvergenceRow(
-                lam=grid.lam, rs_distance=d_rs, capped_distances=tuple(capped)
-            )
-        )
-    return rows
+def refinement_experiments(
+    cmodel: ContinuousModel1D, x, gamma: float, lambdas, etas, target: float
+) -> tuple[list[RuleConvergenceRow], list[RuleConvergenceRow], list[RegionConvergenceRow]]:
+    """The capped-rule, grid-LRSE and region experiments on shared grids.
+
+    Returns what ``capped_rule_refinement``, ``grid_lrse_refinement`` and
+    ``region_refinement`` (default reference width) return, in that order,
+    with every bin width, the reference included, discretized once.
+    """
+    grids = _Grids(cmodel, x)
+    return (
+        _convergence_rows(grids, lambdas, target, capped=True),
+        _convergence_rows(grids, lambdas, target, capped=False),
+        _region_rows(grids, gamma, lambdas, etas),
+    )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import betaincinv, ndtri
 
 from .closed_form import predicts_one
 from .errors import InvariantViolation
@@ -75,6 +74,10 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
     Each replication occupies one row of a fixed uniform layout, and each
     block has its own keyed stream, so scheduling cannot change the draws.
     """
+    # Imported here: scipy.special costs about 0.2 s, which only simulation
+    # should pay, not every process that imports relbelief.
+    from scipy.special import betaincinv, ndtri
+
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
     rng = Generator(Philox(stream))
     u = rng.random((rows, cfg.n + 2))

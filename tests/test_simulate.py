@@ -1,9 +1,15 @@
 """Simulation protocol oracles, reproducibility, and trend checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import betabinom, norm
 
+import relbelief
 from relbelief import SimConfig, conditional_risk_mc, risk_table
 from relbelief.simulate import BLOCK
 
@@ -155,3 +161,15 @@ class TestTrends:
     def test_equal_shape_methods_identical_at_symmetric_prior(self):
         rows = [r for r in risk_table(reps=20_000, seed=8, betas=(1.0,))]
         assert rows[0].m0 == rows[1].m0 and rows[0].m1 == rows[1].m1
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # Only simulation pays for scipy.special; importing the package does not.
+    src = str(Path(relbelief.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, relbelief; print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
