@@ -90,7 +90,7 @@ from .closed_form import (
     regression_estimates,
     regression_predict,
 )
-from .simulate import SimConfig, conditional_risk_mc, risk_table
+from .simulate import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
 from .modelfile import load_model, save_model
 
 __all__ = [name for name in dir() if not name.startswith("_")]

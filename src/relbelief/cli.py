@@ -11,6 +11,7 @@ even when the run fails.  Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -47,7 +48,14 @@ def _matrix(text: str) -> np.ndarray:
     return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing keeps no state in the parser: each ``parse_args`` call returns a
+    fresh namespace filled from the defaults, so one run cannot leak its
+    arguments into the next.
+    """
     parser = argparse.ArgumentParser(
         prog="relbelief",
         description="Relative-belief inference: estimators, regions, and experiments.",
@@ -226,10 +234,12 @@ def _run_risk_table(args, outdir: Path) -> list[Path]:
         reps=args.reps, seed=args.seed, mu=args.mu, n=args.n,
         alpha=args.alpha, betas=_float_list(args.betas), threads=args.threads,
     )
-    columns = ["beta", "method", "M0", "M1", "sum", "se"]
-    rows = [[r.beta, r.method, r.m0, r.m1, r.risk_sum, r.se] for r in rows_data]
+    columns = ["beta", "method", "M0", "M1", "sum", "se", "exact_M0", "exact_M1", "z_M0", "z_M1"]
+    rows = [[r.beta, r.method, r.m0, r.m1, r.risk_sum, r.se,
+             r.exact_m0, r.exact_m1, r.z_m0, r.z_m1] for r in rows_data]
     for r in rows_data:
-        print(f"beta={r.beta:g} {r.method}: {r.m0:.3f}+{r.m1:.3f}={r.risk_sum:.3f} (se {r.se:.4f})")
+        print(f"beta={r.beta:g} {r.method}: {r.m0:.3f}+{r.m1:.3f}={r.risk_sum:.3f} (se {r.se:.4f}; "
+              f"exact {r.exact_m0:.3f}+{r.exact_m1:.3f}, z {r.z_m0:+.2f} {r.z_m1:+.2f})")
     return write_report(outdir / "risk_table", columns, rows)
 
 

@@ -1,12 +1,18 @@
 """Seeded Monte Carlo estimation of conditional misclassification risks.
 
-For each conditioning class the simulator draws a mixing rate from its Beta
-prior, a labelled training sample, and a new Gaussian observation, then
-applies the closed-form class predictors and counts errors.  Draws are
-generated from counter-based streams keyed by (seed, scenario, class, block),
-with every replication consuming a fixed budget of uniforms at a fixed
-offset, so error counts are bit-identical no matter how blocks are scheduled
-across workers.
+Given the conditioning class ``c``, the comparison between the class
+predictors depends on the training sample only through the count ``k`` of
+class-1 training cases, which is beta-binomial.  Each replication therefore
+reads one row of two uniforms: the first draws ``k`` by inverting the
+beta-binomial CDF, the second draws the new observation ``x = c * mu + Z``
+through the normal quantile.  The closed-form predictors are then applied to
+``(k, x)`` and errors are counted.
+
+Every block of ``BLOCK`` replications has its own counter-based stream keyed
+by (seed, scenario, class, block index), so a block's draws do not depend on
+which worker runs it or when: error counts are bit-identical for any thread
+count.  :func:`exact_conditional_risk` gives the same risks exactly, as a
+beta-binomial mixture of normal tails.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .closed_form import predicts_one
+from .closed_form import decision_statistic, predicts_one
 from .errors import InvariantViolation
 from .losses import RiskReport
 
@@ -68,24 +74,51 @@ def _cell_key(cfg: SimConfig, c: int) -> list[int]:
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
 
 
+def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
+    """Probabilities of ``k = 0..n`` under the beta-binomial law ``(n, a, b)``.
+
+    Built in log space from ``P(0) = B(a, n + b) / B(a, b)`` and the ratio
+    ``P(k + 1) / P(k) = (n - k)(a + k) / ((k + 1)(b + n - k - 1))``, so no
+    gamma function is evaluated at large arguments and nothing underflows
+    before the last step.
+    """
+    j = np.arange(n)
+    log_p0 = np.sum(np.log((b + j) / (a + b + j)))
+    steps = np.log((n - j) * (a + j) / ((j + 1) * (b + n - j - 1)))
+    return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
+
+
+def _training_counts(u: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
+    """Beta-binomial counts from uniforms in [0, 1), by inverting the CDF.
+
+    Searching ``cdf[:-1]`` keeps ``k <= n`` even when the last cumulative sum
+    rounds below one; the last count then absorbs that rounding.
+    """
+    cdf = np.cumsum(beta_binomial_pmf(n, a, b))
+    return np.searchsorted(cdf[:-1], u, side="right")
+
+
+def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
+    """Beta parameters of the mixing rate given the conditioned class ``c``."""
+    return (alpha + c, beta + 1 - c) if couple_training else (alpha, beta)
+
+
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
     """Exact integer error counts of one block of replications.
 
-    Each replication occupies one row of a fixed uniform layout, and each
-    block has its own keyed stream, so scheduling cannot change the draws.
+    Each replication reads one row of two uniforms from the block's own keyed
+    stream, so scheduling cannot change the draws.
     """
     # Imported here: scipy.special costs about 0.2 s, which only simulation
     # should pay, not every process that imports relbelief.
-    from scipy.special import betaincinv, ndtri
+    from scipy.special import ndtri
 
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
-    rng = Generator(Philox(stream))
-    u = rng.random((rows, cfg.n + 2))
+    u = Generator(Philox(stream)).random((rows, 2))
 
-    a, b = (cfg.alpha + c, cfg.beta + 1 - c) if cfg.couple_training else (cfg.alpha, cfg.beta)
-    eps = betaincinv(a, b, u[:, 0])
-    k = (u[:, 1 : cfg.n + 1] < eps[:, None]).sum(axis=1) if cfg.n else np.zeros(rows)
-    x = c * cfg.mu + ndtri(u[:, cfg.n + 1])
+    a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
+    k = _training_counts(u[:, 0], cfg.n, a, b)
+    x = c * cfg.mu + ndtri(u[:, 1])
     f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
 
     counts = {}
@@ -93,6 +126,37 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
         pred = predicts_one(method, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
         counts[method] = int(np.count_nonzero(pred != bool(c)))
     return counts
+
+
+def exact_conditional_risk(
+    alpha: float, beta: float, mu: float, n: int, method: str, couple_training: bool = False
+) -> tuple[float, float]:
+    """Exact conditional misclassification risks ``(M0, M1)`` of one method.
+
+    Given the class ``c`` and the training count ``k``, the rule predicts
+    class 1 when ``mu * x >= mu**2 / 2 - log(statistic(k))``, and ``mu * x``
+    is normal with mean ``c * mu**2`` and standard deviation ``|mu|``.
+    Standardising by ``|mu|`` keeps the inequality the right way round for
+    either sign of ``mu``.  At ``mu == 0`` the observation carries no signal
+    and the rule predicts class 1 exactly when the statistic is at least one.
+    Each risk is the beta-binomial mixture over ``k`` of these error
+    probabilities.
+    """
+    SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, methods=(method,))  # validates the scenario
+    stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
+    risks = []
+    for c in (0, 1):
+        if mu == 0.0:
+            errors = (stat >= 1.0) != bool(c)
+        else:
+            # Class 1 is predicted when Z >= sqrt(2) * m, which has probability
+            # erfc(m) / 2; class 1 is missed with probability erfc(-m) / 2.
+            margin = ((0.5 - c) * mu * mu - np.log(stat)) / (abs(mu) * math.sqrt(2.0))
+            sign = 1.0 if c == 0 else -1.0
+            errors = [0.5 * math.erfc(sign * m) for m in margin]
+        pmf = beta_binomial_pmf(n, *_training_law(alpha, beta, c, couple_training))
+        risks.append(math.fsum(pmf * errors))
+    return risks[0], risks[1]
 
 
 def _cell_error_counts(cfg: SimConfig, c: int) -> dict[str, int]:
@@ -158,6 +222,10 @@ class RiskTableRow:
     m1: float
     risk_sum: float
     se: float
+    exact_m0: float
+    exact_m1: float
+    z_m0: float
+    z_m1: float
 
 
 def risk_table(
@@ -174,7 +242,9 @@ def risk_table(
     """Conditional misclassification risks across a grid of Beta parameters.
 
     One row per (beta, method) with the two conditional error estimates,
-    their sum, and the standard error of the sum.
+    their sum, the standard error of the sum, the exact risks from
+    :func:`exact_conditional_risk`, and each estimate's z-score against its
+    exact value in units of its own (smoothed) standard error.
     """
     rows = []
     for beta in betas:
@@ -192,6 +262,8 @@ def risk_table(
         for method in cfg.methods:
             rep = reports[method]
             se = float(np.sqrt(np.sum(rep.std_err**2)))
+            exact = exact_conditional_risk(alpha, float(beta), mu, n, method, couple_training)
+            z = (rep.per_class_error - exact) / rep.std_err
             rows.append(
                 RiskTableRow(
                     beta=float(beta),
@@ -200,6 +272,10 @@ def risk_table(
                     m1=float(rep.per_class_error[1]),
                     risk_sum=rep.unweighted_sum,
                     se=se,
+                    exact_m0=exact[0],
+                    exact_m1=exact[1],
+                    z_m0=float(z[0]),
+                    z_m1=float(z[1]),
                 )
             )
     return rows

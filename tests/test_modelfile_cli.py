@@ -18,7 +18,7 @@ from relbelief import (
     load_model,
     save_model,
 )
-from relbelief.cli import run
+from relbelief.cli import build_parser, run
 
 
 def write_json(path, doc):
@@ -318,8 +318,25 @@ class TestCli:
         )
         assert code == 0
         lines = (out / "risk_table.csv").read_text().strip().splitlines()
-        assert lines[0] == "beta,method,M0,M1,sum,se"
+        assert lines[0] == "beta,method,M0,M1,sum,se,exact_M0,exact_M1,z_M0,z_M1"
         assert len(lines) == 5
+
+    def test_parser_is_built_once_and_keeps_no_arguments(self, classifier_file, tmp_path):
+        assert build_parser() is build_parser()
+        first = tmp_path / "first"
+        assert run(["--output-dir", str(first), "--seed", "5", "--threads", "2", "risk-table",
+                    "--reps", "2000", "--betas", "14", "--n", "4"]) == 0
+        assert run(["risk-table", "--reps", "oops"]) == 2
+        second = tmp_path / "second"
+        assert run(["--output-dir", str(second), "estimate", "--model", classifier_file,
+                    "--x", "1", "--estimator", "lrse"]) == 0
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert manifest["subcommand"] == "estimate"
+        assert manifest["seed"] == 0
+        assert manifest["config"] == {
+            "output_dir": str(second), "seed": 0, "threads": 1, "model": classifier_file,
+            "x": "1", "estimator": "lrse", "loss": None,
+        }
 
     def test_converge_runs_small_schedule(self, tmp_path):
         out = tmp_path / "run"

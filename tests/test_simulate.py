@@ -7,11 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betaincinv
 from scipy.stats import betabinom, norm
 
 import relbelief
-from relbelief import SimConfig, conditional_risk_mc, risk_table
-from relbelief.simulate import BLOCK
+from relbelief import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
+from relbelief.cli import run
+from relbelief.errors import InvariantViolation
+from relbelief.simulate import BLOCK, _training_counts, _training_law
 
 
 def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
@@ -38,6 +43,113 @@ def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
         err = (1.0 - predict_one) if c == 1 else predict_one
         out[c] = float(pmf @ err)
     return out[0], out[1]
+
+
+def counted_training_counts(u, n, a, b):
+    """Oracle sampler: draw the Beta rate, then count n Bernoulli labels.
+
+    This builds the training sample the way the model describes it, with no
+    beta-binomial algebra; ``u`` holds ``n + 1`` uniforms per row.
+    """
+    eps = betaincinv(a, b, u[:, 0])
+    return (u[:, 1 : n + 1] < eps[:, None]).sum(axis=1)
+
+
+sampler_laws = dict(
+    n=st.integers(0, 30),
+    alpha=st.floats(0.05, 200.0),
+    beta=st.floats(0.05, 200.0),
+    c=st.sampled_from((0, 1)),
+    couple_training=st.booleans(),
+)
+
+
+class TestTrainingCountSampler:
+    DRAWS = 20_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sampler_laws)
+    def test_counts_stay_in_range(self, n, alpha, beta, c, couple_training):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.linspace(0.0, 1.0, 1001)[:-1]])
+        k = _training_counts(u, n, a, b)
+        assert k.min() >= 0 and k.max() <= n
+        assert k[0] == 0
+        assert np.all(np.diff(k[2:]) >= 0)
+
+    def test_last_count_absorbs_cdf_rounding(self):
+        # Here the cumulative pmf ends at 1 - 4.4e-16, below the largest
+        # uniform the generator can return.
+        u = np.array([np.nextafter(1.0, 0.0)])
+        assert _training_counts(u, 1, 0.05, 0.05).tolist() == [1]
+
+    # Fixed examples: a statistical bound is checked on many bins at once, so
+    # a run must not depend on which parameters Hypothesis happens to draw.
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**sampler_laws)
+    def test_frequencies_match_beta_binomial(self, n, alpha, beta, c, couple_training):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        rng = np.random.default_rng([n, c, int(couple_training)])
+        k = _training_counts(rng.random(self.DRAWS), n, a, b)
+        freq = np.bincount(k, minlength=n + 1) / self.DRAWS
+        p = betabinom.pmf(np.arange(n + 1), n, a, b)
+        # Five standard errors, plus one count of slack where p * DRAWS is tiny.
+        bound = 5.0 * (np.sqrt(p * (1.0 - p) / self.DRAWS) + 1.0 / self.DRAWS)
+        assert np.all(np.abs(freq - p) <= bound)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**sampler_laws)
+    def test_agrees_with_counting_oracle(self, n, alpha, beta, c, couple_training):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        rng = np.random.default_rng([n, c, int(couple_training), 1])
+        new = np.bincount(_training_counts(rng.random(self.DRAWS), n, a, b), minlength=n + 1)
+        old = np.bincount(counted_training_counts(rng.random((self.DRAWS, n + 1)), n, a, b),
+                          minlength=n + 1)
+        # Two independent samples: the difference of the frequencies has twice
+        # the binomial variance of the pooled frequency.
+        pooled = (new + old) / (2 * self.DRAWS)
+        bound = 5.0 * (np.sqrt(2.0 * pooled * (1.0 - pooled) / self.DRAWS) + 1.0 / self.DRAWS)
+        assert np.all(np.abs(new - old) / self.DRAWS <= bound)
+
+
+class TestExactRisk:
+    @pytest.mark.parametrize("couple_training", [False, True])
+    @pytest.mark.parametrize("method", ["map", "lrse"])
+    @pytest.mark.parametrize("mu", [1.0, 0.0, 2.5, 0.3])
+    @pytest.mark.parametrize("alpha,beta,n", [(1.0, 1.0, 10), (1.0, 14.0, 10), (1.0, 100.0, 10),
+                                              (0.05, 200.0, 30), (3.0, 0.5, 0), (200.0, 0.05, 1)])
+    def test_matches_enumeration(self, alpha, beta, n, mu, method, couple_training):
+        got = exact_conditional_risk(alpha, beta, mu, n, method, couple_training)
+        want = enumerated_risks(alpha, beta, mu, n, method, couple_training)
+        assert got == pytest.approx(want, abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 2.5])
+    def test_negative_shift_flips_the_inequality(self, mu):
+        # mu * x has the same law for mu and -mu, so the risks coincide; a
+        # rule that kept the inequality for mu < 0 would swap the error sides.
+        for method in ("map", "lrse"):
+            assert exact_conditional_risk(1.0, 14.0, -mu, 10, method) == exact_conditional_risk(
+                1.0, 14.0, mu, 10, method)
+        cfg = SimConfig(alpha=1.0, beta=14.0, mu=-mu, n=10, reps=60_000, seed=17)
+        for method, rep in conditional_risk_mc(cfg).items():
+            exact = exact_conditional_risk(1.0, 14.0, -mu, 10, method)
+            assert np.all(np.abs(rep.per_class_error - exact) <= 4 * rep.std_err)
+
+    @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0, 10, "map"), (1.0, 1.0, 1.0, -1, "map"),
+                                      (1.0, 1.0, 1.0, 10, "mode")])
+    def test_rejects_an_invalid_scenario(self, args):
+        with pytest.raises(InvariantViolation):
+            exact_conditional_risk(*args)
+
+    def test_risk_table_reports_exact_values_and_z_scores(self):
+        reports = conditional_risk_mc(SimConfig(beta=14.0, reps=20_000, seed=3))
+        for row in risk_table(reps=20_000, seed=3, betas=(14.0,)):
+            exact = exact_conditional_risk(1.0, 14.0, 1.0, 10, row.method)
+            assert (row.exact_m0, row.exact_m1) == exact
+            rep = reports[row.method]
+            np.testing.assert_allclose([row.z_m0, row.z_m1],
+                                       (rep.per_class_error - exact) / rep.std_err, rtol=1e-15)
+            assert abs(row.z_m0) <= 4 and abs(row.z_m1) <= 4
 
 
 class TestConditionalLawOracle:
@@ -124,6 +236,15 @@ class TestReproducibility:
             np.testing.assert_array_equal(
                 a[method].per_class_error, b[method].per_class_error
             )
+
+    def test_cli_threads_flag_cannot_change_counts(self, tmp_path):
+        tables = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            assert run(["--output-dir", str(out), "--seed", "12345", "--threads", str(threads),
+                        "risk-table", "--reps", str(3 * BLOCK), "--betas", "14"]) == 0
+            tables.append((out / "risk_table.csv").read_text())
+        assert tables[0] == tables[1]
 
     def test_seed_changes_counts(self):
         a = conditional_risk_mc(SimConfig(beta=14.0, reps=30_000, seed=1))
