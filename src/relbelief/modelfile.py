@@ -63,6 +63,26 @@ def _labels_and_coords(raw, field: str):
     return labels, (np.array(coords) if has_coords else None)
 
 
+def _binomial_table(trials: int, p: np.ndarray) -> np.ndarray:
+    """Binomial probabilities of ``k = 0..trials``, one row per success rate.
+
+    Built in log space.  ``log C(trials, k)`` sums ``log((trials - j) / (j + 1))``
+    up to the middle and mirrors it, so it is exactly 0 at both ends.  The terms
+    ``k log p`` and ``(trials - k) log(1 - p)`` count as 0 where ``k`` or
+    ``trials - k`` is 0, so ``p = 0`` and ``p = 1`` give exact unit rows
+    instead of ``0 * log 0 = nan``.
+    """
+    k = np.arange(trials + 1)
+    j = k[: trials // 2]
+    half = np.concatenate(([0.0], np.cumsum(np.log((trials - j) / (j + 1)))))
+    log_comb = np.concatenate((half, half[: trials - trials // 2][::-1]))
+    p = p[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (log_comb + np.where(k > 0, k * np.log(p), 0.0)
+                   + np.where(k < trials, (trials - k) * np.log1p(-p), 0.0))
+    return np.exp(log_pmf)
+
+
 def _family_likelihood(spec: dict, n_theta: int):
     family = spec.get("family")
     if family == "bernoulli":
@@ -75,11 +95,7 @@ def _family_likelihood(spec: dict, n_theta: int):
         p = np.asarray(spec.get("p", []), dtype=float)
         if trials < 1 or p.size != n_theta or np.any(p < 0) or np.any(p > 1):
             raise ModelSpecError("likelihood", "binomial needs n >= 1 and one p per theta")
-        ks = np.arange(trials + 1)
-        from scipy.stats import binom
-
-        table = binom.pmf(ks[None, :], trials, p[:, None])
-        return table, tuple(str(k) for k in ks)
+        return _binomial_table(trials, p), tuple(str(k) for k in range(trials + 1))
     if family == "normal":
         mean = np.asarray(spec.get("mean", []), dtype=float)
         sd = np.asarray(spec.get("sd", []), dtype=float)

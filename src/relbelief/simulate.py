@@ -2,11 +2,11 @@
 
 Given the conditioning class ``c``, the comparison between the class
 predictors depends on the training sample only through the count ``k`` of
-class-1 training cases, which is beta-binomial.  Each replication therefore
-reads one row of two uniforms: the first draws ``k`` by inverting the
-beta-binomial CDF, the second draws the new observation ``x = c * mu + Z``
-through the normal quantile.  The closed-form predictors are then applied to
-``(k, x)`` and errors are counted.
+class-1 training cases, which is beta-binomial.  ``k`` takes only ``n + 1``
+values, so a block draws how many of its replications fall on each ``k`` as
+one multinomial over the beta-binomial pmf, then one standard normal ``Z``
+per replication for the new observation ``x = c * mu + Z``.  The closed-form
+predictors are then applied to every ``(k, x)`` row and errors are counted.
 
 Every block of ``BLOCK`` replications has its own counter-based stream keyed
 by (seed, scenario, class, block index), so a block's draws do not depend on
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +58,8 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise InvariantViolation("need at least one replication")
+        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.mu)):
+            raise InvariantViolation("alpha, beta and mu must be finite")
         if not (self.alpha > 0 and self.beta > 0):
             raise InvariantViolation("Beta parameters must be positive")
         if self.n < 0:
@@ -88,14 +89,15 @@ def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def _training_counts(u: np.ndarray, n: int, a: float, b: float) -> np.ndarray:
-    """Beta-binomial counts from uniforms in [0, 1), by inverting the CDF.
+def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float) -> np.ndarray:
+    """Sorted beta-binomial training counts of ``rows`` replications.
 
-    Searching ``cdf[:-1]`` keeps ``k <= n`` even when the last cumulative sum
-    rounds below one; the last count then absorbs that rounding.
+    The number of rows at each ``k = 0..n`` is one multinomial draw over the
+    pmf.  numpy takes the last probability as one minus the others, so a pmf
+    whose sum rounds below one still yields exactly ``rows`` counts.
     """
-    cdf = np.cumsum(beta_binomial_pmf(n, a, b))
-    return np.searchsorted(cdf[:-1], u, side="right")
+    per_k = rng.multinomial(rows, beta_binomial_pmf(n, a, b))
+    return np.repeat(np.arange(n + 1), per_k)
 
 
 def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
@@ -106,19 +108,16 @@ def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
     """Exact integer error counts of one block of replications.
 
-    Each replication reads one row of two uniforms from the block's own keyed
-    stream, so scheduling cannot change the draws.
+    The training counts, then the observations' normal draws, come from the
+    block's own keyed stream, so scheduling cannot change the draws.  The
+    counts come out sorted; the normals are independent of them, so every
+    row is still an independent replication.
     """
-    # Imported here: scipy.special costs about 0.2 s, which only simulation
-    # should pay, not every process that imports relbelief.
-    from scipy.special import ndtri
-
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
-    u = Generator(Philox(stream)).random((rows, 2))
-
+    rng = Generator(Philox(stream))
     a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
-    k = _training_counts(u[:, 0], cfg.n, a, b)
-    x = c * cfg.mu + ndtri(u[:, 1])
+    k = _draw_training_counts(rng, rows, cfg.n, a, b)
+    x = c * cfg.mu + rng.standard_normal(rows)
     f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
 
     counts = {}
@@ -164,6 +163,9 @@ def _cell_error_counts(cfg: SimConfig, c: int) -> dict[str, int]:
     sizes = [min(BLOCK, cfg.reps - i * BLOCK) for i in range(n_blocks)]
     totals = {m: 0 for m in cfg.methods}
     if cfg.threads > 1 and n_blocks > 1:
+        # Imported here: only a multi-threaded run pays for concurrent.futures.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(
                 pool.map(lambda i: _block_errors(cfg, c, i, sizes[i]), range(n_blocks))

@@ -1,13 +1,19 @@
 """Model file schema, round-trips, and the command-line surface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binom
 
 import relbelief
 from relbelief import (
@@ -19,6 +25,7 @@ from relbelief import (
     save_model,
 )
 from relbelief.cli import build_parser, run
+from relbelief.modelfile import _binomial_table
 
 
 def write_json(path, doc):
@@ -101,6 +108,31 @@ class TestModelFile:
         model = load_model(path)
         assert model.n_x == 4
         np.testing.assert_allclose(model.likelihood.sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trials=st.integers(1, 60), p=st.floats(0.0, 1.0))
+    def test_binomial_table_matches_exact_rationals_and_scipy(self, trials, p):
+        got = _binomial_table(trials, np.array([p]))[0]
+        rate = Fraction(p)
+        exact = np.array([float(math.comb(trials, k) * rate**k * (1 - rate) ** (trials - k))
+                          for k in range(trials + 1)])
+        # Log space rounds a term near log(1e-300) = -691 to about 1e-13 of
+        # itself, so the tightest bound holds where the pmf is not tiny.
+        body = exact >= 1e-30
+        np.testing.assert_allclose(got[body], exact[body], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got[~body], exact[~body], rtol=1e-12, atol=1e-310)
+        if p == 0.0 or p >= 1e-200:  # scipy overflows at smaller rates
+            ref = binom.pmf(np.arange(trials + 1), trials, p)
+            # scipy is itself off from the exact values by up to 3e-13 (for
+            # example at trials = 51, p = 0.16235482653703004, k = 0).
+            np.testing.assert_allclose(got[body], ref[body], rtol=1e-12, atol=0)
+
+    def test_binomial_table_extreme_rates_are_exact(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trials in (1, 4, 7):
+                table = _binomial_table(trials, np.array([0.0, 1.0]))
+                np.testing.assert_array_equal(table, np.eye(trials + 1)[[0, -1]])
 
     def test_normal_family_gives_callback(self, tmp_path):
         path = write_json(
@@ -320,6 +352,12 @@ class TestCli:
         lines = (out / "risk_table.csv").read_text().strip().splitlines()
         assert lines[0] == "beta,method,M0,M1,sum,se,exact_M0,exact_M1,z_M0,z_M1"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("scenario", [["--mu", "nan"], ["--betas", "inf"], ["--alpha", "inf"]])
+    def test_risk_table_rejects_non_finite_scenario(self, tmp_path, capsys, scenario):
+        assert run(["--output-dir", str(tmp_path / "run"), "risk-table", "--reps", "100",
+                    "--betas", "14", *scenario]) == 2
+        assert "must be finite" in capsys.readouterr().err
 
     def test_parser_is_built_once_and_keeps_no_arguments(self, classifier_file, tmp_path):
         assert build_parser() is build_parser()

@@ -1,5 +1,6 @@
 """Simulation protocol oracles, reproducibility, and trend checks."""
 
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import relbelief
 from relbelief import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
 from relbelief.cli import run
 from relbelief.errors import InvariantViolation
-from relbelief.simulate import BLOCK, _training_counts, _training_law
+from relbelief.simulate import BLOCK, _draw_training_counts, _training_law, beta_binomial_pmf
 
 
 def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
@@ -45,6 +46,16 @@ def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
     return out[0], out[1]
 
 
+def searchsorted_training_counts(u, n, a, b):
+    """Oracle sampler: beta-binomial counts from uniforms, by inverting the CDF.
+
+    Searching ``cdf[:-1]`` keeps ``k <= n`` even when the last cumulative sum
+    rounds below one; the last count then absorbs that rounding.
+    """
+    cdf = np.cumsum(beta_binomial_pmf(n, a, b))
+    return np.searchsorted(cdf[:-1], u, side="right")
+
+
 def counted_training_counts(u, n, a, b):
     """Oracle sampler: draw the Beta rate, then count n Bernoulli labels.
 
@@ -68,20 +79,31 @@ class TestTrainingCountSampler:
     DRAWS = 20_000
 
     @settings(max_examples=60, deadline=None)
-    @given(**sampler_laws)
-    def test_counts_stay_in_range(self, n, alpha, beta, c, couple_training):
+    @given(**sampler_laws, rows=st.integers(1, 5000))
+    def test_counts_stay_in_range(self, n, alpha, beta, c, couple_training, rows):
         a, b = _training_law(alpha, beta, c, couple_training)
-        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.linspace(0.0, 1.0, 1001)[:-1]])
-        k = _training_counts(u, n, a, b)
+        k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, a, b)
+        assert k.shape == (rows,)
         assert k.min() >= 0 and k.max() <= n
-        assert k[0] == 0
-        assert np.all(np.diff(k[2:]) >= 0)
+        assert np.all(np.diff(k) >= 0)  # one run per count, in order
+        assert np.bincount(k, minlength=n + 1).shape == (n + 1,)
+        # The oracle stays in range at both ends of the uniforms.
+        u = np.array([0.0, np.nextafter(1.0, 0.0)])
+        lo, hi = searchsorted_training_counts(u, n, a, b).tolist()
+        assert lo == 0 and 0 <= hi <= n
 
     def test_last_count_absorbs_cdf_rounding(self):
-        # Here the cumulative pmf ends at 1 - 4.4e-16, below the largest
-        # uniform the generator can return.
-        u = np.array([np.nextafter(1.0, 0.0)])
-        assert _training_counts(u, 1, 0.05, 0.05).tolist() == [1]
+        # Here the pmf sums to 1 - 4.4e-16: numpy's multinomial gives the last
+        # count the remainder, so every row still gets a count in 0..n.
+        assert beta_binomial_pmf(1, 0.05, 0.05).sum() < 1.0
+        k = _draw_training_counts(np.random.default_rng(1), self.DRAWS, 1, 0.05, 0.05)
+        per_k = np.bincount(k, minlength=2)
+        assert per_k.sum() == self.DRAWS and per_k.min() > 0
+        assert abs(per_k[1] / self.DRAWS - 0.5) <= 5 * np.sqrt(0.25 / self.DRAWS)
+        assert searchsorted_training_counts(np.array([np.nextafter(1.0, 0.0)]), 1, 0.05,
+                                            0.05).tolist() == [1]
+        # With no training data every count is zero.
+        assert _draw_training_counts(np.random.default_rng(2), 7, 0, 1.0, 1.0).tolist() == [0] * 7
 
     # Fixed examples: a statistical bound is checked on many bins at once, so
     # a run must not depend on which parameters Hypothesis happens to draw.
@@ -90,26 +112,39 @@ class TestTrainingCountSampler:
     def test_frequencies_match_beta_binomial(self, n, alpha, beta, c, couple_training):
         a, b = _training_law(alpha, beta, c, couple_training)
         rng = np.random.default_rng([n, c, int(couple_training)])
-        k = _training_counts(rng.random(self.DRAWS), n, a, b)
+        k = _draw_training_counts(rng, self.DRAWS, n, a, b)
         freq = np.bincount(k, minlength=n + 1) / self.DRAWS
         p = betabinom.pmf(np.arange(n + 1), n, a, b)
         # Five standard errors, plus one count of slack where p * DRAWS is tiny.
         bound = 5.0 * (np.sqrt(p * (1.0 - p) / self.DRAWS) + 1.0 / self.DRAWS)
         assert np.all(np.abs(freq - p) <= bound)
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(**sampler_laws)
-    def test_agrees_with_counting_oracle(self, n, alpha, beta, c, couple_training):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        rng = np.random.default_rng([n, c, int(couple_training), 1])
-        new = np.bincount(_training_counts(rng.random(self.DRAWS), n, a, b), minlength=n + 1)
-        old = np.bincount(counted_training_counts(rng.random((self.DRAWS, n + 1)), n, a, b),
-                          minlength=n + 1)
+    def _assert_same_law(self, new, old):
         # Two independent samples: the difference of the frequencies has twice
         # the binomial variance of the pooled frequency.
         pooled = (new + old) / (2 * self.DRAWS)
         bound = 5.0 * (np.sqrt(2.0 * pooled * (1.0 - pooled) / self.DRAWS) + 1.0 / self.DRAWS)
         assert np.all(np.abs(new - old) / self.DRAWS <= bound)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**sampler_laws)
+    def test_agrees_with_counting_oracle(self, n, alpha, beta, c, couple_training):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        rng = np.random.default_rng([n, c, int(couple_training), 1])
+        new = np.bincount(_draw_training_counts(rng, self.DRAWS, n, a, b), minlength=n + 1)
+        old = np.bincount(counted_training_counts(rng.random((self.DRAWS, n + 1)), n, a, b),
+                          minlength=n + 1)
+        self._assert_same_law(new, old)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**sampler_laws)
+    def test_agrees_with_searchsorted_oracle(self, n, alpha, beta, c, couple_training):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        rng = np.random.default_rng([n, c, int(couple_training), 2])
+        new = np.bincount(_draw_training_counts(rng, self.DRAWS, n, a, b), minlength=n + 1)
+        old = np.bincount(searchsorted_training_counts(rng.random(self.DRAWS), n, a, b),
+                          minlength=n + 1)
+        self._assert_same_law(new, old)
 
 
 class TestExactRisk:
@@ -136,7 +171,9 @@ class TestExactRisk:
             assert np.all(np.abs(rep.per_class_error - exact) <= 4 * rep.std_err)
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0, 10, "map"), (1.0, 1.0, 1.0, -1, "map"),
-                                      (1.0, 1.0, 1.0, 10, "mode")])
+                                      (1.0, 1.0, 1.0, 10, "mode"), (1.0, 1.0, np.nan, 10, "map"),
+                                      (1.0, np.inf, 1.0, 10, "map"), (np.inf, 1.0, 1.0, 10, "lrse"),
+                                      (1.0, 1.0, -np.inf, 10, "lrse")])
     def test_rejects_an_invalid_scenario(self, args):
         with pytest.raises(InvariantViolation):
             exact_conditional_risk(*args)
@@ -284,13 +321,23 @@ class TestTrends:
         assert rows[0].m0 == rows[1].m0 and rows[0].m1 == rows[1].m1
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # Only simulation pays for scipy.special; importing the package does not.
+def test_import_leaves_scipy_special_unloaded(tmp_path):
+    # The runtime is numpy-only: importing the package, simulating and loading
+    # a binomial-family model load no scipy module.
+    model = tmp_path / "binomial.json"
+    model.write_text(json.dumps({"theta": ["a", "b"], "prior": [0.5, 0.5], "psi_map": ["a", "b"],
+                                 "likelihood": {"family": "binomial", "n": 4, "p": [0.2, 0.7]}}))
+    script = (
+        "import sys, relbelief\n"
+        "from relbelief.cli import run\n"
+        f"assert run(['--output-dir', {str(tmp_path / 'run')!r}, '--seed', '1', 'risk-table',"
+        " '--reps', '1000', '--betas', '14']) == 0\n"
+        f"assert relbelief.load_model({str(model)!r}).n_x == 5\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
     src = str(Path(relbelief.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, relbelief; print('scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
