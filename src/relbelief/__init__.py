@@ -40,7 +40,6 @@ from .model import (
 from .losses import (
     LossSpec,
     RiskReport,
-    loss_value,
     parse_loss,
     posterior_risk,
     prior_risk,

@@ -35,8 +35,8 @@ def _tie_mask(values: np.ndarray) -> np.ndarray:
 
 def tied_argmax(values: np.ndarray) -> tuple[int, tuple[int, ...], bool]:
     """Index of the maximum plus the set of ties within tolerance."""
-    ties = tuple(int(i) for i in np.flatnonzero(_tie_mask(np.asarray(values, dtype=float))))
-    return ties[0], ties, len(ties) > 1
+    ties = _tie_mask(np.asarray(values, dtype=float)).nonzero()[0].tolist()
+    return ties[0], tuple(ties), len(ties) > 1
 
 
 @dataclass(frozen=True)

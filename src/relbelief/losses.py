@@ -21,6 +21,7 @@ Every kind but ``ball`` is ``I(true != action) * h(true)`` (:func:`h_vector`);
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,31 +170,86 @@ def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
 
 
-def _ball_inside(radius: float, coords: np.ndarray | None, actions=slice(None)) -> np.ndarray:
-    """``inside[true, k]``: whether ``true`` lies in the ball around ``actions[k]``."""
+# 2**1074 units of the smallest subnormal make one; int / int rounds correctly.
+_SUBNORMAL_UNITS = 1 << 1074
+
+# Each row block of the dense ball test holds at most this many coordinate
+# differences, so its memory stays bounded however large the support is.
+BALL_BLOCK = 1 << 16
+
+
+def _ball_points(coords: np.ndarray | None) -> np.ndarray:
     if coords is None:
         raise InvariantViolation("ball loss needs psi coordinates")
-    pts = coords.reshape(len(coords), -1)  # one row of coordinates per psi
-    diff = pts[:, None, :] - pts[actions][None, :, :]
+    return coords.reshape(len(coords), -1)  # one row of coordinates per psi
+
+
+def _within(diff: np.ndarray, radius: float) -> np.ndarray:
+    """The ball test on coordinate differences whose last axis is the dimension."""
     return np.linalg.norm(diff, axis=-1) <= radius
+
+
+def _ball_rows(radius: float, pts: np.ndarray, centres: np.ndarray):
+    """``inside[true, k]`` (``true`` within ``radius`` of ``centres[k]``), in row blocks."""
+    step = max(1, BALL_BLOCK // (len(centres) * pts.shape[1]))
+    for start in range(0, len(pts), step):
+        yield _within(pts[start:start + step, None, :] - centres[None, :, :], radius)
+
+
+def _interval_mass(radius: float, coords: np.ndarray, post: np.ndarray) -> np.ndarray:
+    """Posterior mass within ``radius`` of every finite 1-D coordinate, in O(n log n).
+
+    In sorted order each ball is a run ``[lo, hi)``, since the rounded
+    difference to the centre is monotone.  ``coords ± radius`` round, so each
+    bound starts from a ``searchsorted`` guess and moves, a block of equal
+    coordinates at a time, until it agrees with the dense test at its edge.
+    A centre always lies in its own ball, so ``lo < n`` and ``hi > 0``
+    throughout.  Each run's mass is a difference of exact integer running
+    sums, in units of the smallest subnormal, rounded once: balls holding the
+    same mass tie exactly, whatever order their members come in.
+    """
+    order = coords.argsort(kind="stable")
+    s = coords[order]
+
+    def inside(i):  # whether sorted point i[k] lies in the ball around coords[k]
+        return _within((coords - s[i])[:, None], radius)
+
+    n = s.size
+    lo = s.searchsorted(coords - radius, side="left")
+    while (move := (lo > 0) & inside(np.maximum(lo - 1, 0))).any():
+        lo[move] = s.searchsorted(s[lo[move] - 1], side="left")
+    while (move := ~inside(lo)).any():
+        lo[move] = s.searchsorted(s[lo[move]], side="right")
+    hi = s.searchsorted(coords + radius, side="right")
+    while (move := (hi < n) & inside(np.minimum(hi, n - 1))).any():
+        hi[move] = s.searchsorted(s[hi[move]], side="right")
+    while (move := ~inside(hi - 1)).any():
+        hi[move] = s.searchsorted(s[hi[move] - 1], side="left")
+
+    units = (num << (1075 - den.bit_length())  # den is 2**k, k <= 1074
+             for num, den in map(float.as_integer_ratio, post[order].tolist()))
+    cum = list(itertools.accumulate(units, initial=0))
+    return np.array([(cum[h] - cum[l]) / _SUBNORMAL_UNITS for l, h in zip(lo.tolist(), hi.tolist())])
+
+
+def _ball_mass(radius: float, coords: np.ndarray | None, post: np.ndarray) -> np.ndarray:
+    """Posterior mass of the closed ball of ``radius`` around every psi."""
+    pts = _ball_points(coords)
+    if pts.shape[1] == 1 and np.isfinite(pts).all():
+        return _interval_mass(radius, pts[:, 0], post)
+    return np.concatenate([inside @ post for inside in _ball_rows(radius, pts, pts)])
 
 
 def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
     """``L[true, k]``: the loss of acting with ``actions[k]``, one column per action."""
     actions = np.asarray(actions, dtype=np.intp)
+    if actions.size and (actions.min() < 0 or actions.max() >= model.n_psi):
+        raise UnknownPsi("actions point outside the psi support")
     if loss.kind == BALL:
-        return 1.0 - _ball_inside(loss.radius, model.psi_coords, actions)
+        pts = _ball_points(model.psi_coords)
+        return 1.0 - np.concatenate(list(_ball_rows(loss.radius, pts, pts[actions])))
     h = h_vector(loss, model.marginal_prior())
     return h[:, None] * (np.arange(model.n_psi)[:, None] != actions)
-
-
-def loss_value(loss: LossSpec, theta_index: int, psi_index: int, model: FiniteModel) -> float:
-    """Loss of acting with ``psi_index`` when ``theta_index`` is true."""
-    if not 0 <= psi_index < model.n_psi:
-        raise UnknownPsi(f"psi index {psi_index} out of range")
-    if not 0 <= theta_index < model.n_theta:
-        raise InvariantViolation(f"theta index {theta_index} out of range")
-    return float(loss_matrix(loss, model, [psi_index])[model.psi_map[theta_index], 0])
 
 
 # -- posterior risk --------------------------------------------------------
@@ -205,7 +261,7 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
     if loss.kind == ZERO_ONE:
         return 1.0 - post
     if loss.kind == PRIOR_BASED:
-        return float(np.sum(tables.rb)) - tables.rb
+        return float(tables.rb.sum()) - tables.rb
     if loss.kind == CAPPED:
         capped = post / np.maximum(loss.eta, tables.marg_prior)
         return float(np.sum(capped)) - capped
@@ -213,7 +269,7 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
         weighted = h_vector(loss, tables.marg_prior) * post
         return float(np.sum(weighted)) - weighted
     if loss.kind == BALL:
-        return 1.0 - _ball_inside(loss.radius, tables.psi_coords) @ post
+        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, post)
     raise InvariantViolation(f"unhandled loss kind {loss.kind!r}")
 
 

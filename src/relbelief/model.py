@@ -9,7 +9,10 @@ marginal parameter of interest.  Continuous-parameter problems enter through
 bins; this module is strictly finite.
 
 All values are immutable after construction and safe to share across
-threads.
+threads.  A :class:`FiniteModel` computes its marginal prior and its
+whole-sample-space tables on first use and keeps them, read-only, in a
+write-once cache on the instance; a second thread that races the first
+builds the same values and gets the copy that was stored first.
 """
 
 from __future__ import annotations
@@ -86,6 +89,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _cached(model: "FiniteModel", name: str, build: Callable[[], object]):
+    """``build()`` computed once per model and kept on the frozen instance.
+
+    The cache lives in the instance ``__dict__``, not in a field, so
+    ``dataclasses.replace`` and equality never see it.  ``setdefault`` keeps
+    whichever value was stored first, so every caller gets the same object.
+    """
+    try:
+        return model.__dict__[name]
+    except KeyError:
+        return model.__dict__.setdefault(name, build())
+
+
 @dataclass(frozen=True)
 class FiniteModel:
     """Discrete Bayesian model with a marginal parameter mapping.
@@ -116,6 +132,9 @@ class FiniteModel:
     tail_bound : float, optional
         Truncation tail-mass bound when the model is an explicit truncation
         of a countable support; carried through to estimator results.
+
+    The marginal prior and :func:`sample_space_tables` are computed on first
+    use and cached on the instance; both are read-only.
     """
 
     theta_labels: tuple[str, ...]
@@ -128,7 +147,6 @@ class FiniteModel:
     x_labels: tuple[str, ...] | None = None
     family_spec: dict | None = None
     tail_bound: float | None = None
-    future_kernel: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta_labels", tuple(self.theta_labels))
@@ -182,12 +200,6 @@ class FiniteModel:
                     raise InvariantViolation(f"{name} length does not match support")
                 object.__setattr__(self, name, _frozen(coords))
 
-        if self.future_kernel is not None:
-            kernel = np.asarray(self.future_kernel, dtype=float)
-            if kernel.ndim not in (2, 3) or kernel.shape[0] != n_theta:
-                raise InvariantViolation("future kernel must be 2-D or 3-D over theta")
-            object.__setattr__(self, "future_kernel", _frozen(kernel))
-
     # -- basic views ------------------------------------------------------
 
     @property
@@ -233,8 +245,12 @@ class FiniteModel:
         return vals
 
     def marginal_prior(self) -> np.ndarray:
-        """Prior weights pushed forward onto the psi support."""
-        return np.bincount(self.psi_map, weights=self.prior, minlength=self.n_psi)
+        """Prior weights pushed forward onto the psi support (read-only)."""
+        return _cached(
+            self,
+            "_marginal_prior",
+            lambda: _frozen(np.bincount(self.psi_map, weights=self.prior, minlength=self.n_psi)),
+        )
 
     def fiber(self, psi_index: int) -> np.ndarray:
         """Theta indices mapping to the given psi value."""
@@ -288,6 +304,36 @@ class BeliefTables:
             if coords.shape[0] != n:
                 raise InvariantViolation("psi_coords length does not match support")
             object.__setattr__(self, "psi_coords", _frozen(coords))
+
+    @classmethod
+    def _trusted(
+        cls, model: FiniteModel, x, marg_post: np.ndarray, rb: np.ndarray, evidence: float
+    ) -> "BeliefTables":
+        """Tables that :func:`marginalize` has just built from ``model``.
+
+        The model's marginal prior is positive and read-only, ``marg_post`` is
+        a pushed-forward probability vector and ``rb`` its quotient by the
+        prior, all aligned over the model's psi support.  Of the public
+        constructor's checks only the paper's two identities are left: the
+        prior-weighted ratio averages to one and its maximum is at least one.
+        """
+        marg_prior = model.marginal_prior()
+        if rb.max() < 1.0 - SUM_TOL:
+            raise InvariantViolation("max relative belief ratio must be >= 1")
+        if abs(float(rb @ marg_prior) - 1.0) > SUM_TOL:
+            raise InvariantViolation("prior-weighted rb must average to one")
+        self = object.__new__(cls)
+        self.__dict__.update(
+            x=x,
+            marg_prior=marg_prior,
+            marg_post=_frozen(marg_post),
+            rb=_frozen(rb),
+            evidence=evidence,
+            psi_labels=model.psi_labels,
+            psi_coords=model.psi_coords,
+            tail_bound=model.tail_bound,
+        )
+        return self
 
     @property
     def n_psi(self) -> int:
@@ -369,21 +415,11 @@ def marginalize(
     post = np.asarray(posterior, dtype=float)
     if post.shape != (model.n_theta,):
         raise InvariantViolation("posterior length does not match theta support")
-    if abs(post.sum() - 1.0) > SUM_TOL or np.any(post < 0):
+    if abs(post.sum() - 1.0) > SUM_TOL or (post < 0).any():
         raise InvariantViolation("posterior must be a normalized probability vector")
-    marg_prior = model.marginal_prior()
     marg_post = np.bincount(model.psi_map, weights=post, minlength=model.n_psi)
-    rb = marg_post / marg_prior
-    return BeliefTables(
-        x=x,
-        marg_prior=marg_prior,
-        marg_post=marg_post,
-        rb=rb,
-        evidence=evidence,
-        psi_labels=model.psi_labels,
-        psi_coords=model.psi_coords,
-        tail_bound=model.tail_bound,
-    )
+    rb = marg_post / model.marginal_prior()
+    return BeliefTables._trusted(model, x, marg_post, rb, evidence)
 
 
 def belief_tables(model: FiniteModel, x) -> BeliefTables:
@@ -413,9 +449,15 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
 
     The arithmetic is that of :func:`compute_posterior` then
     :func:`marginalize`, in the same order, so ties come out as they do at
-    single points.  Raises :class:`InfiniteSampleSpace` for a density
-    callback and :class:`ZeroEvidence` if some ``x`` is impossible.
+    single points.  The tables are built once per model and cached on it, so
+    every sweep over the same model shares them.  Raises
+    :class:`InfiniteSampleSpace` for a density callback and
+    :class:`ZeroEvidence` if some ``x`` is impossible.
     """
+    return _cached(model, "_sample_space_tables", lambda: _build_sample_space_tables(model))
+
+
+def _build_sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
     n_psi, n_x = model.n_psi, model.n_x
     joint = model.prior[:, None] * model.likelihood
     # Summing contiguous rows makes numpy add each column pairwise, as the
@@ -440,7 +482,7 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
         raise InvariantViolation("max relative belief ratio must be >= 1 at every x")
     return SampleSpaceTables(
         evidence=_frozen(evidence),
-        marg_prior=_frozen(marg_prior),
+        marg_prior=marg_prior,
         marg_joint=fiber_sums(joint),
         marg_post=marg_post,
         rb=_frozen(rb),

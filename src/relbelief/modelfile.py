@@ -24,8 +24,8 @@ Schema (all keys at the top level of one JSON object):
     Real coordinates aligned with ``psi``.
 ``x`` (optional)
     Labels for the sample-space columns of a matrix likelihood.
-``future_kernel`` (optional)
-    2-D (theta, y) or 3-D (theta, x, y) row-stochastic table.
+
+Any other key is ignored.
 """
 
 from __future__ import annotations
@@ -182,15 +182,6 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
         if psi_coords.shape[0] != len(psi_labels):
             raise ModelSpecError("psi_coords", "length does not match psi support")
 
-    future_kernel = None
-    if "future_kernel" in raw:
-        future_kernel = np.asarray(raw["future_kernel"], dtype=float)
-        if future_kernel.ndim not in (2, 3) or future_kernel.shape[0] != n_theta:
-            raise ModelSpecError("future_kernel", "must be 2-D or 3-D with one row per theta")
-        rows = future_kernel.sum(axis=-1)
-        if np.max(np.abs(rows - 1.0)) > 1e-9:
-            raise ModelSpecError("future_kernel", "rows must sum to 1")
-
     return FiniteModel(
         theta_labels=tuple(theta_labels),
         prior=prior,
@@ -201,7 +192,6 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
         psi_coords=psi_coords,
         x_labels=x_labels if not callable(likelihood) else None,
         family_spec=family_spec,
-        future_kernel=future_kernel,
     )
 
 
@@ -229,6 +219,4 @@ def save_model(model: FiniteModel, path: str | Path) -> None:
     doc["psi_map"] = [model.psi_labels[j] for j in model.psi_map]
     if model.psi_coords is not None:
         doc["psi_coords"] = [float(v) for v in np.asarray(model.psi_coords).reshape(-1)]
-    if model.future_kernel is not None:
-        doc["future_kernel"] = model.future_kernel.tolist()
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

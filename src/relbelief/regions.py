@@ -52,27 +52,27 @@ def _spread_tol(values: np.ndarray) -> float:
     return TIE_RTOL * float(values.max() - values.min())
 
 
-def _ranked_region(values: np.ndarray, masses: np.ndarray, gamma: float) -> CredibleRegion:
-    """Super-level region of ``values`` holding posterior mass >= gamma."""
+def _ranked_region(
+    values: np.ndarray, masses: np.ndarray, gamma: float
+) -> tuple[list[int], float, float]:
+    """Members, threshold and attained mass of the super-level region of
+    ``values`` holding posterior mass >= gamma."""
     if not -GAMMA_TOL <= gamma <= 1.0 + GAMMA_TOL:
         raise InvariantViolation("gamma must lie in [0, 1]")
-    order = np.argsort(-values, kind="stable")
+    order = (-values).argsort(kind="stable")
     if gamma >= 1.0 - GAMMA_TOL:
         # Full credibility is the whole support; the cumulative-mass search
         # below could drop members whose posterior mass rounds away.
         hit = values.size - 1
     else:
         # First ranking position at which the accumulated mass reaches gamma.
-        cum = np.cumsum(masses[order])
-        hit = int(np.searchsorted(cum, gamma - GAMMA_TOL, side="left"))
-        hit = min(hit, values.size - 1)
+        cum = masses[order].cumsum()
+        hit = min(int(cum.searchsorted(gamma - GAMMA_TOL, side="left")), values.size - 1)
     threshold = float(values[order[hit]])
     keep = values >= threshold - _spread_tol(values)
-    members = tuple(int(i) for i in np.flatnonzero(keep))
-    attained = math.fsum(masses[list(members)])
-    return CredibleRegion(
-        gamma=float(gamma), members=members, threshold=threshold, attained_mass=attained
-    )
+    # fsum rounds the exact sum of the members' masses, whatever their order
+    # or float type; plain floats from tolist() are the fastest input for it.
+    return keep.nonzero()[0].tolist(), threshold, math.fsum(masses[keep].tolist())
 
 
 def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -80,12 +80,12 @@ def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
 
     As gamma drops to zero the region shrinks to the posterior mode set.
     """
-    return _ranked_region(tables.marg_post, tables.marg_post, gamma)
+    return CredibleRegion(float(gamma), *_ranked_region(tables.marg_post, tables.marg_post, gamma))
 
 
 def rs_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
     """Relative-surprise region: super-level set of the belief ratio."""
-    return _ranked_region(tables.rb, tables.marg_post, gamma)
+    return CredibleRegion(float(gamma), *_ranked_region(tables.rb, tables.marg_post, gamma))
 
 
 def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -95,13 +95,8 @@ def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRe
     region).
     """
     risks = posterior_risk_vector(loss, tables)
-    region = _ranked_region(-risks, tables.marg_post, gamma)
-    return CredibleRegion(
-        gamma=region.gamma,
-        members=region.members,
-        threshold=-region.threshold,
-        attained_mass=region.attained_mass,
-    )
+    members, threshold, attained = _ranked_region(-risks, tables.marg_post, gamma)
+    return CredibleRegion(float(gamma), members, -threshold, attained)
 
 
 def tail_probability(tables: BeliefTables, psi0: int) -> float:

@@ -13,12 +13,12 @@ from relbelief import (
     LossSpec,
     UnknownPsi,
     belief_tables,
-    loss_value,
     parse_loss,
     posterior_risk,
     prior_risk,
 )
 from relbelief.estimators import lrse_rule, map_rule
+from relbelief.losses import loss_matrix
 from conftest import model_corpus
 
 
@@ -67,6 +67,11 @@ class TestLossValue:
             psi_coords=[0.0, 1.0],
         )
 
+    def loss_value(self, loss, theta_index, psi_index):
+        """Loss of acting with ``psi_index`` when ``theta_index`` is true."""
+        table = loss_matrix(loss, self.model, [psi_index])
+        return float(table[self.model.psi_map[theta_index], 0])
+
     def test_correct_action_is_free_for_every_kind(self):
         for loss in (
             LossSpec.zero_one(),
@@ -75,25 +80,27 @@ class TestLossValue:
             LossSpec.weighted([2.0, 3.0]),
             LossSpec.ball(0.5),
         ):
-            assert loss_value(loss, 0, 0, self.model) == 0.0
-            assert loss_value(loss, 2, 1, self.model) == 0.0
+            assert self.loss_value(loss, 0, 0) == 0.0
+            assert self.loss_value(loss, 2, 1) == 0.0
 
     def test_prior_based_is_reciprocal_prior(self):
         # marginal prior of A is 0.2
-        assert loss_value(LossSpec.prior_based(), 0, 1, self.model) == pytest.approx(5.0)
+        assert self.loss_value(LossSpec.prior_based(), 0, 1) == pytest.approx(5.0)
 
     def test_cap_bounds_the_penalty(self):
-        assert loss_value(LossSpec.capped(0.5), 0, 1, self.model) == pytest.approx(2.0)
+        assert self.loss_value(LossSpec.capped(0.5), 0, 1) == pytest.approx(2.0)
         # inactive cap reduces to the prior-based penalty
-        assert loss_value(LossSpec.capped(0.05), 0, 1, self.model) == pytest.approx(5.0)
+        assert self.loss_value(LossSpec.capped(0.05), 0, 1) == pytest.approx(5.0)
 
     def test_ball_uses_coordinates(self):
-        assert loss_value(LossSpec.ball(1.5), 0, 1, self.model) == 0.0
-        assert loss_value(LossSpec.ball(0.5), 0, 1, self.model) == 1.0
+        assert self.loss_value(LossSpec.ball(1.5), 0, 1) == 0.0
+        assert self.loss_value(LossSpec.ball(0.5), 0, 1) == 1.0
 
     def test_unknown_candidate_rejected(self):
         with pytest.raises(UnknownPsi):
-            loss_value(LossSpec.zero_one(), 0, 7, self.model)
+            loss_matrix(LossSpec.zero_one(), self.model, [7])
+        with pytest.raises(UnknownPsi):
+            loss_matrix(LossSpec.ball(0.5), self.model, [0, -1])
 
 
 class TestPosteriorRisk:

@@ -66,7 +66,6 @@ class TestModelFile:
             theta_coords=[0.0, 0.5, 1.0],
             psi_coords=[0.25, 1.0],
             x_labels=("no", "yes"),
-            future_kernel=np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]]),
         )
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -78,8 +77,23 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.psi_map, model.psi_map)
         np.testing.assert_array_equal(loaded.theta_coords, model.theta_coords)
         np.testing.assert_array_equal(loaded.psi_coords, model.psi_coords)
-        np.testing.assert_array_equal(loaded.future_kernel, model.future_kernel)
         assert loaded.x_labels == model.x_labels
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        doc = {
+            "theta": ["a", "b"],
+            "prior": [0.5, 0.5],
+            "likelihood": [[0.9, 0.1], [0.2, 0.8]],
+            "psi_map": ["a", "b"],
+        }
+        plain = load_model(write_json(tmp_path / "plain.json", doc))
+        doc["future_kernel"] = [[0.5, 0.5], [0.2, 0.8]]
+        extra = load_model(write_json(tmp_path / "extra.json", doc))
+        assert extra.theta_labels == plain.theta_labels
+        assert extra.psi_labels == plain.psi_labels
+        np.testing.assert_array_equal(extra.prior, plain.prior)
+        np.testing.assert_array_equal(extra.likelihood, plain.likelihood)
+        assert not hasattr(extra, "future_kernel")
 
     def test_bernoulli_family(self, tmp_path):
         path = write_json(

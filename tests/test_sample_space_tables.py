@@ -2,7 +2,7 @@
 
 The oracles below are the per-x and cell-by-cell implementations the
 vectorised sweeps replaced: one ``belief_tables`` call per sample point, one
-``loss_value``-style evaluation per (theta, x) cell.  Rules and the uniform
+scalar loss evaluation per (theta, x) cell.  Rules and the uniform
 check must match them element for element; sums must match within 1e-12.
 """
 
