@@ -21,7 +21,6 @@ Every kind but ``ball`` is ``I(true != action) * h(true)`` (:func:`h_vector`);
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -170,9 +169,6 @@ def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
 
 
-# 2**1074 units of the smallest subnormal make one; int / int rounds correctly.
-_SUBNORMAL_UNITS = 1 << 1074
-
 # Each row block of the dense ball test holds at most this many coordinate
 # differences, so its memory stays bounded however large the support is.
 BALL_BLOCK = 1 << 16
@@ -191,52 +187,14 @@ def _within(diff: np.ndarray, radius: float) -> np.ndarray:
 
 def _ball_rows(radius: float, pts: np.ndarray, centres: np.ndarray):
     """``inside[true, k]`` (``true`` within ``radius`` of ``centres[k]``), in row blocks."""
-    step = max(1, BALL_BLOCK // (len(centres) * pts.shape[1]))
+    step = max(1, BALL_BLOCK // max(1, len(centres) * pts.shape[1]))
     for start in range(0, len(pts), step):
         yield _within(pts[start:start + step, None, :] - centres[None, :, :], radius)
-
-
-def _interval_mass(radius: float, coords: np.ndarray, post: np.ndarray) -> np.ndarray:
-    """Posterior mass within ``radius`` of every finite 1-D coordinate, in O(n log n).
-
-    In sorted order each ball is a run ``[lo, hi)``, since the rounded
-    difference to the centre is monotone.  ``coords ± radius`` round, so each
-    bound starts from a ``searchsorted`` guess and moves, a block of equal
-    coordinates at a time, until it agrees with the dense test at its edge.
-    A centre always lies in its own ball, so ``lo < n`` and ``hi > 0``
-    throughout.  Each run's mass is a difference of exact integer running
-    sums, in units of the smallest subnormal, rounded once: balls holding the
-    same mass tie exactly, whatever order their members come in.
-    """
-    order = coords.argsort(kind="stable")
-    s = coords[order]
-
-    def inside(i):  # whether sorted point i[k] lies in the ball around coords[k]
-        return _within((coords - s[i])[:, None], radius)
-
-    n = s.size
-    lo = s.searchsorted(coords - radius, side="left")
-    while (move := (lo > 0) & inside(np.maximum(lo - 1, 0))).any():
-        lo[move] = s.searchsorted(s[lo[move] - 1], side="left")
-    while (move := ~inside(lo)).any():
-        lo[move] = s.searchsorted(s[lo[move]], side="right")
-    hi = s.searchsorted(coords + radius, side="right")
-    while (move := (hi < n) & inside(np.minimum(hi, n - 1))).any():
-        hi[move] = s.searchsorted(s[hi[move]], side="right")
-    while (move := ~inside(hi - 1)).any():
-        hi[move] = s.searchsorted(s[hi[move] - 1], side="left")
-
-    units = (num << (1075 - den.bit_length())  # den is 2**k, k <= 1074
-             for num, den in map(float.as_integer_ratio, post[order].tolist()))
-    cum = list(itertools.accumulate(units, initial=0))
-    return np.array([(cum[h] - cum[l]) / _SUBNORMAL_UNITS for l, h in zip(lo.tolist(), hi.tolist())])
 
 
 def _ball_mass(radius: float, coords: np.ndarray | None, post: np.ndarray) -> np.ndarray:
     """Posterior mass of the closed ball of ``radius`` around every psi."""
     pts = _ball_points(coords)
-    if pts.shape[1] == 1 and np.isfinite(pts).all():
-        return _interval_mass(radius, pts[:, 0], post)
     return np.concatenate([inside @ post for inside in _ball_rows(radius, pts, pts)])
 
 

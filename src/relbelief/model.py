@@ -134,7 +134,9 @@ class FiniteModel:
         of a countable support; carried through to estimator results.
 
     The marginal prior and :func:`sample_space_tables` are computed on first
-    use and cached on the instance; both are read-only.
+    use and cached on the instance; both are read-only.  The cache lives as
+    long as the model: the tables' three ``(n_psi, n_x)`` arrays can take up
+    to three times the memory of the likelihood table.
     """
 
     theta_labels: tuple[str, ...]
