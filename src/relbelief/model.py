@@ -89,6 +89,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_coords(values, size: int, what: str) -> np.ndarray:
+    """Read-only coordinates, one row per support point, all finite.
+
+    A ball around an infinite or nan point holds no point, not even its
+    centre, so such coordinates would give wrong risks rather than an error.
+    """
+    coords = np.asarray(values, dtype=float)
+    if coords.shape[0] != size:
+        raise InvariantViolation(f"{what} length does not match support")
+    if not np.all(np.isfinite(coords)):
+        raise InvariantViolation(f"{what} contains non-finite entries")
+    return _frozen(coords)
+
+
 def _cached(model: "FiniteModel", name: str, build: Callable[[], object]):
     """``build()`` computed once per model and kept on the frozen instance.
 
@@ -193,14 +207,9 @@ class FiniteModel:
         elif self.x_labels is not None:
             raise InvariantViolation("x_labels are meaningless with a density callback")
 
-        for name in ("theta_coords", "psi_coords"):
-            val = getattr(self, name)
-            if val is not None:
-                coords = np.asarray(val, dtype=float)
-                expect = n_theta if name == "theta_coords" else n_psi
-                if coords.shape[0] != expect:
-                    raise InvariantViolation(f"{name} length does not match support")
-                object.__setattr__(self, name, _frozen(coords))
+        for name, size in (("theta_coords", n_theta), ("psi_coords", n_psi)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _checked_coords(getattr(self, name), size, name))
 
     # -- basic views ------------------------------------------------------
 
@@ -302,10 +311,7 @@ class BeliefTables:
         object.__setattr__(self, "marg_post", _frozen(post))
         object.__setattr__(self, "rb", _frozen(rb))
         if self.psi_coords is not None:
-            coords = np.asarray(self.psi_coords, dtype=float)
-            if coords.shape[0] != n:
-                raise InvariantViolation("psi_coords length does not match support")
-            object.__setattr__(self, "psi_coords", _frozen(coords))
+            object.__setattr__(self, "psi_coords", _checked_coords(self.psi_coords, n, "psi_coords"))
 
     @classmethod
     def _trusted(

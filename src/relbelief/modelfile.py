@@ -21,7 +21,8 @@ Schema (all keys at the top level of one JSON object):
     Explicit ordering of the marginal support; defaults to first
     appearance order in ``psi_map``.
 ``psi_coords`` (optional)
-    Real coordinates aligned with ``psi``.
+    Real coordinates aligned with ``psi``.  Coordinates, here and in
+    ``theta``, must be finite.
 ``x`` (optional)
     Labels for the sample-space columns of a matrix likelihood.
 
@@ -54,11 +55,11 @@ def _labels_and_coords(raw, field: str):
                 has_coords = True
                 coords.append(float(item["coord"]))
             else:
-                coords.append(math.nan)
+                coords.append(None)
         else:
             labels.append(str(item))
-            coords.append(math.nan)
-    if has_coords and any(math.isnan(c) for c in coords):
+            coords.append(None)
+    if has_coords and None in coords:
         raise ModelSpecError(field, "either all entries carry a coord or none do")
     return labels, (np.array(coords) if has_coords else None)
 

@@ -4,14 +4,20 @@ Given the conditioning class ``c``, the comparison between the class
 predictors depends on the training sample only through the count ``k`` of
 class-1 training cases, which is beta-binomial.  ``k`` takes only ``n + 1``
 values, so a block draws how many of its replications fall on each ``k`` as
-one multinomial over the beta-binomial pmf, then one standard normal ``Z``
-per replication for the new observation ``x = c * mu + Z``.  The closed-form
-predictors are then applied to every ``(k, x)`` row and errors are counted.
+one multinomial over the beta-binomial pmf, and each method's decision
+statistic is computed once per ``k``.  The block then walks its replications
+in chunks of ``_CHUNK`` rows: each chunk draws one standard normal ``Z`` per
+row for the new observation ``x = c * mu + Z``, gives each row the statistic
+of its ``k``, and counts the rows that predict class 1.  So a block never
+holds a temporary with one entry per replication, and its working set stays
+at a few chunk-sized arrays whatever ``BLOCK`` and ``n`` are.
 
 Every block of ``BLOCK`` replications has its own counter-based stream keyed
 by (seed, scenario, class, block index), so a block's draws do not depend on
 which worker runs it or when: error counts are bit-identical for any thread
-count.  :func:`exact_conditional_risk` gives the same risks exactly, as a
+count.  Drawing a block's normals chunk by chunk reads the stream in the same
+order as one draw, so the chunk size does not change the counts either.
+:func:`exact_conditional_risk` gives the same risks exactly, as a
 beta-binomial mixture of normal tails.
 """
 
@@ -24,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .closed_form import decision_statistic, predicts_one
+from .closed_form import decision_statistic
 from .errors import InvariantViolation
 from .losses import RiskReport
 
 BLOCK = 65536  # fixed logical block size; independent of worker count
+_CHUNK = 16384  # rows per chunk of a block; bounds the block's working set
 
 METHODS = ("map", "lrse")
 
@@ -56,6 +63,19 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # The stream key hashes the fields' text, so ``alpha=1`` and
+        # ``alpha=1.0`` must be one value before anything reads them.
+        for name in ("alpha", "beta", "mu"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("n", "reps", "seed"):
+            value = getattr(self, name)
+            try:
+                as_int = int(value)
+            except (TypeError, ValueError, OverflowError):
+                as_int = None
+            if as_int is None or as_int != value:
+                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, as_int)
         if self.reps < 1:
             raise InvariantViolation("need at least one replication")
         if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.mu)):
@@ -90,14 +110,13 @@ def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
 
 
 def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float) -> np.ndarray:
-    """Sorted beta-binomial training counts of ``rows`` replications.
+    """How many of ``rows`` replications have each training count ``k = 0..n``.
 
-    The number of rows at each ``k = 0..n`` is one multinomial draw over the
-    pmf.  numpy takes the last probability as one minus the others, so a pmf
-    whose sum rounds below one still yields exactly ``rows`` counts.
+    One multinomial draw over the beta-binomial pmf.  numpy takes the last
+    probability as one minus the others, so a pmf whose sum rounds below one
+    still spreads exactly ``rows`` replications.
     """
-    per_k = rng.multinomial(rows, beta_binomial_pmf(n, a, b))
-    return np.repeat(np.arange(n + 1), per_k)
+    return rng.multinomial(rows, beta_binomial_pmf(n, a, b))
 
 
 def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
@@ -108,23 +127,31 @@ def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
     """Exact integer error counts of one block of replications.
 
-    The training counts, then the observations' normal draws, come from the
-    block's own keyed stream, so scheduling cannot change the draws.  The
-    counts come out sorted; the normals are independent of them, so every
-    row is still an independent replication.
+    The per-k training counts, then the observations' normal draws, come from
+    the block's own keyed stream, so scheduling cannot change the draws.  The
+    replications are taken in order of ``k``: rows ``edges[k]`` to
+    ``edges[k + 1]`` have count ``k``.  The normals are independent of the
+    counts, so every row is still an independent replication.  Each chunk
+    draws its normals in stream order and gives each row the statistic of
+    its ``k``, so every row meets the comparison ``f_ratio * stat >= 1`` of
+    a single pass over the block, with the same operands.
     """
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
     rng = Generator(Philox(stream))
     a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
-    k = _draw_training_counts(rng, rows, cfg.n, a, b)
-    x = c * cfg.mu + rng.standard_normal(rows)
-    f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
+    edges = np.concatenate(([0], np.cumsum(_draw_training_counts(rng, rows, cfg.n, a, b))))
+    ks = np.arange(cfg.n + 1)
+    stats = {m: decision_statistic(m, cfg.alpha, cfg.beta, cfg.n, ks) for m in cfg.methods}
 
-    counts = {}
-    for method in cfg.methods:
-        pred = predicts_one(method, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
-        counts[method] = int(np.count_nonzero(pred != bool(c)))
-    return counts
+    hits = dict.fromkeys(cfg.methods, 0)  # rows that predict class 1
+    for lo in range(0, rows, _CHUNK):
+        hi = min(lo + _CHUNK, rows)
+        x = c * cfg.mu + rng.standard_normal(hi - lo)
+        f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
+        rows_per_k = np.diff(np.clip(edges, lo, hi))
+        for method, stat in stats.items():
+            hits[method] += int(np.count_nonzero(f_ratio * np.repeat(stat, rows_per_k) >= 1.0))
+    return {m: rows - h if c else h for m, h in hits.items()}
 
 
 def exact_conditional_risk(
@@ -252,7 +279,7 @@ def risk_table(
     for beta in betas:
         cfg = SimConfig(
             alpha=alpha,
-            beta=float(beta),
+            beta=beta,
             mu=mu,
             n=n,
             reps=reps,
@@ -264,11 +291,13 @@ def risk_table(
         for method in cfg.methods:
             rep = reports[method]
             se = float(np.sqrt(np.sum(rep.std_err**2)))
-            exact = exact_conditional_risk(alpha, float(beta), mu, n, method, couple_training)
+            exact = exact_conditional_risk(
+                cfg.alpha, cfg.beta, cfg.mu, cfg.n, method, cfg.couple_training
+            )
             z = (rep.per_class_error - exact) / rep.std_err
             rows.append(
                 RiskTableRow(
-                    beta=float(beta),
+                    beta=cfg.beta,
                     method=method,
                     m0=float(rep.per_class_error[0]),
                     m1=float(rep.per_class_error[1]),

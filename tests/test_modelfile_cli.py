@@ -310,6 +310,25 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "validation-error"
 
+    @pytest.mark.parametrize("field,coords", [("psi_coords", [0.0, math.inf]),
+                                              ("psi_coords", [math.nan, 1.0]),
+                                              ("theta_coords", [-math.inf, 1.0]),
+                                              ("theta_coords", [1.0, math.nan])])
+    def test_non_finite_coordinates_exit_two(self, tmp_path, capsys, field, coords):
+        doc = {"theta": ["a", "b"], "prior": [0.5, 0.5], "likelihood": [[0.9, 0.1], [0.2, 0.8]],
+               "psi_map": ["a", "b"]}
+        if field == "psi_coords":
+            doc["psi_coords"] = coords
+        else:
+            doc["theta"] = [{"label": t, "coord": c} for t, c in zip(doc["theta"], coords)]
+        path = write_json(tmp_path / "coords.json", doc)  # json writes Infinity and NaN
+        with pytest.raises(relbelief.InvariantViolation, match=f"{field} contains non-finite"):
+            load_model(path)
+        for argv in (["validate"], ["estimate", "--x", "1", "--estimator", "lrse"]):
+            assert run(["--output-dir", str(tmp_path / argv[0]), argv[0], "--model", path,
+                        *argv[1:]]) == 2
+            assert "non-finite" in capsys.readouterr().err
+
     def test_validate_accepts_good_model(self, classifier_file, tmp_path):
         code = run(
             ["--output-dir", str(tmp_path / "r"), "validate", "--model", classifier_file]

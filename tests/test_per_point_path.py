@@ -378,10 +378,19 @@ def test_ball_risk_matches_dense_on_larger_supports(kind, monkeypatch):
         "two-dimensional": rng.integers(-5, 5, size=(n, 2)).astype(float),
         "non-finite": np.where(np.arange(n) % 50 == 0, np.inf, rng.integers(0, 30, size=n) * 1.0),
     }[kind]
+    if kind == "non-finite":
+        # No ball holds an infinite point, not even its own, so neither the
+        # tables nor the model accept such a support.
+        with pytest.raises(InvariantViolation, match="psi_coords contains non-finite"):
+            coordinate_tables(coords, rng.dirichlet(np.ones(n)))
+        with pytest.raises(InvariantViolation, match="theta_coords contains non-finite"):
+            FiniteModel(theta_labels=tuple(f"t{i}" for i in range(n)), prior=np.ones(n),
+                        likelihood=np.ones((n, 1)), psi_map=np.arange(n),
+                        psi_labels=tuple(f"p{j}" for j in range(n)), theta_coords=coords)
+        return
     for radius in (0.3, 1.0, 2.0, 7.0, 300.0):
         for _ in range(3):
-            with np.errstate(invalid="ignore"):  # inf - inf in the dense test
-                assert_ball_matches_dense(radius, coordinate_tables(coords, rng.dirichlet(np.ones(n))))
+            assert_ball_matches_dense(radius, coordinate_tables(coords, rng.dirichlet(np.ones(n))))
 
 
 def test_ball_loss_matrix_is_the_dense_test_in_blocks(monkeypatch):

@@ -1,23 +1,38 @@
 """Simulation protocol oracles, reproducibility, and trend checks."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import betaincinv
 from scipy.stats import betabinom, norm
 
 import relbelief
 from relbelief import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
+from relbelief import simulate
 from relbelief.cli import run
+from relbelief.closed_form import predicts_one
 from relbelief.errors import InvariantViolation
-from relbelief.simulate import BLOCK, _draw_training_counts, _training_law, beta_binomial_pmf
+from relbelief.simulate import (
+    _CHUNK,
+    BLOCK,
+    METHODS,
+    _block_errors,
+    _cell_error_counts,
+    _cell_key,
+    _draw_training_counts,
+    _training_law,
+    beta_binomial_pmf,
+)
 
 
 def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
@@ -66,6 +81,21 @@ def counted_training_counts(u, n, a, b):
     return (u[:, 1 : n + 1] < eps[:, None]).sum(axis=1)
 
 
+def rowwise_block_errors(cfg, c, block_index, rows):
+    """Oracle block in one pass: every row's training count, observation and
+    ``predicts_one`` decision held at once, with no chunks and no per-count
+    statistic.
+    """
+    rng = Generator(Philox(SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))))
+    a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
+    k = np.repeat(np.arange(cfg.n + 1), _draw_training_counts(rng, rows, cfg.n, a, b))
+    x = c * cfg.mu + rng.standard_normal(rows)
+    f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
+    return {m: int(np.count_nonzero(predicts_one(m, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
+                                    != bool(c)))
+            for m in cfg.methods}
+
+
 sampler_laws = dict(
     n=st.integers(0, 30),
     alpha=st.floats(0.05, 200.0),
@@ -82,11 +112,10 @@ class TestTrainingCountSampler:
     @given(**sampler_laws, rows=st.integers(1, 5000))
     def test_counts_stay_in_range(self, n, alpha, beta, c, couple_training, rows):
         a, b = _training_law(alpha, beta, c, couple_training)
-        k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, a, b)
-        assert k.shape == (rows,)
-        assert k.min() >= 0 and k.max() <= n
-        assert np.all(np.diff(k) >= 0)  # one run per count, in order
-        assert np.bincount(k, minlength=n + 1).shape == (n + 1,)
+        per_k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, a, b)
+        assert per_k.shape == (n + 1,)  # one entry per count k = 0..n, no row outside them
+        assert per_k.dtype.kind == "i" and per_k.min() >= 0
+        assert per_k.sum() == rows  # every row gets exactly one count
         # The oracle stays in range at both ends of the uniforms.
         u = np.array([0.0, np.nextafter(1.0, 0.0)])
         lo, hi = searchsorted_training_counts(u, n, a, b).tolist()
@@ -96,14 +125,14 @@ class TestTrainingCountSampler:
         # Here the pmf sums to 1 - 4.4e-16: numpy's multinomial gives the last
         # count the remainder, so every row still gets a count in 0..n.
         assert beta_binomial_pmf(1, 0.05, 0.05).sum() < 1.0
-        k = _draw_training_counts(np.random.default_rng(1), self.DRAWS, 1, 0.05, 0.05)
-        per_k = np.bincount(k, minlength=2)
+        per_k = _draw_training_counts(np.random.default_rng(1), self.DRAWS, 1, 0.05, 0.05)
+        assert per_k.shape == (2,)
         assert per_k.sum() == self.DRAWS and per_k.min() > 0
         assert abs(per_k[1] / self.DRAWS - 0.5) <= 5 * np.sqrt(0.25 / self.DRAWS)
         assert searchsorted_training_counts(np.array([np.nextafter(1.0, 0.0)]), 1, 0.05,
                                             0.05).tolist() == [1]
         # With no training data every count is zero.
-        assert _draw_training_counts(np.random.default_rng(2), 7, 0, 1.0, 1.0).tolist() == [0] * 7
+        assert _draw_training_counts(np.random.default_rng(2), 7, 0, 1.0, 1.0).tolist() == [7]
 
     # Fixed examples: a statistical bound is checked on many bins at once, so
     # a run must not depend on which parameters Hypothesis happens to draw.
@@ -112,8 +141,7 @@ class TestTrainingCountSampler:
     def test_frequencies_match_beta_binomial(self, n, alpha, beta, c, couple_training):
         a, b = _training_law(alpha, beta, c, couple_training)
         rng = np.random.default_rng([n, c, int(couple_training)])
-        k = _draw_training_counts(rng, self.DRAWS, n, a, b)
-        freq = np.bincount(k, minlength=n + 1) / self.DRAWS
+        freq = _draw_training_counts(rng, self.DRAWS, n, a, b) / self.DRAWS
         p = betabinom.pmf(np.arange(n + 1), n, a, b)
         # Five standard errors, plus one count of slack where p * DRAWS is tiny.
         bound = 5.0 * (np.sqrt(p * (1.0 - p) / self.DRAWS) + 1.0 / self.DRAWS)
@@ -131,7 +159,7 @@ class TestTrainingCountSampler:
     def test_agrees_with_counting_oracle(self, n, alpha, beta, c, couple_training):
         a, b = _training_law(alpha, beta, c, couple_training)
         rng = np.random.default_rng([n, c, int(couple_training), 1])
-        new = np.bincount(_draw_training_counts(rng, self.DRAWS, n, a, b), minlength=n + 1)
+        new = _draw_training_counts(rng, self.DRAWS, n, a, b)
         old = np.bincount(counted_training_counts(rng.random((self.DRAWS, n + 1)), n, a, b),
                           minlength=n + 1)
         self._assert_same_law(new, old)
@@ -141,10 +169,100 @@ class TestTrainingCountSampler:
     def test_agrees_with_searchsorted_oracle(self, n, alpha, beta, c, couple_training):
         a, b = _training_law(alpha, beta, c, couple_training)
         rng = np.random.default_rng([n, c, int(couple_training), 2])
-        new = np.bincount(_draw_training_counts(rng, self.DRAWS, n, a, b), minlength=n + 1)
+        new = _draw_training_counts(rng, self.DRAWS, n, a, b)
         old = np.bincount(searchsorted_training_counts(rng.random(self.DRAWS), n, a, b),
                           minlength=n + 1)
         self._assert_same_law(new, old)
+
+
+block_rows = st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, BLOCK]),
+                       st.integers(1, BLOCK))
+block_shifts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
+block_methods = st.sampled_from([("map",), ("lrse",), METHODS])
+
+
+class TestChunkedBlock:
+    """The chunked block against the row-wise oracle, count for count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(0, 300), alpha=st.floats(0.05, 200.0), beta=st.floats(0.05, 200.0),
+           mu=block_shifts, c=st.sampled_from((0, 1)), couple_training=st.booleans(),
+           methods=block_methods, rows=block_rows, seed=st.integers(0, 2**32),
+           block_index=st.integers(0, 20))
+    def test_counts_equal_rowwise_oracle(self, n, alpha, beta, mu, c, couple_training, methods,
+                                         rows, seed, block_index):
+        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed, methods=methods,
+                        couple_training=couple_training)
+        got = _block_errors(cfg, c, block_index, rows)
+        assert got == rowwise_block_errors(cfg, c, block_index, rows)
+        assert list(got) == list(methods)
+
+    @pytest.mark.parametrize("couple_training", [False, True])
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("mu", [0.0, -0.7, 1.0])
+    def test_counts_equal_rowwise_oracle_at_ten_thousand(self, mu, c, couple_training):
+        cfg = SimConfig(alpha=1.0, beta=14.0, mu=mu, n=10_000, seed=99,
+                        couple_training=couple_training)
+        for rows in (_CHUNK + 1, BLOCK):
+            assert _block_errors(cfg, c, 3, rows) == rowwise_block_errors(cfg, c, 3, rows)
+
+    def test_block_working_set_is_bounded(self):
+        # One full block at n = 10,000 holds a few chunk-sized arrays; the
+        # row-wise block needs several 512 KB arrays at once (3.2 MB peak).
+        cfg = SimConfig(alpha=1.0, beta=14.0, n=10_000, seed=1)
+        _block_errors(cfg, 1, 0, BLOCK)  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            _block_errors(cfg, 1, 1, BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_csv_is_byte_identical_to_rowwise_oracle(self, tmp_path, monkeypatch, threads):
+        argv = ["--seed", "2024", "--threads", str(threads), "risk-table",
+                "--reps", str(3 * BLOCK + 5), "--betas", "1,14", "--n", "12", "--mu", "-0.8"]
+        assert run(["--output-dir", str(tmp_path / "chunked"), *argv]) == 0
+        monkeypatch.setattr(simulate, "_block_errors", rowwise_block_errors)
+        assert run(["--output-dir", str(tmp_path / "rowwise"), *argv]) == 0
+        chunked = (tmp_path / "chunked" / "risk_table.csv").read_bytes()
+        assert chunked == (tmp_path / "rowwise" / "risk_table.csv").read_bytes()
+
+    # Error counts of the row-wise block, recorded before the block ran in
+    # chunks, so a change to the draws shows even if the oracle follows it.
+    @pytest.mark.parametrize("kwargs,want", [
+        (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345),
+         [{"map": 514, "lrse": 56314}, {"map": 191843, "lrse": 74345}]),
+        (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7, couple_training=True),
+         [{"map": 2041, "lrse": 10285}, {"map": 29269, "lrse": 9292}]),
+        (dict(beta=1.0, mu=0.0, n=0, reps=20_001, seed=2),
+         [{"map": 20001, "lrse": 20001}, {"map": 0, "lrse": 0}]),
+    ])
+    def test_recorded_counts_are_unchanged(self, kwargs, want):
+        assert [_cell_error_counts(SimConfig(**kwargs), c) for c in (0, 1)] == want
+
+
+class TestScenarioTypes:
+    def test_integer_and_float_arguments_draw_one_stream(self):
+        as_float = risk_table(reps=5000, seed=1, alpha=1.0, mu=1.0, n=10, betas=(14.0,))
+        assert risk_table(reps=5000, seed=1, alpha=1, mu=1, n=10, betas=(14,)) == as_float
+        assert risk_table(reps=np.int64(5000), seed=np.int64(1), alpha=np.float64(1.0),
+                          mu=np.float32(1.0), n=np.int32(10), betas=(np.float64(14.0),)) == as_float
+        assert risk_table(reps=5000.0, seed=1.0, alpha=1.0, n=10.0, betas=(14.0,)) == as_float
+
+    def test_fields_are_coerced(self):
+        cfg = SimConfig(alpha=1, beta=np.float32(2.0), mu=0, n=np.int64(3), reps=10.0,
+                        seed=np.uint8(4))
+        assert [type(v) for v in (cfg.alpha, cfg.beta, cfg.mu)] == [float] * 3
+        assert [type(v) for v in (cfg.n, cfg.reps, cfg.seed)] == [int] * 3
+        assert cfg == SimConfig(alpha=1.0, beta=2.0, mu=0.0, n=3, reps=10, seed=4)
+
+    @pytest.mark.parametrize("field,value", [("n", 2.5), ("reps", math.inf), ("seed", math.nan),
+                                             ("seed", "7"), ("n", None)])
+    def test_rejects_a_non_integer_count(self, field, value):
+        with pytest.raises(InvariantViolation, match=f"{field} must be an integer"):
+            SimConfig(**{field: value})
 
 
 class TestExactRisk:
