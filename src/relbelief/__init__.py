@@ -6,90 +6,69 @@ prior-driven losses), credible regions (highest posterior density,
 relative surprise, lowest posterior loss), discretization experiments for
 continuous parameters, and a seeded misclassification-risk simulator on top
 of that single quantity.
+
+Every public name is resolved on first use: ``relbelief.X`` imports the one
+submodule that defines ``X`` and then keeps ``X`` as a plain attribute, so a
+process loads only the submodules it touches.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    HypothesisViolated,
-    InfiniteSampleSpace,
-    InvariantViolation,
-    ModelSpecError,
-    NonStochasticKernel,
-    QuadratureFailure,
-    RelBeliefError,
-    SingularDesign,
-    TooLargeForBruteForce,
-    UnknownPsi,
-    ZeroBinMass,
-    ZeroEvidence,
-)
-from .model import (
-    BeliefTables,
-    FiniteModel,
-    PredictiveTables,
-    SampleSpaceTables,
-    belief_tables,
-    compute_posterior,
-    marginalize,
-    normalized,
-    posterior_predictive,
-    prior_predictive,
-    sample_space_tables,
-)
-from .losses import (
-    LossSpec,
-    RiskReport,
-    parse_loss,
-    posterior_risk,
-    prior_risk,
-)
-from .estimators import (
-    EstimateResult,
-    bayes_rule,
-    lrse,
-    lrse_rule,
-    map_estimate,
-    map_rule,
-    predict_lrse,
-    unbiasedness_gap,
-    uniform_unbiasedness_check,
-)
-from .regions import (
-    CredibleRegion,
-    attainable_gammas,
-    eta_sweep,
-    hpd_region,
-    lpl_region,
-    minimal_prior_size_check,
-    region_distance,
-    rs_region,
-    tail_probability,
-)
-from .discretize import (
-    ContinuousModel1D,
-    RegularGrid,
-    build_grid,
-    capped_rule_refinement,
-    eta_schedule,
-    grid_lrse_refinement,
-    grid_tables,
-    refinement_experiments,
-    region_refinement,
-)
-from .closed_form import (
-    BetaBernoulliPredictor,
-    BinomialClassifier,
-    GaussianRegression,
-    NormalNormalTestbed,
-    classifier_risks,
-    classify,
-    gaussian_likelihood_ratio,
-    predict_class,
-    regression_estimates,
-    regression_predict,
-)
-from .simulate import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
-from .modelfile import load_model, save_model
+# Each submodule with the public names it defines.  The submodule's own name
+# is exported too, so ``relbelief.simulate`` works without importing it first.
+_SUBMODULE_NAMES = {
+    "errors": (
+        "HypothesisViolated", "InfiniteSampleSpace", "InvariantViolation", "ModelSpecError",
+        "NonStochasticKernel", "QuadratureFailure", "RelBeliefError", "SingularDesign",
+        "TooLargeForBruteForce", "UnknownPsi", "ZeroBinMass", "ZeroEvidence",
+    ),
+    "model": (
+        "BeliefTables", "FiniteModel", "PredictiveTables", "SampleSpaceTables", "belief_tables",
+        "compute_posterior", "marginalize", "normalized", "posterior_predictive",
+        "prior_predictive", "sample_space_tables",
+    ),
+    "losses": ("LossSpec", "RiskReport", "parse_loss", "posterior_risk", "prior_risk"),
+    "estimators": (
+        "EstimateResult", "bayes_rule", "lrse", "lrse_rule", "map_estimate", "map_rule",
+        "predict_lrse", "unbiasedness_gap", "uniform_unbiasedness_check",
+    ),
+    "regions": (
+        "CredibleRegion", "attainable_gammas", "eta_sweep", "hpd_region", "lpl_region",
+        "minimal_prior_size_check", "region_distance", "rs_region", "tail_probability",
+    ),
+    "discretize": (
+        "ContinuousModel1D", "RegularGrid", "build_grid", "capped_rule_refinement",
+        "eta_schedule", "grid_lrse_refinement", "grid_tables", "refinement_experiments",
+        "region_refinement",
+    ),
+    "quadrature": (),
+    "closed_form": (
+        "BetaBernoulliPredictor", "BinomialClassifier", "GaussianRegression",
+        "NormalNormalTestbed", "classifier_risks", "classify", "gaussian_likelihood_ratio",
+        "predict_class", "regression_estimates", "regression_predict",
+    ),
+    "simulate": ("SimConfig", "conditional_risk_mc", "exact_conditional_risk", "risk_table"),
+    "modelfile": ("load_model", "save_model"),
+}
+_HOME = {
+    name: module
+    for module, names in _SUBMODULE_NAMES.items()
+    for name in (module, *names)
+}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __name__)
+    value = module if name in _SUBMODULE_NAMES else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,19 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .closed_form import (
-    BetaBernoulliPredictor,
-    BinomialClassifier,
-    GaussianRegression,
-    NormalNormalTestbed,
-    classifier_risks,
-    classify,
-    gaussian_likelihood_ratio,
-    predict_class,
-    regression_estimates,
-    regression_predict,
-)
-from .discretize import refinement_experiments
 from .errors import InvariantViolation, ModelSpecError, RelBeliefError
 from .estimators import bayes_rule, lrse, map_estimate
 from .losses import parse_loss
@@ -182,6 +169,8 @@ def _run_region(args, outdir: Path) -> list[Path]:
 
 
 def _run_classify(args, outdir: Path) -> list[Path]:
+    from .closed_form import BinomialClassifier, classifier_risks, classify
+
     model = BinomialClassifier(psi1=args.psi1, psi2=args.psi2, epsilon=args.epsilon)
     decision = classify(model, args.x, args.method)
     print(decision.psi_label)
@@ -197,6 +186,11 @@ def _run_classify(args, outdir: Path) -> list[Path]:
 
 
 def _run_predict(args, outdir: Path) -> list[Path]:
+    from .closed_form import (
+        BetaBernoulliPredictor, GaussianRegression, gaussian_likelihood_ratio, predict_class,
+        regression_estimates, regression_predict,
+    )
+
     if args.kind == "class":
         if args.f_ratio is not None:
             f_ratio = args.f_ratio
@@ -244,6 +238,9 @@ def _run_risk_table(args, outdir: Path) -> list[Path]:
 
 
 def _run_converge(args, outdir: Path) -> list[Path]:
+    from .closed_form import NormalNormalTestbed
+    from .discretize import refinement_experiments
+
     testbed = NormalNormalTestbed(tau=args.tau, sigma=args.sigma)
     cmodel = testbed.continuous_model()
     target = testbed.psi_lrse(args.x)

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .discretize import ContinuousModel1D
 from .errors import InvariantViolation, SingularDesign
 from .estimators import EstimateResult
 from .losses import LossSpec, RiskReport, prior_risk
-from .model import FiniteModel
+from .model import FiniteModel, PredictiveTables
+
+if TYPE_CHECKING:
+    from .discretize import ContinuousModel1D
 
 
 # -- two-class Bernoulli classification --------------------------------------
@@ -278,8 +281,6 @@ def predictive_tables_for(model: BetaBernoulliPredictor):
     Beta prior, so the argmax of the returned ratio must reproduce
     :func:`predict_class` away from exact ties.
     """
-    from .model import PredictiveTables
-
     a, b = model.alpha, model.beta
     k = model.n * model.cbar
     prior_pred = np.array([b / (a + b), a / (a + b)])
@@ -315,6 +316,8 @@ class NormalNormalTestbed:
             raise InvariantViolation("need positive scales and a wide enough interval")
 
     def continuous_model(self) -> ContinuousModel1D:
+        from .discretize import ContinuousModel1D
+
         tau, sigma = self.tau, self.sigma
 
         def prior_density(t):

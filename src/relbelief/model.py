@@ -184,7 +184,7 @@ class FiniteModel:
             raise InvariantViolation("psi_map length does not match theta support")
         if psi_map.min() < 0 or psi_map.max() >= n_psi:
             raise InvariantViolation("psi_map points outside the psi support")
-        if len(np.unique(psi_map)) != n_psi:
+        if np.count_nonzero(np.bincount(psi_map, minlength=n_psi)) != n_psi:
             raise InvariantViolation("psi_map must be surjective: every psi needs a preimage")
         object.__setattr__(self, "psi_map", _frozen(psi_map))
 

@@ -114,9 +114,16 @@ def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float)
 
     One multinomial draw over the beta-binomial pmf.  numpy takes the last
     probability as one minus the others, so a pmf whose sum rounds below one
-    still spreads exactly ``rows`` replications.
+    still spreads exactly ``rows`` replications.  numpy rejects a pmf whose
+    leading entries sum past ``1 + 1e-12`` (the log-space pmf can, at large
+    ``n``) before it reads the stream, so only then is the draw repeated on
+    the rescaled pmf, and every pmf numpy accepts keeps its draws.
     """
-    return rng.multinomial(rows, beta_binomial_pmf(n, a, b))
+    pmf = beta_binomial_pmf(n, a, b)
+    try:
+        return rng.multinomial(rows, pmf)
+    except ValueError:
+        return rng.multinomial(rows, pmf / pmf.sum())
 
 
 def _training_law(alpha: float, beta: float, c: int, couple_training: bool):

@@ -1,9 +1,26 @@
 """Shared corpus generators and fixtures."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import relbelief
 from relbelief import FiniteModel
+
+
+def fresh_python(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports this checkout's
+    ``relbelief``; returns the last line it prints."""
+    src = str(Path(relbelief.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
 
 
 def random_model(rng, max_theta=12, max_psi=6, max_x=8) -> FiniteModel:

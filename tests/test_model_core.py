@@ -163,6 +163,49 @@ class TestBeliefInvariants:
             )
 
 
+def unique_psi_map_check(psi_map, n_psi):
+    """Oracle: the range and surjectivity checks as written with ``np.unique``."""
+    psi_map = np.asarray(psi_map, dtype=np.intp)
+    if psi_map.min() < 0 or psi_map.max() >= n_psi:
+        raise InvariantViolation("psi_map points outside the psi support")
+    if len(np.unique(psi_map)) != n_psi:
+        raise InvariantViolation("psi_map must be surjective: every psi needs a preimage")
+
+
+def build_with_psi_map(psi_map, n_psi):
+    FiniteModel(
+        theta_labels=tuple(f"t{i}" for i in range(len(psi_map))),
+        prior=np.ones(len(psi_map)),
+        likelihood=np.ones((len(psi_map), 2)),
+        psi_map=psi_map,
+        psi_labels=tuple(f"p{j}" for j in range(n_psi)),
+    )
+
+
+@st.composite
+def psi_maps(draw):
+    """(n_psi, psi_map): one psi, each psi once, one psi missing, heavy
+    repeats (surjective or not) and entries outside ``0..n_psi - 1``."""
+    kind = draw(st.sampled_from(["one-psi", "each-once", "one-missing", "repeats", "out-of-range"]))
+    n_psi = 1 if kind == "one-psi" else draw(st.integers(2, 12))
+    if kind == "one-psi":
+        psi_map = [0] * draw(st.integers(1, 20))
+    elif kind == "each-once":
+        psi_map = list(range(n_psi))
+    elif kind == "one-missing":
+        gone = draw(st.integers(0, n_psi - 1))
+        kept = [j for j in range(n_psi) if j != gone]
+        psi_map = kept + draw(st.lists(st.sampled_from(kept), max_size=20))
+    elif kind == "repeats":
+        hit = draw(st.lists(st.integers(0, n_psi - 1), min_size=1, max_size=n_psi, unique=True))
+        psi_map = hit + draw(st.lists(st.sampled_from(hit), min_size=50, max_size=300))
+    else:
+        bad = draw(st.lists(st.sampled_from([-(2**40), -1, n_psi, n_psi + 1, 2**40]),
+                            min_size=1, max_size=3))
+        psi_map = bad + draw(st.lists(st.integers(0, n_psi - 1), max_size=2 * n_psi))
+    return n_psi, draw(st.permutations(psi_map))
+
+
 class TestModelValidation:
     def test_prior_must_be_positive(self):
         with pytest.raises(InvariantViolation):
@@ -177,6 +220,19 @@ class TestModelValidation:
                 psi_map=[0, 0],
                 psi_labels=("A", "B"),
             )
+
+    @given(case=psi_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_surjectivity_check_matches_unique_oracle(self, case):
+        n_psi, psi_map = case
+        outcomes = []
+        for check in (unique_psi_map_check, build_with_psi_map):
+            try:
+                check(psi_map, n_psi)
+                outcomes.append(None)
+            except Exception as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_likelihood_column_needs_positive_entry(self):
         with pytest.raises(InvariantViolation):

@@ -2,11 +2,7 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +12,6 @@ from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import betaincinv
 from scipy.stats import betabinom, norm
 
-import relbelief
 from relbelief import SimConfig, conditional_risk_mc, exact_conditional_risk, risk_table
 from relbelief import simulate
 from relbelief.cli import run
@@ -33,6 +28,7 @@ from relbelief.simulate import (
     _training_law,
     beta_binomial_pmf,
 )
+from conftest import fresh_python
 
 
 def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
@@ -174,6 +170,35 @@ class TestTrainingCountSampler:
                           minlength=n + 1)
         self._assert_same_law(new, old)
 
+    def test_overfull_pmf_is_redrawn_rescaled_from_the_unread_stream(self):
+        # This log-space pmf sums to 1 + 1.2e-12, past numpy's 1e-12 slack.
+        pmf = beta_binomial_pmf(*OVERFULL)
+        assert pmf.sum() > 1.0 + 1e-12
+        rng = Generator(Philox(11))
+        with pytest.raises(ValueError, match="pvals"):
+            rng.multinomial(self.DRAWS, pmf)
+        # The rejected call read nothing from the stream...
+        assert rng.random(8).tolist() == Generator(Philox(11)).random(8).tolist()
+        # ...so the redraw is the draw on the rescaled pmf from the same state.
+        per_k = _draw_training_counts(Generator(Philox(11)), self.DRAWS, *OVERFULL)
+        want = Generator(Philox(11)).multinomial(self.DRAWS, pmf / pmf.sum())
+        assert per_k.tolist() == want.tolist()
+        assert per_k.sum() == self.DRAWS
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sampler_laws, rows=st.integers(1, 5000), seed=st.integers(0, 2**32))
+    def test_accepted_pmf_draws_are_unchanged(self, n, alpha, beta, c, couple_training, rows,
+                                              seed):
+        a, b = _training_law(alpha, beta, c, couple_training)
+        want = Generator(Philox(seed)).multinomial(rows, beta_binomial_pmf(n, a, b))
+        got = _draw_training_counts(Generator(Philox(seed)), rows, n, a, b)
+        assert got.tolist() == want.tolist()
+
+
+# (n, alpha, beta) of a valid scenario whose beta-binomial pmf numpy's
+# multinomial rejects as summing past one.
+OVERFULL = (10_000, 31.953975047133053, 59.18095764700197)
+
 
 block_rows = st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, BLOCK]),
                        st.integers(1, BLOCK))
@@ -305,6 +330,42 @@ class TestExactRisk:
             np.testing.assert_allclose([row.z_m0, row.z_m1],
                                        (rep.per_class_error - exact) / rep.std_err, rtol=1e-15)
             assert abs(row.z_m0) <= 4 and abs(row.z_m1) <= 4
+
+
+class TestRiskTableCli:
+    def test_overfull_pmf_scenario_runs(self, tmp_path):
+        n, alpha, beta = OVERFULL
+        argv = ["--output-dir", str(tmp_path), "risk-table", "--reps", "1000", "--n", str(n),
+                "--alpha", repr(alpha), "--betas", repr(beta)]
+        assert run(argv) == 0
+        rows = json.loads((tmp_path / "risk_table.json").read_text())["rows"]
+        assert [r["method"] for r in rows] == ["map", "lrse"]
+        for row in rows:
+            exact = exact_conditional_risk(alpha, beta, 1.0, n, row["method"])
+            for cell, p in zip(("M0", "M1"), exact):
+                z = (float(row[cell]) - p) / math.sqrt(p * (1.0 - p) / 1000)
+                assert abs(z) < 5
+
+    def test_benchmark_csv_is_unchanged(self, tmp_path):
+        # risk_table.csv of the benchmark's argv, recorded before the
+        # multinomial learned to redraw an overfull pmf.
+        argv = ["--output-dir", str(tmp_path), "--seed", "20261018", "--threads", "1",
+                "risk-table", "--reps", "65536", "--betas", "1,14,32,100"]
+        assert run(argv) == 0
+        assert (tmp_path / "risk_table.csv").read_bytes() == BENCHMARK_RISK_TABLE.encode()
+
+
+BENCHMARK_RISK_TABLE = """\
+beta,method,M0,M1,sum,se,exact_M0,exact_M1,z_M0,z_M1
+1,map,0.389022827148,0.390426635742,0.779449462891,0.00269412119675,0.388646499963,0.388646499963,0.197608142552,0.934135153351
+1,lrse,0.389022827148,0.390426635742,0.779449462891,0.00269412119675,0.388646499963,0.388646499963,0.197608142552,0.934135153351
+14,map,0.00227355957031,0.975692749023,0.977966308594,0.000630030164345,0.00250458065758,0.975061493732,-1.23762797167,1.04904501087
+14,lrse,0.284973144531,0.380111694336,0.665084838867,0.00258932800515,0.284491342201,0.378830482968,0.273239014318,0.675690173301
+32,map,0.000137329101562,0.997406005859,0.997543334961,0.000205028843454,0.000126311999805,0.997233746994,0.228342658796,0.864445064035
+32,lrse,0.292144775391,0.344604492188,0.636749267578,0.00256938787148,0.291600884151,0.3482063616,0.306180817023,-1.94023490839
+100,map,1.52587890625e-05,0.999969482422,0.999984741211,3.41184921964e-05,5.77316694436e-07,0.999959664809,0.680374139846,0.371485412954
+100,lrse,0.2998046875,0.323577880859,0.623382568359,0.00255792697184,0.301299517341,0.323336902741,-0.835219037846,0.131861306768
+"""
 
 
 class TestConditionalLawOracle:
@@ -453,9 +514,35 @@ def test_import_leaves_scipy_special_unloaded(tmp_path):
         f"assert relbelief.load_model({str(model)!r}).n_x == 5\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    src = str(Path(relbelief.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert fresh_python(script) == "[]"
+
+
+def test_cold_subcommands_load_only_what_they_run(tmp_path):
+    # A cold process imports per subcommand: the model-file commands need
+    # neither the simulator and its random streams nor the closed forms and
+    # grids, and the closed-form commands need no grids.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "theta": ["a", "b", "c"], "prior": [0.5, 0.3, 0.2], "x": ["x0", "x1"],
+        "likelihood": [[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]],
+        "psi": ["p", "q"], "psi_map": ["p", "q", "q"],
+    }))
+    out = ["--output-dir", str(tmp_path / "run")]
+    on_model = ["--model", str(model), "--x", "x0"]
+    table_runs = [["estimate", *on_model, "--estimator", "lrse"],
+                  ["region", *on_model, "--family", "rs", "--gamma", "0.5", "--sweep", "eta=0.1"],
+                  ["validate", "--model", str(model)]]
+    closed_form_runs = [["classify", "--psi1", "0.2", "--psi2", "0.7", "--epsilon", "0.1",
+                         "--x", "1", "--method", "lrse", "--risks"],
+                        ["predict", "--kind", "class", "--f-ratio", "1.5"]]
+    never = ["numpy.ma", "numpy.random", "relbelief.simulate", "relbelief.discretize",
+             "relbelief.quadrature"]
+    script = (
+        "import sys\n"
+        "from relbelief.cli import run\n"
+        f"assert all(run({out!r} + argv) == 0 for argv in {table_runs!r})\n"
+        f"loaded = [m for m in {never + ['hashlib', 'relbelief.closed_form']!r} if m in sys.modules]\n"
+        f"assert all(run({out!r} + argv) == 0 for argv in {closed_form_runs!r})\n"
+        f"print(loaded, [m for m in {never!r} if m in sys.modules])\n"
+    )
+    assert fresh_python(script) == "[] []"
