@@ -21,22 +21,21 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "errors": (
         "HypothesisViolated", "InfiniteSampleSpace", "InvariantViolation", "ModelSpecError",
-        "NonStochasticKernel", "QuadratureFailure", "RelBeliefError", "SingularDesign",
-        "TooLargeForBruteForce", "UnknownPsi", "ZeroBinMass", "ZeroEvidence",
+        "QuadratureFailure", "RelBeliefError", "SingularDesign", "TooLargeForBruteForce",
+        "UnknownPsi", "ZeroBinMass", "ZeroEvidence",
     ),
     "model": (
-        "BeliefTables", "FiniteModel", "PredictiveTables", "SampleSpaceTables", "belief_tables",
-        "compute_posterior", "marginalize", "normalized", "posterior_predictive",
-        "prior_predictive", "sample_space_tables",
+        "BeliefTables", "FiniteModel", "SampleSpaceTables", "belief_tables", "compute_posterior",
+        "marginalize", "normalized", "sample_space_tables",
     ),
-    "losses": ("LossSpec", "RiskReport", "parse_loss", "posterior_risk", "prior_risk"),
+    "losses": ("LossSpec", "RiskReport", "parse_loss", "prior_risk"),
     "estimators": (
         "EstimateResult", "bayes_rule", "lrse", "lrse_rule", "map_estimate", "map_rule",
-        "predict_lrse", "unbiasedness_gap", "uniform_unbiasedness_check",
+        "unbiasedness_gap", "uniform_unbiasedness_check",
     ),
     "regions": (
         "CredibleRegion", "attainable_gammas", "eta_sweep", "hpd_region", "lpl_region",
-        "minimal_prior_size_check", "region_distance", "rs_region", "tail_probability",
+        "minimal_prior_size_check", "rs_region", "tail_probability",
     ),
     "discretize": (
         "ContinuousModel1D", "RegularGrid", "build_grid", "capped_rule_refinement",

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .errors import InvariantViolation, ModelSpecError, RelBeliefError
 from .estimators import bayes_rule, lrse, map_estimate
-from .losses import parse_loss
+from .losses import parse_loss, parse_number
 from .model import belief_tables
 from .modelfile import load_model
 from .regions import eta_sweep, hpd_region, lpl_region, rs_region
@@ -28,11 +28,14 @@ from .reporting import RunManifest, write_report
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    return [parse_number(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
 
 def _matrix(text: str) -> np.ndarray:
-    return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
+    rows = [[parse_number(v) for v in row.split(",")] for row in text.split(";")]
+    if len({len(row) for row in rows}) != 1:
+        raise InvariantViolation(f"design rows differ in length: {text!r}")
+    return np.array(rows)
 
 
 @functools.cache

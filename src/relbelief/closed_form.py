@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvariantViolation, SingularDesign
 from .estimators import EstimateResult
 from .losses import LossSpec, RiskReport, prior_risk
-from .model import FiniteModel, PredictiveTables
+from .model import FiniteModel
 
 if TYPE_CHECKING:
     from .discretize import ContinuousModel1D
@@ -271,27 +271,6 @@ def predict_class(model: BetaBernoulliPredictor, method: str) -> int:
     k = model.n * model.cbar
     return int(
         predicts_one(method, model.alpha, model.beta, model.n, k, model.f_ratio)
-    )
-
-
-def predictive_tables_for(model: BetaBernoulliPredictor):
-    """Conjugate prior/posterior predictive tables for the class of interest.
-
-    Gives the generic predictive pipeline the exact inputs implied by the
-    Beta prior, so the argmax of the returned ratio must reproduce
-    :func:`predict_class` away from exact ties.
-    """
-    a, b = model.alpha, model.beta
-    k = model.n * model.cbar
-    prior_pred = np.array([b / (a + b), a / (a + b)])
-    post_odds = model.f_ratio * (a + k) / (b + model.n - k)
-    post_pred = np.array([1.0, post_odds])
-    post_pred /= post_pred.sum()
-    return PredictiveTables(
-        y_labels=("0", "1"),
-        prior_pred=prior_pred,
-        post_pred=post_pred,
-        rb_pred=post_pred / prior_pred,
     )
 
 

@@ -282,6 +282,11 @@ class RegionConvergenceRow:
     capped_distances: tuple[tuple[float, float], ...]  # (eta, distance) pairs
 
 
+def _difference_mass(post: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Posterior mass of the symmetric difference of two boolean member masks."""
+    return math.fsum(post[a ^ b])
+
+
 def _region_rows(
     grids: _Grids, gamma: float, lambdas, etas, ref_lambda: float | None = None
 ) -> list[RegionConvergenceRow]:
@@ -295,7 +300,7 @@ def _region_rows(
     def distance(owner: np.ndarray, region: CredibleRegion) -> float:
         # Reference posterior mass of the symmetric difference between the
         # reference region and the reference bins the region's members cover.
-        return math.fsum(ref_tables.marg_post[ref_mask ^ np.isin(owner, region.members)])
+        return _difference_mass(ref_tables.marg_post, ref_mask, np.isin(owner, region.members))
 
     rows = []
     for lam in lams:

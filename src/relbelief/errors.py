@@ -13,10 +13,6 @@ class ZeroEvidence(RelBeliefError):
     """The observed data has zero probability under every parameter value."""
 
 
-class NonStochasticKernel(RelBeliefError):
-    """A future-value kernel row does not sum to one."""
-
-
 class UnknownPsi(RelBeliefError, IndexError):
     """A candidate index lies outside the marginal parameter support."""
 

@@ -17,20 +17,25 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .losses import LossSpec, check_rule, h_vector, posterior_risk_vector
-from .model import BeliefTables, FiniteModel, PredictiveTables, sample_space_tables
+from .model import BeliefTables, FiniteModel, sample_space_tables
 
 TIE_RTOL = 1e-12
 
 
-def _tie_mask(values: np.ndarray) -> np.ndarray:
-    """Entries tied with the maximum along the first axis (per column of a table).
+def _spread_tol(values: np.ndarray, best):
+    """Tie tolerance along the first axis (per column of a table); ``best`` is the maximum.
 
-    The tolerance is relative to the spread of the values, so criteria that
-    differ only by an additive constant (ratios versus negated risks) give
-    the same tie classes.
+    It is relative to the spread of the values, so criteria that differ only
+    by an additive constant (ratios versus negated risks) give the same tie
+    classes.
     """
+    return TIE_RTOL * (best - values.min(axis=0))
+
+
+def _tie_mask(values: np.ndarray) -> np.ndarray:
+    """Entries tied with the maximum along the first axis (per column of a table)."""
     best = values.max(axis=0)
-    return values >= best - TIE_RTOL * (best - values.min(axis=0))
+    return values >= best - _spread_tol(values, best)
 
 
 def tied_argmax(values: np.ndarray) -> tuple[int, tuple[int, ...], bool]:
@@ -85,11 +90,6 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     """
     risks = posterior_risk_vector(loss, tables)
     return _estimate(tables.psi_labels, -risks, tables.tail_bound)
-
-
-def predict_lrse(pred: PredictiveTables) -> EstimateResult:
-    """Future value maximizing the predictive belief ratio."""
-    return _estimate(pred.y_labels, pred.rb_pred)
 
 
 # -- decision rules over a finite sample space -----------------------------

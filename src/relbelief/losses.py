@@ -95,6 +95,14 @@ class LossSpec:
         return cls(BALL, radius=float(radius))
 
 
+def parse_number(text: str) -> float:
+    """``float(text)``; text that is no number is a validation error naming it."""
+    try:
+        return float(text)
+    except ValueError:
+        raise InvariantViolation(f"cannot read {text!r} as a number") from None
+
+
 def parse_loss(text: str, base_dir: str | Path | None = None) -> LossSpec:
     """Parse the command-line loss syntax.
 
@@ -107,14 +115,17 @@ def parse_loss(text: str, base_dir: str | Path | None = None) -> LossSpec:
     if text == PRIOR_BASED:
         return LossSpec.prior_based()
     if text.startswith("capped:"):
-        return LossSpec.capped(float(text.split(":", 1)[1]))
+        return LossSpec.capped(parse_number(text.split(":", 1)[1]))
     if text.startswith("ball:"):
-        return LossSpec.ball(float(text.split(":", 1)[1]))
+        return LossSpec.ball(parse_number(text.split(":", 1)[1]))
     if text.startswith("weighted:"):
         path = Path(text.split(":", 1)[1])
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        return LossSpec.weighted(np.loadtxt(path, ndmin=1))
+        try:
+            return LossSpec.weighted(np.loadtxt(path, ndmin=1))
+        except ValueError as exc:
+            raise InvariantViolation(f"weights file {str(path)!r}: {exc}") from None
     raise InvariantViolation(f"cannot parse loss spec {text!r}")
 
 
@@ -214,41 +225,20 @@ def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
 
 
 def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
-    """Posterior risk of every candidate action at once."""
-    post = tables.marg_post
-    if loss.kind == ZERO_ONE:
-        return 1.0 - post
-    if loss.kind == PRIOR_BASED:
-        return float(tables.rb.sum()) - tables.rb
-    if loss.kind == CAPPED:
-        capped = post / np.maximum(loss.eta, tables.marg_prior)
-        return float(np.sum(capped)) - capped
-    if loss.kind == WEIGHTED:
-        weighted = h_vector(loss, tables.marg_prior) * post
-        return float(np.sum(weighted)) - weighted
+    """Posterior risk of every candidate action at once.
+
+    An indicator loss ``I(true != a) * h(true)`` costs ``sum(w) - w[a]`` with
+    ``w = h * marg_post``; under the prior-based loss ``w`` is the belief
+    ratio, so its lowest-risk sets are the relative-surprise sets.  The ball
+    loss costs the posterior mass outside each ball.
+    """
     if loss.kind == BALL:
-        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, post)
-    raise InvariantViolation(f"unhandled loss kind {loss.kind!r}")
-
-
-def posterior_risk(loss: LossSpec, candidate: int, tables: BeliefTables) -> float:
-    """Expected loss of acting with ``candidate`` under the posterior."""
-    if not 0 <= candidate < tables.n_psi:
-        raise UnknownPsi(f"psi index {candidate} out of range")
-    return float(posterior_risk_vector(loss, tables)[candidate])
+        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, tables.marg_post)
+    w = h_vector(loss, tables.marg_prior) * tables.marg_post
+    return w.sum() - w
 
 
 # -- prior risk over the whole sample space --------------------------------
-
-
-def _require_stochastic_rows(model: FiniteModel) -> None:
-    if not model.is_table:
-        raise InfiniteSampleSpace("prior risk needs an enumerable sample space")
-    row_sums = model.likelihood.sum(axis=1)
-    if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-        raise InvariantViolation(
-            "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
-        )
 
 
 def check_rule(rule, model: FiniteModel) -> np.ndarray:
@@ -268,7 +258,12 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
     is true, averaging the per-theta sampling distributions under the prior
     conditioned on the fiber.
     """
-    _require_stochastic_rows(model)
+    if not model.is_table:
+        raise InfiniteSampleSpace("prior risk needs an enumerable sample space")
+    if np.max(np.abs(model.likelihood.sum(axis=1) - 1.0)) > 1e-9:
+        raise InvariantViolation(
+            "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
+        )
     tabs = sample_space_tables(model)
     return tabs.marg_joint / tabs.marg_prior[:, None]
 
@@ -287,10 +282,9 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     InfiniteSampleSpace
         If the model carries a density callback instead of a table.
     """
-    _require_stochastic_rows(model)
+    sampling = conditional_sampling_table(model)
     rule_arr = check_rule(rule, model)
     tabs = sample_space_tables(model)
-    sampling = tabs.marg_joint / tabs.marg_prior[:, None]
 
     # Zeros in the right cells leave each fsum exact; plain floats from
     # tolist() are several times faster for fsum than numpy scalars.

@@ -1,4 +1,4 @@
-"""Finite Bayesian models and their prior, posterior, and predictive tables.
+"""Finite Bayesian models and their prior and posterior tables.
 
 Everything downstream works on the finite representation defined here: a
 parameter support with strictly positive prior weights, a likelihood (a table
@@ -24,17 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfiniteSampleSpace,
-    InvariantViolation,
-    NonStochasticKernel,
-    ZeroEvidence,
-)
+from .errors import InfiniteSampleSpace, InvariantViolation, ZeroEvidence
 
 # One shared rounding policy: probability vectors are renormalized at
 # construction and must then sum to one within SUM_TOL.
 SUM_TOL = 1e-12
-KERNEL_TOL = 1e-10
 
 LikelihoodCallback = Callable[[int, object], float]
 
@@ -348,39 +342,6 @@ class BeliefTables:
         return len(self.psi_labels)
 
 
-@dataclass(frozen=True)
-class PredictiveTables:
-    """Prior predictive, posterior predictive, and their ratio for a future value."""
-
-    y_labels: tuple[str, ...]
-    prior_pred: np.ndarray
-    post_pred: np.ndarray
-    rb_pred: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y_labels", tuple(self.y_labels))
-        prior = np.asarray(self.prior_pred, dtype=float)
-        post = np.asarray(self.post_pred, dtype=float)
-        rb = np.asarray(self.rb_pred, dtype=float)
-        n = prior.size
-        if post.size != n or rb.size != n or len(self.y_labels) != n:
-            raise InvariantViolation("predictive tables must be aligned")
-        if np.any(prior <= 0.0):
-            raise InvariantViolation("prior predictive must be strictly positive")
-        for name, vec in (("prior predictive", prior), ("posterior predictive", post)):
-            if np.any(vec < 0.0) or abs(vec.sum() - 1.0) > SUM_TOL:
-                raise InvariantViolation(f"{name} must be a probability vector")
-        if abs(float(rb @ prior) - 1.0) > SUM_TOL:
-            raise InvariantViolation("prior-weighted predictive ratio must average to one")
-        object.__setattr__(self, "prior_pred", _frozen(prior))
-        object.__setattr__(self, "post_pred", _frozen(post))
-        object.__setattr__(self, "rb_pred", _frozen(rb))
-
-    @property
-    def n_y(self) -> int:
-        return len(self.y_labels)
-
-
 # -- posterior and marginal computation -----------------------------------
 
 
@@ -496,77 +457,3 @@ def _build_sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
         rb=_frozen(rb),
     )
 
-
-# -- predictive tables -----------------------------------------------------
-
-
-def _check_kernel(kernel: np.ndarray) -> np.ndarray:
-    g = np.asarray(kernel, dtype=float)
-    if g.ndim not in (2, 3):
-        raise NonStochasticKernel("future kernel must be a 2-D or 3-D table")
-    if not np.all(np.isfinite(g)) or np.any(g < 0):
-        raise NonStochasticKernel("future kernel entries must be finite and >= 0")
-    row_sums = g.sum(axis=-1)
-    if np.max(np.abs(row_sums - 1.0)) > KERNEL_TOL:
-        worst = float(np.max(np.abs(row_sums - 1.0)))
-        raise NonStochasticKernel(
-            f"future kernel rows must sum to one (worst deviation {worst:.3e})"
-        )
-    return g
-
-
-def prior_predictive(model: FiniteModel, kernel) -> np.ndarray:
-    """Prior predictive of a future value.
-
-    ``kernel`` gives the conditional density of the future value: either a
-    ``(n_theta, n_y)`` table when it does not depend on the data, or a
-    ``(n_theta, n_x, n_y)`` table over a finite sample space.  In the
-    data-free case the prior predictive collapses to the prior mixture of
-    the kernel rows.
-    """
-    g = _check_kernel(kernel)
-    if g.shape[0] != model.n_theta:
-        raise NonStochasticKernel("kernel first axis must match theta support")
-    if g.ndim == 2:
-        return model.prior @ g
-    lik = model.likelihood
-    if callable(lik):
-        raise InfiniteSampleSpace(
-            "data-dependent kernels need an enumerable sample space"
-        )
-    if g.shape[1] != model.n_x:
-        raise NonStochasticKernel("kernel second axis must match the sample space")
-    joint = model.prior[:, None] * lik  # (theta, x)
-    return np.einsum("tx,txy->y", joint, g)
-
-
-def posterior_predictive(
-    model: FiniteModel,
-    posterior,
-    kernel,
-    x=None,
-) -> PredictiveTables:
-    """Posterior predictive of a future value, with the predictive ratio.
-
-    ``posterior`` is a full-parameter posterior vector (from
-    :func:`compute_posterior`).  For a data-dependent 3-D kernel, ``x``
-    selects the kernel slice matching the observed data.
-    """
-    g = _check_kernel(kernel)
-    post = np.asarray(posterior, dtype=float)
-    if post.shape != (model.n_theta,):
-        raise InvariantViolation("posterior length does not match theta support")
-    prior_pred = prior_predictive(model, g)
-    if g.ndim == 3:
-        if x is None:
-            raise InvariantViolation("x is required with a data-dependent kernel")
-        g = g[:, model.x_index(x), :]
-    post_pred = post @ g
-    if np.any(prior_pred <= 0.0):
-        raise InvariantViolation("prior predictive must be positive on every future value")
-    rb_pred = post_pred / prior_pred
-    n_y = g.shape[-1]
-    labels = tuple(str(i) for i in range(n_y))
-    return PredictiveTables(
-        y_labels=labels, prior_pred=prior_pred, post_pred=post_pred, rb_pred=rb_pred
-    )

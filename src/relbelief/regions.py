@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation, TooLargeForBruteForce, UnknownPsi
+from .estimators import _spread_tol
 from .losses import CAPPED, LossSpec, posterior_risk_vector
 from .model import BeliefTables
 
-TIE_RTOL = 1e-12
 GAMMA_TOL = 1e-12
 
 
@@ -45,13 +45,6 @@ class CredibleRegion:
             raise InvariantViolation("attained mass fell below the requested credibility")
 
 
-def _spread_tol(values: np.ndarray) -> float:
-    # Tie detection must be invariant to shifting the criterion by a
-    # constant (posterior risks are a large constant minus the ratio), so
-    # the tolerance is taken relative to the spread of the values.
-    return TIE_RTOL * float(values.max() - values.min())
-
-
 def _ranked_region(
     values: np.ndarray, masses: np.ndarray, gamma: float
 ) -> tuple[list[int], float, float]:
@@ -69,7 +62,7 @@ def _ranked_region(
         cum = masses[order].cumsum()
         hit = min(int(cum.searchsorted(gamma - GAMMA_TOL, side="left")), values.size - 1)
     threshold = float(values[order[hit]])
-    keep = values >= threshold - _spread_tol(values)
+    keep = values >= threshold - _spread_tol(values, values[order[0]])  # ranked first: the max
     # fsum rounds the exact sum of the members' masses, whatever their order
     # or float type; plain floats from tolist() are the fastest input for it.
     return keep.nonzero()[0].tolist(), threshold, math.fsum(masses[keep].tolist())
@@ -108,7 +101,7 @@ def tail_probability(tables: BeliefTables, psi0: int) -> float:
     if not 0 <= psi0 < tables.n_psi:
         raise UnknownPsi(f"psi index {psi0} out of range")
     cutoff = float(tables.rb[psi0])
-    keep = tables.rb <= cutoff + _spread_tol(tables.rb)
+    keep = tables.rb <= cutoff + _spread_tol(tables.rb, tables.rb.max())
     return math.fsum(tables.marg_post[keep])
 
 
@@ -128,24 +121,8 @@ def attainable_gammas(tables: BeliefTables, family: str = "rs") -> np.ndarray:
     order = np.argsort(-values, kind="stable")
     cum = np.cumsum(tables.marg_post[order])
     ranked = values[order]
-    tol = _spread_tol(values)
-    out = []
-    for pos in range(ranked.size):
-        last_of_class = pos == ranked.size - 1 or ranked[pos + 1] < ranked[pos] - tol
-        if last_of_class:
-            out.append(float(cum[pos]))
-    return np.array(out)
-
-
-def region_distance(a: CredibleRegion, b: CredibleRegion, tables: BeliefTables) -> float:
-    """Posterior mass of the symmetric difference of two member sets."""
-    for region in (a, b):
-        if region.members and max(region.members) >= tables.n_psi:
-            raise InvariantViolation("region members do not fit the tables' support")
-    sym = set(a.members) ^ set(b.members)
-    if not sym:
-        return 0.0
-    return math.fsum(tables.marg_post[sorted(sym)])
+    # The last position of each tie class: the next value ranks strictly lower.
+    return cum[np.append(ranked[1:] < ranked[:-1] - _spread_tol(values, values.max()), True)]
 
 
 # -- sweep of the capped loss toward the belief-ratio region ----------------

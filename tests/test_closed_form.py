@@ -16,14 +16,14 @@ from relbelief import (
     classify,
     gaussian_likelihood_ratio,
     predict_class,
-    predict_lrse,
     regression_estimates,
     regression_predict,
 )
-from relbelief.closed_form import NormalNormalTestbed, predictive_tables_for
+from relbelief.closed_form import NormalNormalTestbed
 from relbelief.discretize import grid_tables
 from relbelief.estimators import lrse, map_estimate
 from relbelief.quadrature import adaptive_gauss_legendre
+from predictive_oracle import predict_lrse, predictive_tables_for
 
 
 class TestClassifier:

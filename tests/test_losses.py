@@ -14,11 +14,10 @@ from relbelief import (
     UnknownPsi,
     belief_tables,
     parse_loss,
-    posterior_risk,
     prior_risk,
 )
 from relbelief.estimators import lrse_rule, map_rule
-from relbelief.losses import loss_matrix
+from relbelief.losses import loss_matrix, posterior_risk_vector
 from conftest import model_corpus
 
 
@@ -106,33 +105,33 @@ class TestLossValue:
 class TestPosteriorRisk:
     def test_prior_based_from_ratio_total(self):
         tables = make_tables([0.5, 0.5], [0.25, 0.75])
-        assert posterior_risk(LossSpec.prior_based(), 1, tables) == pytest.approx(0.5)
+        assert posterior_risk_vector(LossSpec.prior_based(), tables)[1] == pytest.approx(0.5)
 
     def test_point_mass_posterior_costs_nothing(self):
         tables = make_tables([0.5, 0.5], [0.0, 1.0])
-        assert posterior_risk(LossSpec.zero_one(), 1, tables) == 0.0
+        assert posterior_risk_vector(LossSpec.zero_one(), tables)[1] == 0.0
 
     def test_huge_cap_scales_zero_one(self):
         tables = make_tables([0.5, 0.5], [0.25, 0.75])
         eta = 1.0
         for cand in (0, 1):
-            capped = posterior_risk(LossSpec.capped(eta), cand, tables)
-            zero_one = posterior_risk(LossSpec.zero_one(), cand, tables)
+            capped = posterior_risk_vector(LossSpec.capped(eta), tables)[cand]
+            zero_one = posterior_risk_vector(LossSpec.zero_one(), tables)[cand]
             assert capped == pytest.approx(zero_one / eta)
 
     def test_ball_risk_is_outside_mass(self):
         tables = make_tables(
             [0.25, 0.25, 0.5], [0.5, 0.3, 0.2], coords=np.array([0.0, 1.0, 3.0])
         )
-        risk = posterior_risk(LossSpec.ball(1.0), 0, tables)
+        risk = posterior_risk_vector(LossSpec.ball(1.0), tables)[0]
         assert risk == pytest.approx(0.2)
 
     def test_capped_risk_increases_toward_prior_based_as_eta_shrinks(self, corpus):
         for model in corpus[:40]:
             tables = belief_tables(model, 0)
-            target = posterior_risk(LossSpec.prior_based(), 0, tables)
+            target = posterior_risk_vector(LossSpec.prior_based(), tables)[0]
             etas = np.geomspace(1.0, float(tables.marg_prior.min()) / 2, 8)
-            risks = [posterior_risk(LossSpec.capped(e), 0, tables) for e in etas]
+            risks = [posterior_risk_vector(LossSpec.capped(e), tables)[0] for e in etas]
             assert all(a <= b + 1e-12 for a, b in zip(risks, risks[1:]))
             assert risks[-1] == pytest.approx(target, rel=1e-12)
             assert all(r <= target + 1e-12 for r in risks)

@@ -9,17 +9,19 @@ from relbelief import (
     BeliefTables,
     FiniteModel,
     InvariantViolation,
-    NonStochasticKernel,
-    PredictiveTables,
     ZeroEvidence,
     belief_tables,
     compute_posterior,
     marginalize,
     normalized,
+)
+from conftest import model_corpus
+from predictive_oracle import (
+    NonStochasticKernel,
+    PredictiveTables,
     posterior_predictive,
     prior_predictive,
 )
-from conftest import model_corpus
 
 
 def two_point_model(prior, lik_column):

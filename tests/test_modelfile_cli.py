@@ -392,6 +392,33 @@ class TestCli:
                     "--betas", "14", *scenario]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,bad", [
+        (["estimate", "--estimator", "bayes", "--loss", "capped:abc"], "'abc'"),
+        (["estimate", "--estimator", "bayes", "--loss", "ball:"], "''"),
+        (["estimate", "--estimator", "bayes", "--loss", "weighted:h.txt"], "'oops'"),
+        (["region", "--family", "lpl", "--gamma", "0.5", "--loss", "capped:1e-3x"], "'1e-3x'"),
+        (["region", "--family", "rs", "--gamma", "0.5", "--sweep", "eta=0.1,abc"], "'abc'"),
+        (["converge", "--lambdas", "0.2,zz"], "'zz'"),
+        (["converge", "--etas", "0.01,e"], "'e'"),
+        (["risk-table", "--reps", "100", "--betas", "1,q"], "'q'"),
+        (["predict", "--kind", "regression", "--design", "1", "--y", "1o", "--w", "1"], "'1o'"),
+        (["predict", "--kind", "regression", "--design", "1", "--y", "1", "--w", "w"], "'w'"),
+        (["predict", "--kind", "regression", "--design", "1,2;3,x", "--y", "1,2",
+          "--w", "1,1"], "'x'"),
+        (["predict", "--kind", "regression", "--design", "1,2;3", "--y", "1,2",
+          "--w", "1,1"], "'1,2;3'"),
+    ])
+    def test_malformed_number_exits_two(self, three_point_file, tmp_path, capsys, argv, bad):
+        (tmp_path / "h.txt").write_text("1.0\noops\n2.0\n")
+        model = ["--model", three_point_file, "--x", "0"]
+        if argv[0] in ("estimate", "region"):
+            argv = [argv[0], *model, *argv[1:]]
+        out = tmp_path / "run"
+        assert run(["--output-dir", str(out), *argv]) == 2
+        assert bad in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "validation-error"
+
     def test_parser_is_built_once_and_keeps_no_arguments(self, classifier_file, tmp_path):
         assert build_parser() is build_parser()
         first = tmp_path / "first"

@@ -42,10 +42,10 @@ from relbelief import (
     sample_space_tables,
 )
 from relbelief import losses
-from relbelief.estimators import TIE_RTOL, _tie_mask
+from relbelief.estimators import TIE_RTOL, _spread_tol, _tie_mask
 from relbelief.losses import loss_matrix, posterior_risk_vector
 from relbelief.model import _build_sample_space_tables
-from relbelief.regions import GAMMA_TOL, CredibleRegion, _spread_tol
+from relbelief.regions import GAMMA_TOL, CredibleRegion
 from test_sample_space_tables import finite_models, losses_for
 
 # -- the earlier per-point code -------------------------------------------------
@@ -78,7 +78,7 @@ def oracle_ranked_region(values, masses, gamma) -> CredibleRegion:
         hit = int(np.searchsorted(cum, gamma - GAMMA_TOL, side="left"))
         hit = min(hit, values.size - 1)
     threshold = float(values[order[hit]])
-    keep = values >= threshold - _spread_tol(values)
+    keep = values >= threshold - _spread_tol(values, values.max())
     members = tuple(int(i) for i in np.flatnonzero(keep))
     attained = math.fsum(masses[list(members)])
     return CredibleRegion(

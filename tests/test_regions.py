@@ -17,11 +17,27 @@ from relbelief import (
     hpd_region,
     lpl_region,
     minimal_prior_size_check,
-    region_distance,
     rs_region,
     tail_probability,
 )
-from relbelief.estimators import lrse
+from relbelief.discretize import _difference_mass
+from relbelief.estimators import TIE_RTOL, lrse
+from relbelief.regions import CredibleRegion
+from test_sample_space_tables import finite_models
+
+
+def oracle_attainable_gammas(tables, family):
+    """The loop ``attainable_gammas`` replaced: one tie-class check per ranked position."""
+    values = tables.rb if family == "rs" else tables.marg_post
+    order = np.argsort(-values, kind="stable")
+    cum = np.cumsum(tables.marg_post[order])
+    ranked = values[order]
+    tol = TIE_RTOL * float(values.max() - values.min())
+    out = []
+    for pos in range(ranked.size):
+        if pos == ranked.size - 1 or ranked[pos + 1] < ranked[pos] - tol:
+            out.append(float(cum[pos]))
+    return np.array(out)
 
 
 def make_tables(marg_prior, marg_post):
@@ -166,26 +182,30 @@ class TestLplRegion:
 
 
 class TestRegionDistance:
+    """The posterior mass between two regions, as the refinement experiments measure it."""
+
+    @staticmethod
+    def distance(a, b, tables):
+        support = np.arange(tables.n_psi)
+        mask_a, mask_b = np.isin(support, a.members), np.isin(support, b.members)
+        return _difference_mass(tables.marg_post, mask_a, mask_b)
+
     def test_identical_regions_at_zero(self):
         tables = make_tables([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
         a = rs_region(tables, 0.6)
-        assert region_distance(a, a, tables) == 0.0
+        assert self.distance(a, a, tables) == 0.0
 
     def test_overlapping_sets(self):
-        from relbelief.regions import CredibleRegion
-
         tables = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
         a = CredibleRegion(gamma=0.0, members=(0, 1), threshold=0.0, attained_mass=0.8)
         b = CredibleRegion(gamma=0.0, members=(1, 2), threshold=0.0, attained_mass=0.5)
-        assert region_distance(a, b, tables) == pytest.approx(0.7)
+        assert self.distance(a, b, tables) == pytest.approx(0.7)
 
     def test_subset_distance_is_complement_mass(self):
-        from relbelief.regions import CredibleRegion
-
         tables = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
         a = CredibleRegion(gamma=0.0, members=(0,), threshold=0.0, attained_mass=0.5)
         b = CredibleRegion(gamma=0.0, members=(0, 1, 2), threshold=0.0, attained_mass=1.0)
-        assert region_distance(a, b, tables) == pytest.approx(0.5)
+        assert self.distance(a, b, tables) == pytest.approx(0.5)
 
 
 class TestEtaSweep:
@@ -280,3 +300,14 @@ def test_region_mass_meets_request(prior, post, gamma):
         region = build(tables, gamma)
         assert region.attained_mass >= gamma - 1e-12
         assert len(region.members) >= 1
+
+
+@given(model=finite_models())
+@settings(max_examples=150, deadline=None)
+def test_attainable_gammas_match_the_loop(model):
+    for x in range(model.n_x):
+        tables = belief_tables(model, x)
+        for family in ("rs", "hpd"):
+            got = attainable_gammas(tables, family)
+            want = oracle_attainable_gammas(tables, family)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
