@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -38,6 +39,20 @@ def _matrix(text: str) -> np.ndarray:
     return np.array(rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """``ArgumentParser`` whose subparsers read negative numbers as values.
+
+    argparse's own pattern takes ``-7.3e-05`` or ``-inf`` for an option and
+    then reports "expected one argument".  Here a token is a value when a
+    digit, a point and a digit, ``inf`` or ``nan`` follows its minus sign:
+    every negative number ``float`` reads, and number lists such as ``-1,2``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
@@ -46,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     fresh namespace filled from the defaults, so one run cannot leak its
     arguments into the next.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relbelief",
         description="Relative-belief inference: estimators, regions, and experiments.",
     )

@@ -10,6 +10,7 @@ approach their continuous counterparts as the bin width shrinks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from collections.abc import Callable
@@ -88,6 +89,11 @@ class RegularGrid:
         return np.clip(idx, 0, self.n_bins - 1)
 
 
+@functools.lru_cache(maxsize=16)
+def _bin_labels(n_bins: int) -> tuple[str, ...]:
+    return tuple(f"bin{i}" for i in range(n_bins))
+
+
 def build_grid(
     cmodel: ContinuousModel1D, x, lam: float
 ) -> tuple[FiniteModel, RegularGrid]:
@@ -95,10 +101,14 @@ def build_grid(
 
     Bin prior masses and integrated likelihoods are computed by adaptive
     Gauss-Legendre quadrature (relative error 1e-10 per bin, all bins
-    together in array passes), and the returned
-    finite model reproduces the exact bin posterior masses: its likelihood
-    column is the bin-averaged likelihood under the prior conditioned on
-    the bin.
+    together in array passes).  One quadrature pass serves both: its
+    stacked integrand evaluates the prior density once per node and returns
+    the prior and the prior times the likelihood as two columns, each with
+    its own acceptance test.  The returned finite model reproduces the
+    exact bin posterior masses: its likelihood column is the bin-averaged
+    likelihood under the prior conditioned on the bin.  Bin ``i`` is
+    labelled ``bin{i}`` as both theta and psi; its representative, the bin
+    midpoint, is in ``theta_coords`` and ``psi_coords``.
 
     Raises
     ------
@@ -115,10 +125,11 @@ def build_grid(
     edges = a + eff_lam * np.arange(n_bins + 1)
     reps = 0.5 * (edges[:-1] + edges[1:])
 
-    prior_mass = integrate_bins(cmodel.prior_density, edges)
-    joint_mass = integrate_bins(
-        lambda t: cmodel.prior_density(t) * cmodel.likelihood(t, x), edges
-    )
+    def prior_and_joint(t):
+        p = cmodel.prior_density(t)
+        return np.stack([p, p * cmodel.likelihood(t, x)])
+
+    prior_mass, joint_mass = integrate_bins(prior_and_joint, edges)
     if np.any(prior_mass <= 0.0):
         bad = int(np.argmin(prior_mass))
         raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
@@ -140,7 +151,7 @@ def build_grid(
         x=x,
         evidence=total_joint / total_prior,
     )
-    labels = tuple(f"bin{i}@{rep:.6g}" for i, rep in enumerate(reps.tolist()))
+    labels = _bin_labels(n_bins)
     model = FiniteModel(
         theta_labels=labels,
         prior=prior_mass,

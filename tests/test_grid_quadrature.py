@@ -7,6 +7,7 @@ so they differ only by rounding in the panel sums and in the order converged
 halves are added; bins must agree within 1e-14 relative.
 """
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -56,6 +57,12 @@ def oracle_integral(f, a, b, rel_tol=1e-10, *, max_depth=48):
 
 
 def oracle_bins(f, edges):
+    """The scalar oracle per bin; for a stacked integrand, per row."""
+    edges = np.asarray(edges, dtype=float)
+    probe = np.asarray(f(edges[:1]))
+    if probe.ndim == 2:
+        return np.array([oracle_bins(lambda t, r=r: np.asarray(f(t))[r], edges)
+                         for r in range(probe.shape[0])])
     return np.array([oracle_integral(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
@@ -178,6 +185,121 @@ class TestAgainstOracle:
         assert "fail" in outcomes and "ok" in outcomes
 
 
+# -- stacked integrands -------------------------------------------------------
+
+
+def smooth(t):
+    return np.exp(-0.5 * t * t)
+
+
+def stacked(*columns):
+    return lambda t: np.stack([f(t) for f in columns])
+
+
+def pathological(kind, edges, where):
+    if kind == "spike":
+        return spike(edges[0] + where * (edges[-1] - edges[0]))
+    return {"sin40": oscillation, "inverse-sqrt": inverse_sqrt}[kind]
+
+
+def outcome(integrate):
+    """The bins' bytes, or the failure's type and message."""
+    try:
+        return np.asarray(integrate()).tobytes()
+    except QuadratureFailure as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedColumns:
+    @pytest.mark.parametrize("kind", ["spike", "sin40", "inverse-sqrt"])
+    @settings(max_examples=30, deadline=None)
+    @given(start=st.floats(1e-6, 1.0), steps=widths, where=st.floats(0.0, 1.0),
+           smooth_first=st.booleans())
+    def test_columns_match_one_column_calls(self, kind, start, steps, where, smooth_first):
+        edges = start + np.concatenate([[0.0], np.cumsum(steps)])
+        columns = [smooth, pathological(kind, edges, where)]
+        if not smooth_first:
+            columns.reverse()
+        got = integrate_bins(stacked(*columns), edges)
+        assert got.shape == (2, edges.size - 1)
+        for row, f in zip(got, columns):
+            assert row.tobytes() == integrate_bins(f, edges).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(start=st.floats(-1.0, 1.0), steps=widths, where=st.floats(0.0, 1.0))
+    def test_small_batches(self, start, steps, where):
+        # Cut into batches, a pass may add a bin's pieces in another order
+        # than the column's own call: equal up to rounding.
+        edges = start + np.concatenate([[0.0], np.cumsum(steps)])
+        columns = [spike(edges[0] + where * (edges[-1] - edges[0])), smooth]
+        with mock.patch.object(quadrature, "_BATCH", 2):
+            got = integrate_bins(stacked(*columns), edges)
+            for row, f in zip(got, columns):
+                want = integrate_bins(f, edges)
+                np.testing.assert_array_less(np.abs(row - want), REL_TOL * np.abs(want) + 1e-300)
+
+    def test_three_columns_and_one_row(self):
+        edges = np.linspace(0.1, 2.0, 7)
+        columns = [smooth, oscillation, inverse_sqrt]
+        got = integrate_bins(stacked(*columns), edges)
+        for row, f in zip(got, columns):
+            assert row.tobytes() == integrate_bins(f, edges).tobytes()
+        (row,) = integrate_bins(stacked(spike(0.3)), edges)
+        assert row.tobytes() == integrate_bins(spike(0.3), edges).tobytes()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "half-panel-inf"])
+    @pytest.mark.parametrize("smooth_first", [True, False])
+    def test_non_finite_column_fails_as_alone(self, bad, smooth_first):
+        bad_node = 0.25 + 0.25 * _NODES[0]
+        f = {
+            "nan": lambda t: np.full(np.shape(t), np.nan),
+            "inf": lambda t: np.where(t > 0.6, np.inf, 1.0),
+            "half-panel-inf": lambda t: np.where(t == bad_node, np.inf, 1.0),
+        }[bad]
+        edges = [0.0, 0.5, 1.0]
+        alone = outcome(lambda: integrate_bins(f, edges))
+        assert alone[0] is QuadratureFailure and "non-finite" in alone[1]
+        columns = [smooth, f] if smooth_first else [f, smooth]
+        assert outcome(lambda: integrate_bins(stacked(*columns), edges)) == alone
+
+    def test_non_finite_where_column_is_done_is_ignored(self):
+        # The constant column is accepted on the first pass over [0, 1].
+        # The spike column then bisects towards 0.3 and reaches a node of
+        # [0.25, 0.375] where the constant column is infinite; that value
+        # must neither raise nor reach the constant column's bin.
+        hole = 0.3125 + 0.0625 * _NODES[0]
+        seen = []
+
+        def constant_with_hole(t):
+            seen.append(np.any(t == hole))
+            return np.where(t == hole, np.inf, 1.0)
+
+        alone = integrate_bins(constant_with_hole, [0.0, 1.0])
+        assert not any(seen)
+        got = integrate_bins(stacked(constant_with_hole, spike(0.3)), [0.0, 1.0])
+        assert any(seen)
+        assert got[0].tobytes() == alone.tobytes()
+        assert got[1].tobytes() == integrate_bins(spike(0.3), [0.0, 1.0]).tobytes()
+
+    @pytest.mark.parametrize("smooth_first", [True, False])
+    def test_depth_limit_fails_as_alone(self, smooth_first):
+        edges = [0.0, 0.25, 0.3004, 1.0]
+        f = spike(0.3)
+        columns = [smooth, f] if smooth_first else [f, smooth]
+        kinds = set()
+        for depth in range(14):
+            alone = outcome(lambda: integrate_bins(f, edges, max_depth=depth))
+            together = outcome(lambda: integrate_bins(stacked(*columns), edges, max_depth=depth))
+            if isinstance(alone, tuple):
+                assert together == alone
+                kinds.add("fail")
+            else:
+                row = np.frombuffer(together, dtype=float).reshape(2, -1)[columns.index(f)]
+                assert row.tobytes() == alone
+                kinds.add("ok")
+        assert kinds == {"fail", "ok"}
+
+
 # -- integrands that never converge ------------------------------------------
 
 
@@ -253,11 +375,14 @@ def converge_csv(tmp_path, monkeypatch, name, *args, quadrature_fn=None):
     return calls, (out / "converge.csv").read_text()
 
 
-@pytest.mark.parametrize(
-    "args, builds",
-    [(["--lambdas", "0.2,0.1,0.05", "--gamma", "0.8"], 4), ([], 5)],
+BENCHMARK_SCHEDULE = ["--lambdas", "0.2,0.1,0.05", "--gamma", "0.8"]
+SCHEDULES = pytest.mark.parametrize(
+    "args, builds", [(BENCHMARK_SCHEDULE, 4), ([], 5)],
     ids=["benchmark-schedule", "default-schedule"],
 )
+
+
+@SCHEDULES
 def test_converge_builds_each_width_once(tmp_path, monkeypatch, capsys, args, builds):
     calls, csv = converge_csv(tmp_path, monkeypatch, "array", *args)
     assert len(calls) == builds == len(set(calls))
@@ -266,3 +391,49 @@ def test_converge_builds_each_width_once(tmp_path, monkeypatch, capsys, args, bu
         quadrature_fn=lambda f, edges: oracle_bins(f, edges),
     )
     assert csv == oracle_csv
+
+
+def one_column_passes(f, edges):
+    """A stacked integrand integrated one row per call, as grids were built
+    before one pass served the prior and the joint together."""
+    rows = np.asarray(f(np.asarray(edges[:1], dtype=float))).shape[0]
+    return np.array([integrate_bins(lambda t, r=r: f(t)[r], edges) for r in range(rows)])
+
+
+@SCHEDULES
+def test_one_pass_csv_equals_one_column_passes(tmp_path, monkeypatch, capsys, args, builds):
+    _, csv = converge_csv(tmp_path, monkeypatch, "one-pass", *args)
+    _, separate = converge_csv(
+        tmp_path, monkeypatch, "separate", *args, quadrature_fn=one_column_passes
+    )
+    assert csv == separate
+
+
+def test_converge_evaluates_prior_with_likelihood(tmp_path, monkeypatch, capsys):
+    counts = {}
+    continuous_model = NormalNormalTestbed.continuous_model
+
+    def counted(name, fn):
+        counts[name] = [0, 0]  # calls, points
+
+        def wrapper(theta, *rest):
+            counts[name][0] += 1
+            counts[name][1] += np.size(theta)
+            return fn(theta, *rest)
+
+        return wrapper
+
+    def traced(testbed):
+        cm = continuous_model(testbed)
+        return dataclasses.replace(
+            cm,
+            prior_density=counted("prior", cm.prior_density),
+            likelihood=counted("likelihood", cm.likelihood),
+        )
+
+    monkeypatch.setattr(NormalNormalTestbed, "continuous_model", traced)
+    converge_csv(tmp_path, monkeypatch, "counted", *BENCHMARK_SCHEDULE)
+    # Grids of 80, 160, 320 and 1280 bins, each accepted on its first
+    # bisection: one call for the whole panels and one for the halves, 30
+    # nodes per bin, shared by the prior and the joint.
+    assert counts["prior"] == counts["likelihood"] == [8, 30 * (80 + 160 + 320 + 1280)]

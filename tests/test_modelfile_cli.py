@@ -1,5 +1,6 @@
 """Model file schema, round-trips, and the command-line surface."""
 
+import argparse
 import json
 import math
 import os
@@ -227,6 +228,67 @@ class TestModelFile:
         with pytest.raises(ModelSpecError) as err:
             load_model(path)
         assert err.value.field == "psi"
+
+
+# The arguments each subcommand requires, so that one more option parses.
+REQUIRED_ARGS = {
+    "estimate": ["--model", "m.json", "--x", "0", "--estimator", "lrse"],
+    "region": ["--model", "m.json", "--x", "0", "--family", "rs", "--gamma", "0.5"],
+    "classify": ["--psi1", "0.2", "--psi2", "0.7", "--epsilon", "0.1", "--x", "1",
+                 "--method", "lrse"],
+    "predict": ["--kind", "class"],
+    "risk-table": ["--reps", "10"],
+    "converge": [],
+    "validate": ["--model", "m.json"],
+}
+
+
+def float_options():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[-1], action.dest)
+            for name, sub in subparsers.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+NEGATIVE_FLOATS = ["-7.3e-05", "-1e-3", "-1E+2", "-2.5", "-.5", "-1_000", "-inf", "-Infinity"]
+
+
+class TestNegativeValues:
+    def test_every_subcommand_is_covered(self):
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(REQUIRED_ARGS)
+        assert {("converge", "--x"), ("predict", "--x-next"), ("risk-table", "--mu")} <= {
+            (name, option) for name, option, _ in float_options()
+        }
+
+    @pytest.mark.parametrize("name, option, dest", float_options(),
+                             ids=[f"{n} {o}" for n, o, _ in float_options()])
+    def test_float_option_reads_any_negative_float(self, name, option, dest):
+        for token in NEGATIVE_FLOATS:
+            args = build_parser().parse_args([name, *REQUIRED_ARGS[name], option, token])
+            assert getattr(args, dest) == float(token)
+
+    @pytest.mark.parametrize("name, option", [
+        ("converge", "--lambdas"), ("converge", "--etas"), ("risk-table", "--betas"),
+        ("predict", "--design"), ("predict", "--y"), ("predict", "--w"),
+    ])
+    def test_number_list_may_start_negative(self, name, option):
+        args = build_parser().parse_args([name, *REQUIRED_ARGS[name], option, "-1e-3,2"])
+        assert getattr(args, option[2:]) == "-1e-3,2"
+
+    def test_unknown_option_still_rejected(self):
+        assert run(["converge", "--x", "-y"]) == 2
+        assert run(["converge", "-1e-3"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--x", "-7.3e-05", "--lambdas", "0.2,0.1"],
+        ["predict", "--kind", "class", "--mu", "1", "--x-next", "-1e-05"],
+        ["risk-table", "--reps", "1000", "--betas", "14", "--mu", "-1e-3"],
+    ], ids=["converge", "predict", "risk-table"])
+    def test_scientific_notation_runs(self, tmp_path, argv):
+        assert run(["--output-dir", str(tmp_path / "r"), *argv]) == 0
 
 
 class TestCli:
