@@ -25,8 +25,8 @@ _SUBMODULE_NAMES = {
         "UnknownPsi", "ZeroBinMass", "ZeroEvidence",
     ),
     "model": (
-        "BeliefTables", "FiniteModel", "SampleSpaceTables", "belief_tables", "compute_posterior",
-        "marginalize", "normalized", "sample_space_tables",
+        "BeliefTables", "FiniteModel", "SampleSpaceTables", "belief_tables", "normalized",
+        "sample_space_tables",
     ),
     "losses": ("LossSpec", "RiskReport", "parse_loss", "prior_risk"),
     "estimators": (

@@ -2,11 +2,17 @@
 
 Everything downstream works on the finite representation defined here: a
 parameter support with strictly positive prior weights, a likelihood (a table
-over a finite sample space, or a density callback evaluated at a single
-observed point), and a surjective map from the full parameter onto the
-marginal parameter of interest.  Continuous-parameter problems enter through
-:mod:`relbelief.discretize`, which emits a :class:`FiniteModel` over grid
-bins; this module is strictly finite.
+over a finite sample space, or a callback giving the log-likelihood over the
+parameter support of a single observed point), and a surjective map from the
+full parameter onto the marginal parameter of interest.  Continuous-parameter
+problems enter through :mod:`relbelief.discretize`, which emits a
+:class:`FiniteModel` over grid bins; this module is strictly finite.
+
+One kernel turns an ``(n_theta, k)`` block of likelihood columns into belief
+tables.  A table model's block is its whole likelihood table, so the belief
+tables at one point are a column of :func:`sample_space_tables`.  A
+callback's block is its one log-likelihood column, shifted by its maximum
+and exponentiated, so no density underflows before it is normalized.
 
 All values are immutable after construction and safe to share across
 threads.  A :class:`FiniteModel` computes its marginal prior and its
@@ -17,7 +23,6 @@ builds the same values and gets the copy that was stored first.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -30,7 +35,7 @@ from .errors import InfiniteSampleSpace, InvariantViolation, ZeroEvidence
 # construction and must then sum to one within SUM_TOL.
 SUM_TOL = 1e-12
 
-LikelihoodCallback = Callable[[int, object], float]
+LikelihoodCallback = Callable[[object], np.ndarray]
 
 
 def normalized(
@@ -122,8 +127,9 @@ class FiniteModel:
         Strictly positive prior weights; renormalized at construction.
     likelihood : numpy.ndarray or callable
         Either a ``(n_theta, n_x)`` table of nonnegative sampling weights
-        over a finite sample space, or a callback ``f(theta_index, x)``
-        returning the sampling density of the single observed ``x``.
+        over a finite sample space, or a callback ``f(x)`` returning the
+        ``(n_theta,)`` array of log sampling densities of the single observed
+        ``x``, ``-inf`` where ``x`` is impossible under that theta.
     psi_map : numpy.ndarray
         Integer index of the marginal parameter value for each theta; must
         be surjective onto ``range(len(psi_labels))``.
@@ -238,17 +244,6 @@ class FiniteModel:
             raise InvariantViolation(f"sample-space index {idx} out of range")
         return idx
 
-    def likelihood_at(self, x) -> np.ndarray:
-        """Likelihood of the observed ``x`` as a vector over theta."""
-        if self.is_table:
-            return np.asarray(self.likelihood[:, self.x_index(x)], dtype=float)
-        vals = np.array(
-            [float(self.likelihood(i, x)) for i in range(self.n_theta)], dtype=float
-        )
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise InvariantViolation("density callback returned invalid values")
-        return vals
-
     def marginal_prior(self) -> np.ndarray:
         """Prior weights pushed forward onto the psi support (read-only)."""
         return _cached(
@@ -270,6 +265,11 @@ class BeliefTables:
     factor by which belief in the j-th marginal value changed from prior to
     posterior at the observed ``x``.  Since it is the density of the
     posterior with respect to the prior, its maximum is always at least one.
+
+    ``evidence`` is the prior predictive weight of ``x``.  For a density
+    callback it is ``exp(max log-likelihood)`` times the shifted sum, so it
+    may underflow to 0.0 far out in the tails; no code in the package reads
+    it.
     """
 
     x: object
@@ -311,23 +311,18 @@ class BeliefTables:
     def _trusted(
         cls, model: FiniteModel, x, marg_post: np.ndarray, rb: np.ndarray, evidence: float
     ) -> "BeliefTables":
-        """Tables that :func:`marginalize` has just built from ``model``.
+        """A column of the tables that the posterior kernel built from ``model``.
 
         The model's marginal prior is positive and read-only, ``marg_post`` is
         a pushed-forward probability vector and ``rb`` its quotient by the
-        prior, all aligned over the model's psi support.  Of the public
-        constructor's checks only the paper's two identities are left: the
-        prior-weighted ratio averages to one and its maximum is at least one.
+        prior, all aligned over the model's psi support, and the kernel has
+        checked the paper's two identities on every column at once.  So none
+        of the public constructor's checks is repeated here.
         """
-        marg_prior = model.marginal_prior()
-        if rb.max() < 1.0 - SUM_TOL:
-            raise InvariantViolation("max relative belief ratio must be >= 1")
-        if abs(float(rb @ marg_prior) - 1.0) > SUM_TOL:
-            raise InvariantViolation("prior-weighted rb must average to one")
         self = object.__new__(cls)
         self.__dict__.update(
             x=x,
-            marg_prior=marg_prior,
+            marg_prior=model.marginal_prior(),
             marg_post=_frozen(marg_post),
             rb=_frozen(rb),
             evidence=evidence,
@@ -342,68 +337,55 @@ class BeliefTables:
         return len(self.psi_labels)
 
 
-# -- posterior and marginal computation -----------------------------------
+# -- the posterior kernel ----------------------------------------------------
 
 
-def compute_posterior(model: FiniteModel, x) -> tuple[np.ndarray, float]:
-    """Posterior over the full parameter support at the observed ``x``.
+def belief_tables(model: FiniteModel, x) -> BeliefTables:
+    """Belief tables at the observed ``x``.
 
-    Returns
-    -------
-    posterior : numpy.ndarray
-        Normalized posterior weights over ``theta``.
-    evidence : float
-        The normalizing constant, i.e. the prior predictive weight of ``x``.
+    On a table model these are column ``model.x_index(x)`` of the cached
+    :func:`sample_space_tables`.  A density callback's log-likelihood is
+    shifted by its maximum, exponentiated and run through the same kernel as
+    a one-column block; that result is not cached.
 
     Raises
     ------
     ZeroEvidence
-        If the observed data is impossible under every parameter value.
+        If the observed data is impossible under every parameter value.  A
+        table model's tables are built for every column at once, so this is
+        raised at every ``x`` if any column's evidence is 0; a callback
+        raises it where its log-likelihood is ``-inf`` everywhere.
+    InvariantViolation
+        If the callback does not return ``n_theta`` log-likelihoods, or
+        returns NaN or ``+inf``.
     """
-    lik = model.likelihood_at(x)
-    joint = model.prior * lik
-    evidence = float(joint.sum())
-    if evidence <= 0.0:
-        raise ZeroEvidence(f"observed data {x!r} has zero evidence")
-    return joint / evidence, evidence
-
-
-def marginalize(
-    posterior,
-    model: FiniteModel,
-    *,
-    x=None,
-    evidence: float = math.nan,
-) -> BeliefTables:
-    """Push a full posterior onto the psi support and form the belief tables.
-
-    The ratio is computed as the elementwise quotient of the two normalized
-    marginals, never through evidence-free shortcuts, so the "max rb >= 1"
-    invariant stays exactly testable.
-    """
-    post = np.asarray(posterior, dtype=float)
-    if post.shape != (model.n_theta,):
-        raise InvariantViolation("posterior length does not match theta support")
-    if abs(post.sum() - 1.0) > SUM_TOL or (post < 0).any():
-        raise InvariantViolation("posterior must be a normalized probability vector")
-    marg_post = np.bincount(model.psi_map, weights=post, minlength=model.n_psi)
-    rb = marg_post / model.marginal_prior()
-    return BeliefTables._trusted(model, x, marg_post, rb, evidence)
-
-
-def belief_tables(model: FiniteModel, x) -> BeliefTables:
-    """Posterior update followed by marginalization, in one step."""
-    posterior, evidence = compute_posterior(model, x)
-    return marginalize(posterior, model, x=x, evidence=evidence)
+    if model.is_table:
+        col = model.x_index(x)
+        tabs = sample_space_tables(model)
+        evidence = float(tabs.evidence[col])
+    else:
+        loglik = np.asarray(model.likelihood(x), dtype=float)
+        if loglik.shape != (model.n_theta,) or np.any(np.isnan(loglik) | (loglik == np.inf)):
+            raise InvariantViolation(
+                "density callback must return one log-likelihood per theta, none NaN or +inf"
+            )
+        top = loglik.max()
+        if top == -np.inf:
+            raise ZeroEvidence(f"observed data {x!r} has zero evidence")
+        col = 0
+        tabs = _build_sample_space_tables(model, np.exp(loglik - top)[:, None])
+        with np.errstate(over="ignore"):
+            evidence = float(np.exp(top) * tabs.evidence[0])
+    return BeliefTables._trusted(model, x, tabs.marg_post[:, col], tabs.rb[:, col], evidence)
 
 
 @dataclass(frozen=True)
 class SampleSpaceTables:
     """Belief tables at every point of a finite sample space at once.
 
-    Column ``x`` of ``marg_post`` and ``rb`` equals that of
-    ``belief_tables(model, x)`` bit for bit; ``marg_joint[j, x]`` is the prior
-    probability of the j-th marginal value together with ``x``.
+    Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
+    ``marg_joint[j, x]`` is the prior probability of the j-th marginal value
+    together with ``x``.
     """
 
     evidence: np.ndarray  # (n_x,)
@@ -416,39 +398,36 @@ class SampleSpaceTables:
 def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
     """Evidence, marginal joint, posterior and ratio for every ``x`` in one pass.
 
-    The arithmetic is that of :func:`compute_posterior` then
-    :func:`marginalize`, in the same order, so ties come out as they do at
-    single points.  The tables are built once per model and cached on it, so
-    every sweep over the same model shares them.  Raises
+    The tables are built once per model and cached on it, so every sweep
+    and every single-point query on the same model shares them.  Raises
     :class:`InfiniteSampleSpace` for a density callback and
     :class:`ZeroEvidence` if some ``x`` is impossible.
     """
-    return _cached(model, "_sample_space_tables", lambda: _build_sample_space_tables(model))
+    return _cached(
+        model, "_sample_space_tables", lambda: _build_sample_space_tables(model, model.likelihood)
+    )
 
 
-def _build_sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
-    n_psi, n_x = model.n_psi, model.n_x
-    joint = model.prior[:, None] * model.likelihood
-    # Summing contiguous rows makes numpy add each column pairwise, as the
-    # 1-D sum in compute_posterior does; a sum over axis 0 would not.
+def _build_sample_space_tables(model: FiniteModel, lik: np.ndarray) -> SampleSpaceTables:
+    """Belief tables of every column of an ``(n_theta, k)`` likelihood block."""
+    n_psi, k = model.n_psi, lik.shape[1]
+    joint = model.prior[:, None] * lik
+    # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
+    # sum over theta does; a sum over axis 0 would round differently.
     evidence = np.ascontiguousarray(joint.T).sum(axis=1)
     if np.any(evidence <= 0.0):
         raise ZeroEvidence(f"sample point {int(np.argmin(evidence))} has zero evidence")
-    # One bincount over (psi, x) cells adds each fiber in theta order, as
-    # the per-x bincount in marginalize does.
-    cells = (model.psi_map[:, None] * n_x + np.arange(n_x)).ravel()
+    # One bincount over (psi, x) cells adds each fiber in theta order.
+    cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
 
     def fiber_sums(per_theta: np.ndarray) -> np.ndarray:
-        sums = np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * n_x)
-        return _frozen(sums.reshape(n_psi, n_x))
+        sums = np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * k)
+        return _frozen(sums.reshape(n_psi, k))
 
     marg_prior = model.marginal_prior()
     marg_post = fiber_sums(joint / evidence)
     rb = marg_post / marg_prior[:, None]
-    if np.max(np.abs(marg_post.sum(axis=0) - 1.0)) > SUM_TOL:
-        raise InvariantViolation("marginal posterior must be a probability vector at every x")
-    if np.any(rb.max(axis=0) < 1.0 - SUM_TOL):
-        raise InvariantViolation("max relative belief ratio must be >= 1 at every x")
+    _check_identities(marg_prior, rb)
     return SampleSpaceTables(
         evidence=_frozen(evidence),
         marg_prior=marg_prior,
@@ -457,3 +436,14 @@ def _build_sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
         rb=_frozen(rb),
     )
 
+
+def _check_identities(marg_prior: np.ndarray, rb: np.ndarray) -> None:
+    """The paper's two identities on every column of an ``(n_psi, k)`` ratio.
+
+    Each column's largest ratio is at least one, and its prior-weighted
+    average is one.
+    """
+    if np.any(rb.max(axis=0) < 1.0 - SUM_TOL):
+        raise InvariantViolation("max relative belief ratio must be >= 1 at every x")
+    if np.max(np.abs(marg_prior @ rb - 1.0)) > SUM_TOL:
+        raise InvariantViolation("prior-weighted rb must average to one at every x")

@@ -14,7 +14,8 @@ Schema (all keys at the top level of one JSON object):
     family object: ``{"family": "bernoulli", "p": [...]}`` for a single
     success/failure trial, ``{"family": "binomial", "n": int, "p": [...]}``
     for trial counts, or ``{"family": "normal", "mean": [...], "sd": [...]}``
-    which yields a density callback for a continuous observation.
+    which yields a callback giving the log-density over theta of a continuous
+    observation.
 ``psi_map``
     List of marginal-value labels, one per theta.
 ``psi`` (optional)
@@ -64,24 +65,111 @@ def _labels_and_coords(raw, field: str):
     return labels, (np.array(coords) if has_coords else None)
 
 
+# Rows of a binomial table are built in blocks of about this many cells.
+_BLOCK_CELLS = 1 << 16
+
+# Stirling's error log(n!) - log(sqrt(2 pi n) (n / e)^n) at n = 0..15, below
+# which its asymptotic series is not accurate; entry 0 is never read.
+_STIRLING_ERROR_SMALL = np.array([
+    0.0, 0.081061466795327258, 0.041340695955409294, 0.027677925684998339,
+    0.020790672103765093, 0.016644691189821192, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.0092554621827127329,
+    0.0083305634333628713, 0.0075736754879518408, 0.0069428401072095299,
+    0.0064089941880042071, 0.0059513701127588477, 0.0055547335519628014,
+])
+
+
+def _stirling_error(n: np.ndarray) -> np.ndarray:
+    """Stirling's error at positive integers ``n``: the table, then the series."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+    return np.where(n <= 15, _STIRLING_ERROR_SMALL[np.minimum(n, 15)], series)
+
+
+def _deviance(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``x log(x / mean) + mean - x`` without cancellation where ``x`` is near ``mean``.
+
+    Within a factor of three of the mean, with ``v = (x - mean) / (x + mean)``
+    and ``|v| < 1/2``, the deviance is ``(x - mean) v + 2 x v^3 S(v^2)`` with
+    ``S(w) = 1/3 + w/5 + w^2/7 + ...``, whose terms never cancel more than a
+    fifth of the first; 10 terms of ``S`` reach double precision for
+    ``|v| < 0.15`` and 26 up to ``1/2``.  Further out the direct form loses at
+    most a factor of three to cancellation.  A deviance above 800 makes its
+    probability underflow whatever its last digits, so it keeps the direct form.
+    """
+    x, mean = np.broadcast_arrays(x, mean)
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = x / mean
+        log_ratio = np.log(ratio)
+        # A subnormal mean can overflow the ratio but not the difference of logs.
+        big = np.isinf(ratio)
+        log_ratio[big] = np.log(x[big]) - np.log(mean[big])
+    out = x * log_ratio + mean - x
+    near = (np.abs(x - mean) < 0.5 * (x + mean)) & (out < 800.0)
+    x, mean = x[near], mean[near]
+    v = (x - mean) / (x + mean)
+    w = v * v
+    series = np.empty_like(w)
+    for part, terms in ((w < 0.15**2, 10), (w >= 0.15**2, 26)):
+        wp = w[part]
+        s = np.full_like(wp, 1.0 / (2 * terms + 1))
+        for j in range(terms - 1, 0, -1):
+            s = s * wp + 1.0 / (2 * j + 1)
+        series[part] = s
+    out[near] = (x - mean) * v + 2.0 * x * v * w * series
+    return out
+
+
+def _relative_rounding(n: int, p: np.ndarray, p_err):
+    """``fl(n p)`` and ``(n (p + p_err) - fl(n p)) / fl(n p)``, 0 where ``fl(n p)`` is 0.
+
+    The product's own rounding error is exact by Dekker's split of each
+    factor into halves of 26 bits.
+    """
+    def split(a):
+        c = 134217729.0 * a
+        hi = c - (c - a)
+        return hi, a - hi
+
+    prod = n * p
+    (n_hi, n_lo), (p_hi, p_lo) = split(float(n)), split(p)
+    err = ((n_hi * p_hi - prod) + n_hi * p_lo + n_lo * p_hi) + n_lo * p_lo + n * p_err
+    return prod, np.divide(err, prod, out=np.zeros_like(prod), where=prod > 0)
+
+
 def _binomial_table(trials: int, p: np.ndarray) -> np.ndarray:
     """Binomial probabilities of ``k = 0..trials``, one row per success rate.
 
-    Built in log space.  ``log C(trials, k)`` sums ``log((trials - j) / (j + 1))``
-    up to the middle and mirrors it, so it is exactly 0 at both ends.  The terms
-    ``k log p`` and ``(trials - k) log(1 - p)`` count as 0 where ``k`` or
-    ``trials - k`` is 0, so ``p = 0`` and ``p = 1`` give exact unit rows
-    instead of ``0 * log 0 = nan``.
+    Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000): for ``0 < k < trials`` the log
+    probability is a sum of Stirling errors and two deviances, each small
+    and accurate to its own rounding, so the relative error does not grow
+    with ``trials``.  The end points are ``(1 - p)^trials`` and
+    ``p^trials``, so ``p = 0`` and ``p = 1`` give exact unit rows.  Rows are
+    built in blocks of about ``_BLOCK_CELLS`` cells, so the temporaries stay
+    small whatever the size of the table.
     """
-    k = np.arange(trials + 1)
-    j = k[: trials // 2]
-    half = np.concatenate(([0.0], np.cumsum(np.log((trials - j) / (j + 1)))))
-    log_comb = np.concatenate((half, half[: trials - trials // 2][::-1]))
-    p = p[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = (log_comb + np.where(k > 0, k * np.log(p), 0.0)
-                   + np.where(k < trials, (trials - k) * np.log1p(-p), 0.0))
-    return np.exp(log_pmf)
+    n = trials
+    k = np.arange(1, n)
+    base = (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
+            - 0.5 * np.log(2 * math.pi * (k * (n - k) / n)))
+    table = np.empty((p.size, n + 1))
+    rows = max(1, _BLOCK_CELLS // (n + 1))
+    for start in range(0, p.size, rows):
+        block = p[start:start + rows, None]
+        q = 1.0 - block
+        # The deviances move by (mean - x) / mean per unit of mean, so the
+        # rounding of n p and n q, up to 1e-16 of each, would cost
+        # |k - n p| * 1e-16 of relative accuracy; it is added back to first order.
+        mean, rel = _relative_rounding(n, block, 0.0)
+        mean_q, rel_q = _relative_rounding(n, q, (1.0 - q) - block)
+        out = table[start:start + rows]
+        with np.errstate(divide="ignore"):
+            out[:, :1] = n * np.log1p(-block)
+            out[:, -1:] = n * np.log(block)
+            out[:, 1:-1] = (base - _deviance(k, mean) - _deviance(n - k, mean_q)
+                            - (mean - k) * rel - (mean_q - (n - k)) * rel_q)
+    return np.exp(table, out=table)
 
 
 def _family_likelihood(spec: dict, n_theta: int):
@@ -103,9 +191,11 @@ def _family_likelihood(spec: dict, n_theta: int):
         if mean.size != n_theta or sd.size != n_theta or np.any(sd <= 0):
             raise ModelSpecError("likelihood", "normal needs a mean and positive sd per theta")
 
-        def callback(i: int, x) -> float:
-            z = (float(x) - mean[i]) / sd[i]
-            return math.exp(-0.5 * z * z) / (sd[i] * math.sqrt(2 * math.pi))
+        log_norm = np.log(sd) + 0.5 * math.log(2 * math.pi)
+
+        def callback(x) -> np.ndarray:
+            z = (float(x) - mean) / sd
+            return -0.5 * z * z - log_norm
 
         return callback, None
     raise ModelSpecError("likelihood", f"unknown family {family!r}")

@@ -184,7 +184,7 @@ class TestPriorRisk:
         model = FiniteModel(
             theta_labels=("a", "b"),
             prior=[0.5, 0.5],
-            likelihood=lambda i, x: 1.0,
+            likelihood=lambda x: np.zeros(2),
             psi_map=[0, 1],
             psi_labels=("a", "b"),
         )

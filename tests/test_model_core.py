@@ -11,11 +11,10 @@ from relbelief import (
     InvariantViolation,
     ZeroEvidence,
     belief_tables,
-    compute_posterior,
-    marginalize,
     normalized,
 )
 from conftest import model_corpus
+from posterior_oracle import compute_posterior, marginalize
 from predictive_oracle import (
     NonStochasticKernel,
     PredictiveTables,
@@ -34,6 +33,12 @@ def two_point_model(prior, lik_column):
         psi_map=[0, 1],
         psi_labels=("a", "b"),
     )
+
+
+def triangle_log_density(x):
+    """Log of a unit triangle density centred on theta = 0 and theta = 1."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.maximum(0.0, 1.0 - np.abs(float(x) - np.arange(2))))
 
 
 class TestComputePosterior:
@@ -68,7 +73,7 @@ class TestComputePosterior:
         model = FiniteModel(
             theta_labels=("a", "b"),
             prior=[0.5, 0.5],
-            likelihood=lambda i, x: max(0.0, 1.0 - abs(float(x) - i)),
+            likelihood=triangle_log_density,
             psi_map=[0, 1],
             psi_labels=("a", "b"),
         )
@@ -79,7 +84,7 @@ class TestComputePosterior:
         model = FiniteModel(
             theta_labels=("lo", "hi"),
             prior=[0.5, 0.5],
-            likelihood=lambda i, x: float(np.exp(-0.5 * (x - (i + 1.0)) ** 2)),
+            likelihood=lambda x: -0.5 * (x - (np.arange(2) + 1.0)) ** 2,
             psi_map=[0, 1],
             psi_labels=("lo", "hi"),
         )

@@ -1,18 +1,20 @@
 """Model file schema, round-trips, and the command-line surface."""
 
 import argparse
+import decimal
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -54,6 +56,16 @@ def classifier_file(tmp_path):
     path = tmp_path / "classifier.json"
     save_model(model, path)
     return str(path)
+
+
+def assert_near_exact(got, exact):
+    """Binomial probabilities against exact values; returns where the pmf is not tiny."""
+    # Log space rounds a term near log(1e-300) = -691 to about 1e-13 of
+    # itself, so the tightest bound holds where the pmf is not tiny.
+    body = exact >= 1e-30
+    np.testing.assert_allclose(got[body], exact[body], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(got[~body], exact[~body], rtol=1e-12, atol=1e-310)
+    return body
 
 
 class TestModelFile:
@@ -131,16 +143,35 @@ class TestModelFile:
         rate = Fraction(p)
         exact = np.array([float(math.comb(trials, k) * rate**k * (1 - rate) ** (trials - k))
                           for k in range(trials + 1)])
-        # Log space rounds a term near log(1e-300) = -691 to about 1e-13 of
-        # itself, so the tightest bound holds where the pmf is not tiny.
-        body = exact >= 1e-30
-        np.testing.assert_allclose(got[body], exact[body], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(got[~body], exact[~body], rtol=1e-12, atol=1e-310)
+        body = assert_near_exact(got, exact)
         if p == 0.0 or p >= 1e-200:  # scipy overflows at smaller rates
             ref = binom.pmf(np.arange(trials + 1), trials, p)
             # scipy is itself off from the exact values by up to 3e-13 (for
             # example at trials = 51, p = 0.16235482653703004, k = 0).
             np.testing.assert_allclose(got[body], ref[body], rtol=1e-12, atol=0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        trials=st.sampled_from([10_000, 200_000]),
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        z=st.floats(-12.0, 12.0),
+    )
+    # Without the correction for the rounding of n p and n q this k is off by 1.2e-13.
+    @example(trials=200_000, p=0.40289176273136823, z=3.0)
+    def test_binomial_table_stays_exact_at_many_trials(self, trials, p, z):
+        row = _binomial_table(trials, np.array([p]))[0]
+        assert abs(math.fsum(row) - 1.0) <= 1e-14
+        k = min(trials, max(0, round(trials * p + z * math.sqrt(trials * p * (1 - p)))))
+        ks = [0, k, trials]
+        # Exact up to 1e-50: the binomial coefficient is an exact integer and
+        # Decimal(p) is exact.  The exponent range is widened so no power
+        # underflows before the product is formed.
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emin = 50, -10**9
+            rate = Decimal(p)
+            exact = np.array([float(Decimal(math.comb(trials, j)) * rate**j
+                                    * (1 - rate) ** (trials - j)) for j in ks])
+        assert_near_exact(row[ks], exact)
 
     def test_binomial_table_extreme_rates_are_exact(self):
         with warnings.catch_warnings():

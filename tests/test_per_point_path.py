@@ -33,7 +33,6 @@ from relbelief import (
     ZeroEvidence,
     bayes_rule,
     belief_tables,
-    compute_posterior,
     hpd_region,
     lpl_region,
     lrse,
@@ -44,8 +43,9 @@ from relbelief import (
 from relbelief import losses
 from relbelief.estimators import TIE_RTOL, _spread_tol, _tie_mask
 from relbelief.losses import loss_matrix, posterior_risk_vector
-from relbelief.model import _build_sample_space_tables
+from relbelief.model import _build_sample_space_tables, _check_identities
 from relbelief.regions import GAMMA_TOL, CredibleRegion
+from posterior_oracle import compute_posterior
 from test_sample_space_tables import finite_models, losses_for
 
 # -- the earlier per-point code -------------------------------------------------
@@ -223,7 +223,8 @@ def test_tables_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             arr[0] = 0.0
     assert not model.marginal_prior().flags.writeable
-    fresh = _build_sample_space_tables(small_model())
+    fresh_model = small_model()
+    fresh = _build_sample_space_tables(fresh_model, fresh_model.likelihood)
     for field in dataclasses.fields(tabs):
         assert getattr(tabs, field.name).tobytes() == getattr(fresh, field.name).tobytes()
 
@@ -236,7 +237,8 @@ def test_replaced_model_gets_fresh_tables():
     assert other_tabs is not tabs
     assert other.marginal_prior() is not model.marginal_prior()
     np.testing.assert_array_equal(other.marginal_prior(), [0.8, 0.2])
-    want = _build_sample_space_tables(small_model([0.6, 0.2, 0.2]))
+    want_model = small_model([0.6, 0.2, 0.2])
+    want = _build_sample_space_tables(want_model, want_model.likelihood)
     np.testing.assert_array_equal(other_tabs.rb, want.rb)
     np.testing.assert_array_equal(sample_space_tables(model).rb, tabs.rb)
 
@@ -304,17 +306,19 @@ def test_public_constructor_accepts_the_good_table():
     BeliefTables(**tables_kwargs(psi_coords=[0.0, 1.0]))
 
 
-def test_trusted_constructor_keeps_the_two_identities():
+def test_kernel_keeps_the_two_identities():
     model = small_model()
+    marg_prior = model.marginal_prior()
     post = np.array([0.25, 0.75])
-    rb = post / model.marginal_prior()
+    rb = post / marg_prior
     tables = BeliefTables._trusted(model, 1, post, rb, 0.5)
     assert not tables.rb.flags.writeable and not tables.marg_post.flags.writeable
+    _check_identities(marg_prior, rb[:, None])
+    # A bad column among good ones fails the whole block.
     with pytest.raises(InvariantViolation, match="average"):
-        BeliefTables._trusted(model, 1, post, rb * 1.01, 0.5)
-    flat = np.array([0.5, 0.5])
+        _check_identities(marg_prior, np.column_stack([rb, rb * 1.01]))
     with pytest.raises(InvariantViolation, match=">= 1"):
-        BeliefTables._trusted(model, 1, flat, np.full(2, 1.0 - 1e-11), 0.5)
+        _check_identities(marg_prior, np.column_stack([np.full(2, 1.0 - 1e-11), rb]))
 
 
 # -- the ball loss against the dense test ---------------------------------------------
