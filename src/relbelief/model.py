@@ -23,7 +23,6 @@ builds the same values and gets the copy that was stored first.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -38,12 +37,7 @@ SUM_TOL = 1e-12
 LikelihoodCallback = Callable[[object], np.ndarray]
 
 
-def normalized(
-    weights,
-    *,
-    what: str = "probability vector",
-    warn_above: float | None = None,
-) -> np.ndarray:
+def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
     """Normalize nonnegative weights into a unit-sum probability vector.
 
     This is the single normalization routine used everywhere in the package,
@@ -55,8 +49,6 @@ def normalized(
         Nonnegative finite weights with a positive sum.
     what : str
         Name used in error messages.
-    warn_above : float, optional
-        If given, emit a ``UserWarning`` when ``|sum - 1|`` exceeds it.
 
     Returns
     -------
@@ -73,10 +65,6 @@ def normalized(
     total = float(arr.sum())
     if total <= 0.0:
         raise InvariantViolation(f"{what} has nonpositive total mass")
-    if warn_above is not None and abs(total - 1.0) > warn_above:
-        warnings.warn(
-            f"{what} summed to {total!r}; renormalizing", stacklevel=2
-        )
     out = arr / total
     out.setflags(write=False)
     return out
@@ -95,7 +83,7 @@ def _checked_coords(values, size: int, what: str) -> np.ndarray:
     centre, so such coordinates would give wrong risks rather than an error.
     """
     coords = np.asarray(values, dtype=float)
-    if coords.shape[0] != size:
+    if coords.shape[:1] != (size,):
         raise InvariantViolation(f"{what} length does not match support")
     if not np.all(np.isfinite(coords)):
         raise InvariantViolation(f"{what} contains non-finite entries")
@@ -297,10 +285,7 @@ class BeliefTables:
             raise InvariantViolation("marginal posterior must be a probability vector")
         if np.max(np.abs(rb * prior - post)) > SUM_TOL:
             raise InvariantViolation("rb must be the posterior-to-prior quotient")
-        if abs(float(rb @ prior) - 1.0) > SUM_TOL:
-            raise InvariantViolation("prior-weighted rb must average to one")
-        if rb.max() < 1.0 - SUM_TOL:
-            raise InvariantViolation("max relative belief ratio must be >= 1")
+        _check_identities(prior, rb[:, None])
         object.__setattr__(self, "marg_prior", _frozen(prior))
         object.__setattr__(self, "marg_post", _frozen(post))
         object.__setattr__(self, "rb", _frozen(rb))

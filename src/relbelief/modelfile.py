@@ -22,47 +22,73 @@ Schema (all keys at the top level of one JSON object):
     Explicit ordering of the marginal support; defaults to first
     appearance order in ``psi_map``.
 ``psi_coords`` (optional)
-    Real coordinates aligned with ``psi``.  Coordinates, here and in
-    ``theta``, must be finite.
+    Real coordinates aligned with ``psi``.
 ``x`` (optional)
     Labels for the sample-space columns of a matrix likelihood.
 
 Any other key is ignored.
+
+Loading only turns JSON into typed values; :class:`FiniteModel` checks them.
+Every rejection is a validation error (exit 2 on the command line): either a
+:class:`ModelSpecError` whose ``field`` names the key (``file`` for the
+document) for bad JSON, a missing field, a label field that is not a list,
+text, nulls, ragged rows or all-boolean lists in a numeric field, a bad family or family
+parameter (``likelihood``), ``psi_map`` labels missing from ``psi`` and, when
+strict, an off-sum prior; or an :class:`InvariantViolation` from
+:class:`FiniteModel` naming the field in its message: a wrong length, a
+non-finite or out-of-range weight or coordinate, an impossible sample point or
+a ``psi`` value with no preimage.  A normal family rejects a NaN or text ``x``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelSpecError
-from .model import FiniteModel, normalized
+from .errors import InvariantViolation, ModelSpecError
+from .losses import parse_number
+from .model import FiniteModel
 
 PRIOR_WARN_TOL = 1e-9
 
 
-def _labels_and_coords(raw, field: str):
+def _numbers(value, field: str) -> np.ndarray:
+    """``value`` as a float array; anything but JSON numbers in lists of equal length
+    (numpy alone reads the text ``"1.5"`` as a number) is an error naming ``field``."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "iufO":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelSpecError(field, "must hold JSON numbers, in lists of equal length")
+
+
+def _list(raw: dict, field: str) -> list:
+    if not isinstance(raw[field], list):
+        raise ModelSpecError(field, "must be a JSON list")
+    return raw[field]
+
+
+def _theta(raw: dict):
+    """Theta labels, and their coordinates when every entry carries one."""
     labels, coords = [], []
-    has_coords = False
-    for item in raw:
+    for item in _list(raw, "theta"):
         if isinstance(item, dict):
             if "label" not in item:
-                raise ModelSpecError(field, "entries need a 'label'")
+                raise ModelSpecError("theta", "entries need a 'label'")
             labels.append(str(item["label"]))
             if "coord" in item:
-                has_coords = True
-                coords.append(float(item["coord"]))
-            else:
-                coords.append(None)
+                coords.append(item["coord"])
         else:
             labels.append(str(item))
-            coords.append(None)
-    if has_coords and None in coords:
-        raise ModelSpecError(field, "either all entries carry a coord or none do")
-    return labels, (np.array(coords) if has_coords else None)
+    if coords and len(coords) != len(labels):
+        raise ModelSpecError("theta", "either all entries carry a coord or none do")
+    return labels, (_numbers(coords, "theta") if coords else None)
 
 
 # Rows of a binomial table are built in blocks of about this many cells.
@@ -173,28 +199,37 @@ def _binomial_table(trials: int, p: np.ndarray) -> np.ndarray:
 
 
 def _family_likelihood(spec: dict, n_theta: int):
+    """A named family's likelihood and labels; a bad parameter is a ``likelihood`` error."""
     family = spec.get("family")
-    if family == "bernoulli":
-        p = np.asarray(spec.get("p", []), dtype=float)
-        if p.size != n_theta or np.any(p < 0) or np.any(p > 1):
-            raise ModelSpecError("likelihood", "bernoulli needs one p in [0,1] per theta")
-        return np.column_stack([1.0 - p, p]), ("0", "1")
-    if family == "binomial":
-        trials = int(spec.get("n", 0))
-        p = np.asarray(spec.get("p", []), dtype=float)
-        if trials < 1 or p.size != n_theta or np.any(p < 0) or np.any(p > 1):
-            raise ModelSpecError("likelihood", "binomial needs n >= 1 and one p per theta")
+
+    def param(name: str) -> np.ndarray:
+        value = _numbers(spec.get(name, []), "likelihood")
+        if value.shape != (n_theta,):
+            raise ModelSpecError("likelihood", f"{family} needs one {name} per theta")
+        return value
+
+    if family in ("bernoulli", "binomial"):
+        p = param("p")
+        if not np.all((p >= 0) & (p <= 1)):
+            raise ModelSpecError("likelihood", f"{family} needs every p in [0, 1]")
+        if family == "bernoulli":
+            return np.column_stack([1.0 - p, p]), ("0", "1")
+        trials = spec.get("n")
+        if type(trials) is not int or trials < 1:
+            raise ModelSpecError("likelihood", "binomial needs an integer n >= 1")
         return _binomial_table(trials, p), tuple(str(k) for k in range(trials + 1))
     if family == "normal":
-        mean = np.asarray(spec.get("mean", []), dtype=float)
-        sd = np.asarray(spec.get("sd", []), dtype=float)
-        if mean.size != n_theta or sd.size != n_theta or np.any(sd <= 0):
-            raise ModelSpecError("likelihood", "normal needs a mean and positive sd per theta")
+        mean, sd = param("mean"), param("sd")
+        if not np.all(np.isfinite(mean) & np.isfinite(sd) & (sd > 0)):
+            raise ModelSpecError("likelihood", "normal needs a finite mean and a finite sd > 0")
 
         log_norm = np.log(sd) + 0.5 * math.log(2 * math.pi)
 
         def callback(x) -> np.ndarray:
-            z = (float(x) - mean) / sd
+            value = parse_number(x)
+            if math.isnan(value):
+                raise InvariantViolation(f"observation {x!r} is not a number")
+            z = (value - mean) / sd
             return -0.5 * z * z - log_norm
 
         return callback, None
@@ -204,9 +239,10 @@ def _family_likelihood(spec: dict, n_theta: int):
 def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
     """Load a model file; ``strict`` rejects instead of repairing.
 
-    Strict mode is what the command-line ``validate`` subcommand uses: a
-    prior that does not sum to one within 1e-9 is an error rather than a
-    normalization warning.
+    This turns JSON into typed values; :class:`FiniteModel` then checks
+    them.  Strict mode is what the command-line ``validate`` subcommand
+    uses: a prior that does not sum to one within 1e-9 is an error rather
+    than a normalization warning.
     """
     path = Path(path)
     try:
@@ -219,69 +255,41 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
         if key not in raw:
             raise ModelSpecError(key, "required field is missing")
 
-    theta_labels, theta_coords = _labels_and_coords(raw["theta"], "theta")
-    n_theta = len(theta_labels)
-
-    prior = np.asarray(raw["prior"], dtype=float)
-    if prior.size != n_theta:
-        raise ModelSpecError("prior", "length does not match theta")
-    if np.any(prior <= 0):
-        raise ModelSpecError("prior", "weights must be strictly positive")
+    theta_labels, theta_coords = _theta(raw)
+    prior = _numbers(raw["prior"], "prior")
     total = float(prior.sum())
-    if strict and abs(total - 1.0) > PRIOR_WARN_TOL:
-        raise ModelSpecError("prior", f"sums to {total!r}, not 1")
-    prior = normalized(prior, what="prior", warn_above=PRIOR_WARN_TOL)
+    if abs(total - 1.0) > PRIOR_WARN_TOL:
+        if strict:
+            raise ModelSpecError("prior", f"sums to {total!r}, not 1")
+        warnings.warn(f"prior summed to {total!r}; renormalizing", stacklevel=2)
 
-    family_spec = None
-    x_labels = None
     lik = raw["likelihood"]
-    if isinstance(lik, dict):
-        family_spec = dict(lik)
-        likelihood, x_labels = _family_likelihood(lik, n_theta)
+    family_spec = dict(lik) if isinstance(lik, dict) else None
+    if family_spec is not None:
+        likelihood, x_labels = _family_likelihood(lik, len(theta_labels))
     else:
-        likelihood = np.asarray(lik, dtype=float)
-        if likelihood.ndim != 2 or likelihood.shape[0] != n_theta:
-            raise ModelSpecError("likelihood", "matrix must have one row per theta")
-        if np.any(likelihood < 0):
-            raise ModelSpecError("likelihood", "entries must be nonnegative")
-        if np.any(likelihood.sum(axis=0) <= 0):
-            raise ModelSpecError("likelihood", "every column needs a positive entry")
-        if "x" in raw:
-            x_labels = tuple(str(v) for v in raw["x"])
-            if len(x_labels) != likelihood.shape[1]:
-                raise ModelSpecError("x", "label count does not match likelihood columns")
+        likelihood = _numbers(lik, "likelihood")
+        x_labels = tuple(str(v) for v in _list(raw, "x")) if "x" in raw else None
 
-    psi_map_labels = [str(v) for v in raw["psi_map"]]
-    if len(psi_map_labels) != n_theta:
-        raise ModelSpecError("psi_map", "length does not match theta")
+    psi_map_labels = [str(v) for v in _list(raw, "psi_map")]
     if "psi" in raw:
-        psi_labels = [str(v) for v in raw["psi"]]
+        psi_labels = [str(v) for v in _list(raw, "psi")]
         extra = set(psi_map_labels) - set(psi_labels)
         if extra:
             raise ModelSpecError("psi", f"psi_map uses labels not in psi: {sorted(extra)}")
-        unused = set(psi_labels) - set(psi_map_labels)
-        if unused:
-            raise ModelSpecError("psi_map", f"no preimage for psi values: {sorted(unused)}")
     else:
         psi_labels = list(dict.fromkeys(psi_map_labels))
     index = {label: i for i, label in enumerate(psi_labels)}
-    psi_map = np.array([index[label] for label in psi_map_labels], dtype=np.intp)
-
-    psi_coords = None
-    if "psi_coords" in raw:
-        psi_coords = np.asarray(raw["psi_coords"], dtype=float)
-        if psi_coords.shape[0] != len(psi_labels):
-            raise ModelSpecError("psi_coords", "length does not match psi support")
 
     return FiniteModel(
         theta_labels=tuple(theta_labels),
         prior=prior,
         likelihood=likelihood,
-        psi_map=psi_map,
+        psi_map=np.array([index[label] for label in psi_map_labels], dtype=np.intp),
         psi_labels=tuple(psi_labels),
         theta_coords=theta_coords,
-        psi_coords=psi_coords,
-        x_labels=x_labels if not callable(likelihood) else None,
+        psi_coords=_numbers(raw["psi_coords"], "psi_coords") if "psi_coords" in raw else None,
+        x_labels=x_labels,
         family_spec=family_spec,
     )
 

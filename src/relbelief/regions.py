@@ -49,9 +49,7 @@ def _ranked_region(
     values: np.ndarray, masses: np.ndarray, gamma: float
 ) -> tuple[list[int], float, float]:
     """Members, threshold and attained mass of the super-level region of
-    ``values`` holding posterior mass >= gamma."""
-    if not -GAMMA_TOL <= gamma <= 1.0 + GAMMA_TOL:
-        raise InvariantViolation("gamma must lie in [0, 1]")
+    ``values`` holding posterior mass >= gamma; :class:`CredibleRegion` checks gamma."""
     order = (-values).argsort(kind="stable")
     if gamma >= 1.0 - GAMMA_TOL:
         # Full credibility is the whole support; the cumulative-mass search
