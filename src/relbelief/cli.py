@@ -300,7 +300,7 @@ _RUNNERS = {
     "validate": _run_validate,
 }
 
-_VALIDATION_ERRORS = (ModelSpecError, InvariantViolation)
+_VALIDATION_ERRORS = (ModelSpecError, InvariantViolation, FileNotFoundError)
 
 
 def run(argv) -> int:
@@ -323,10 +323,6 @@ def run(argv) -> int:
         manifest.finish("ok")
         return 0
     except _VALIDATION_ERRORS as exc:
-        manifest.finish("validation-error", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         manifest.finish("validation-error", str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2

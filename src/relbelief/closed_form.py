@@ -76,18 +76,11 @@ def classify(model: BinomialClassifier, x: int, method: str) -> EstimateResult:
         s1, s2 = p1, p2
     else:
         raise InvariantViolation(f"unknown method {method!r}")
-    if s1 == s2:
-        idx, ties, tie = 0, (0, 1), True
-    elif s1 > s2:
-        idx, ties, tie = 0, (0,), False
-    else:
-        idx, ties, tie = 1, (1,), False
+    ties = (0, 1) if s1 == s2 else (0,) if s1 > s2 else (1,)
     return EstimateResult(
-        psi_index=idx,
-        psi_label=("psi1", "psi2")[idx],
-        criterion_value=float((s1, s2)[idx]),
-        tie=tie,
         argmax_set=ties,
+        psi_label=("psi1", "psi2")[ties[0]],
+        criterion_value=float((s1, s2)[ties[0]]),
     )
 
 

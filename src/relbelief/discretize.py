@@ -65,8 +65,7 @@ class RegularGrid:
     """Equal-width binning of a continuous model at one resolution.
 
     ``bin_prior`` holds the raw quadrature prior masses (their total is the
-    interval's prior mass, slightly below one after truncation) and
-    ``bin_post`` the normalized posterior bin masses at the observed ``x``.
+    interval's prior mass, slightly below one after truncation).
     Representatives are bin midpoints.
     """
 
@@ -74,9 +73,6 @@ class RegularGrid:
     edges: np.ndarray
     representatives: np.ndarray
     bin_prior: np.ndarray
-    bin_post: np.ndarray
-    x: object
-    evidence: float
 
     @property
     def n_bins(self) -> int:
@@ -134,23 +130,14 @@ def build_grid(
         bad = int(np.argmin(prior_mass))
         raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
     total_prior = float(prior_mass.sum())
-    total_joint = float(joint_mass.sum())
-    if total_joint <= 0.0:
+    if float(joint_mass.sum()) <= 0.0:
         raise InvariantViolation("observed data has zero evidence on the support")
     if not (1.0 - TRUNCATION_TOL <= total_prior <= 1.0 + 1e-9):
         raise InvariantViolation(
             f"grid prior mass {total_prior!r} outside the truncation budget"
         )
 
-    grid = RegularGrid(
-        lam=float(eff_lam),
-        edges=edges,
-        representatives=reps,
-        bin_prior=prior_mass,
-        bin_post=joint_mass / total_joint,
-        x=x,
-        evidence=total_joint / total_prior,
-    )
+    grid = RegularGrid(lam=float(eff_lam), edges=edges, representatives=reps, bin_prior=prior_mass)
     labels = _bin_labels(n_bins)
     model = FiniteModel(
         theta_labels=labels,
@@ -185,18 +172,18 @@ def eta_schedule(grid: RegularGrid, lrse_bin: int) -> float:
 # -- hypothesis diagnostics --------------------------------------------------
 
 
-def check_peak_separation(tables: BeliefTables, *, rel_tol: float = 1e-9, max_run: int = 3):
+def check_peak_separation(tables: BeliefTables):
     """Verify the belief ratio has a single well-separated peak on a grid.
 
-    The bins within ``rel_tol`` (relative) of the maximal ratio must form
-    one contiguous run of at most ``max_run`` bins; otherwise the ratio
-    either has tied separated maxima or comes arbitrarily close to its
-    maximum away from it, and refinement results would be meaningless.
+    The bins within 1e-9 (relative) of the maximal ratio must form one
+    contiguous run of at most three bins; otherwise the ratio either has
+    tied separated maxima or comes arbitrarily close to its maximum away
+    from it, and refinement results would be meaningless.
     """
     rb = tables.rb
     top = float(rb.max())
-    near = np.flatnonzero(rb >= top * (1.0 - rel_tol))
-    if near.size > max_run or (near.size > 1 and np.any(np.diff(near) != 1)):
+    near = np.flatnonzero(rb >= top * (1.0 - 1e-9))
+    if near.size > 3 or (near.size > 1 and np.any(np.diff(near) != 1)):
         coords = tables.psi_coords
         where = coords[near] if coords is not None else near
         raise HypothesisViolated(

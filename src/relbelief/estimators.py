@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation
 from .losses import LossSpec, check_rule, h_vector, posterior_risk_vector
 from .model import BeliefTables, FiniteModel, sample_space_tables
 
@@ -38,48 +37,42 @@ def _tie_mask(values: np.ndarray) -> np.ndarray:
     return values >= best - _spread_tol(values, best)
 
 
-def tied_argmax(values: np.ndarray) -> tuple[int, tuple[int, ...], bool]:
-    """Index of the maximum plus the set of ties within tolerance."""
-    ties = _tie_mask(np.asarray(values, dtype=float)).nonzero()[0].tolist()
-    return ties[0], tuple(ties), len(ties) > 1
-
-
 @dataclass(frozen=True)
 class EstimateResult:
-    """A chosen marginal value with its criterion value and tie diagnostics."""
+    """A chosen marginal value with its criterion value and tie diagnostics.
 
-    psi_index: int
+    ``argmax_set`` holds every index tied with the maximum, in increasing
+    order; the chosen index is its first.
+    """
+
+    argmax_set: tuple[int, ...]
     psi_label: str
     criterion_value: float
-    tie: bool
-    argmax_set: tuple[int, ...]
-    tail_bound: float | None = None
 
-    def __post_init__(self):
-        if self.psi_index not in self.argmax_set:
-            raise InvariantViolation("chosen index must belong to the argmax set")
+    @property
+    def psi_index(self) -> int:
+        return self.argmax_set[0]
+
+    @property
+    def tie(self) -> bool:
+        return len(self.argmax_set) > 1
 
 
-def _estimate(labels, values: np.ndarray, tail_bound: float | None = None) -> EstimateResult:
-    idx, ties, tie = tied_argmax(values)
+def _estimate(labels, values: np.ndarray) -> EstimateResult:
+    ties = tuple(_tie_mask(np.asarray(values, dtype=float)).nonzero()[0].tolist())
     return EstimateResult(
-        psi_index=idx,
-        psi_label=labels[idx],
-        criterion_value=float(values[idx]),
-        tie=tie,
-        argmax_set=ties,
-        tail_bound=tail_bound,
+        argmax_set=ties, psi_label=labels[ties[0]], criterion_value=float(values[ties[0]])
     )
 
 
 def lrse(tables: BeliefTables) -> EstimateResult:
     """Least relative surprise estimator: argmax of the relative belief ratio."""
-    return _estimate(tables.psi_labels, tables.rb, tables.tail_bound)
+    return _estimate(tables.psi_labels, tables.rb)
 
 
 def map_estimate(tables: BeliefTables) -> EstimateResult:
     """MAP estimator: argmax of the marginal posterior."""
-    return _estimate(tables.psi_labels, tables.marg_post, tables.tail_bound)
+    return _estimate(tables.psi_labels, tables.marg_post)
 
 
 def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
@@ -89,7 +82,7 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     is better, matching the other estimators.
     """
     risks = posterior_risk_vector(loss, tables)
-    return _estimate(tables.psi_labels, -risks, tables.tail_bound)
+    return _estimate(tables.psi_labels, -risks)
 
 
 # -- decision rules over a finite sample space -----------------------------

@@ -10,7 +10,8 @@ problems enter through :mod:`relbelief.discretize`, which emits a
 
 One kernel turns an ``(n_theta, k)`` block of likelihood columns into belief
 tables.  A table model's block is its whole likelihood table, so the belief
-tables at one point are a column of :func:`sample_space_tables`.  A
+tables at one point are a column of :func:`sample_space_tables`; each column
+is scaled by a power of two so that a possible point never underflows.  A
 callback's block is its one log-likelihood column, shifted by its maximum
 and exponentiated, so no density underflows before it is normalized.
 
@@ -131,9 +132,6 @@ class FiniteModel:
     family_spec : dict, optional
         Serializable description of a named likelihood family, kept so a
         model loaded from a file can be written back field-for-field.
-    tail_bound : float, optional
-        Truncation tail-mass bound when the model is an explicit truncation
-        of a countable support; carried through to estimator results.
 
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
@@ -150,7 +148,6 @@ class FiniteModel:
     psi_coords: np.ndarray | None = None
     x_labels: tuple[str, ...] | None = None
     family_spec: dict | None = None
-    tail_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta_labels", tuple(self.theta_labels))
@@ -253,21 +250,13 @@ class BeliefTables:
     factor by which belief in the j-th marginal value changed from prior to
     posterior at the observed ``x``.  Since it is the density of the
     posterior with respect to the prior, its maximum is always at least one.
-
-    ``evidence`` is the prior predictive weight of ``x``.  For a density
-    callback it is ``exp(max log-likelihood)`` times the shifted sum, so it
-    may underflow to 0.0 far out in the tails; no code in the package reads
-    it.
     """
 
-    x: object
     marg_prior: np.ndarray
     marg_post: np.ndarray
     rb: np.ndarray
-    evidence: float
     psi_labels: tuple[str, ...]
     psi_coords: np.ndarray | None = None
-    tail_bound: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "psi_labels", tuple(self.psi_labels))
@@ -294,7 +283,7 @@ class BeliefTables:
 
     @classmethod
     def _trusted(
-        cls, model: FiniteModel, x, marg_post: np.ndarray, rb: np.ndarray, evidence: float
+        cls, model: FiniteModel, marg_post: np.ndarray, rb: np.ndarray
     ) -> "BeliefTables":
         """A column of the tables that the posterior kernel built from ``model``.
 
@@ -306,14 +295,11 @@ class BeliefTables:
         """
         self = object.__new__(cls)
         self.__dict__.update(
-            x=x,
             marg_prior=model.marginal_prior(),
             marg_post=_frozen(marg_post),
             rb=_frozen(rb),
-            evidence=evidence,
             psi_labels=model.psi_labels,
             psi_coords=model.psi_coords,
-            tail_bound=model.tail_bound,
         )
         return self
 
@@ -336,10 +322,9 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     Raises
     ------
     ZeroEvidence
-        If the observed data is impossible under every parameter value.  A
-        table model's tables are built for every column at once, so this is
-        raised at every ``x`` if any column's evidence is 0; a callback
-        raises it where its log-likelihood is ``-inf`` everywhere.
+        If a density callback's log-likelihood is ``-inf`` everywhere.  A
+        table model has a positive likelihood in every column, and the
+        kernel scales each column so that its evidence does not underflow.
     InvariantViolation
         If the callback does not return ``n_theta`` log-likelihoods, or
         returns NaN or ``+inf``.
@@ -347,7 +332,6 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     if model.is_table:
         col = model.x_index(x)
         tabs = sample_space_tables(model)
-        evidence = float(tabs.evidence[col])
     else:
         loglik = np.asarray(model.likelihood(x), dtype=float)
         if loglik.shape != (model.n_theta,) or np.any(np.isnan(loglik) | (loglik == np.inf)):
@@ -359,9 +343,7 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
             raise ZeroEvidence(f"observed data {x!r} has zero evidence")
         col = 0
         tabs = _build_sample_space_tables(model, np.exp(loglik - top)[:, None])
-        with np.errstate(over="ignore"):
-            evidence = float(np.exp(top) * tabs.evidence[0])
-    return BeliefTables._trusted(model, x, tabs.marg_post[:, col], tabs.rb[:, col], evidence)
+    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col])
 
 
 @dataclass(frozen=True)
@@ -394,9 +376,18 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
 
 
 def _build_sample_space_tables(model: FiniteModel, lik: np.ndarray) -> SampleSpaceTables:
-    """Belief tables of every column of an ``(n_theta, k)`` likelihood block."""
+    """Belief tables of every column of an ``(n_theta, k)`` likelihood block.
+
+    A column whose largest likelihood is below one half is first scaled by
+    the power of two that lifts that maximum into ``[1/2, 1)``, so a
+    possible sample point never underflows to zero evidence.  The scaling is
+    exact and cancels in the posterior and the ratio; it is undone on the
+    evidence and the marginal joint, which may then read 0.0.
+    """
     n_psi, k = model.n_psi, lik.shape[1]
-    joint = model.prior[:, None] * lik
+    _, exponent = np.frexp(lik.max(axis=0))
+    up = np.maximum(-exponent, 0)
+    joint = model.prior[:, None] * np.ldexp(lik, up)
     # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
     # sum over theta does; a sum over axis 0 would round differently.
     evidence = np.ascontiguousarray(joint.T).sum(axis=1)
@@ -406,17 +397,16 @@ def _build_sample_space_tables(model: FiniteModel, lik: np.ndarray) -> SampleSpa
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
 
     def fiber_sums(per_theta: np.ndarray) -> np.ndarray:
-        sums = np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * k)
-        return _frozen(sums.reshape(n_psi, k))
+        return np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * k).reshape(n_psi, k)
 
     marg_prior = model.marginal_prior()
-    marg_post = fiber_sums(joint / evidence)
+    marg_post = _frozen(fiber_sums(joint / evidence))
     rb = marg_post / marg_prior[:, None]
     _check_identities(marg_prior, rb)
     return SampleSpaceTables(
-        evidence=_frozen(evidence),
+        evidence=_frozen(np.ldexp(evidence, -up)),
         marg_prior=marg_prior,
-        marg_joint=fiber_sums(joint),
+        marg_joint=_frozen(np.ldexp(fiber_sums(joint), -up)),
         marg_post=marg_post,
         rb=_frozen(rb),
     )

@@ -32,7 +32,7 @@ Loading only turns JSON into typed values; :class:`FiniteModel` checks them.
 Every rejection is a validation error (exit 2 on the command line): either a
 :class:`ModelSpecError` whose ``field`` names the key (``file`` for the
 document) for bad JSON, a missing field, a label field that is not a list,
-text, nulls, ragged rows or all-boolean lists in a numeric field, a bad family or family
+text, nulls, ragged rows or booleans in a numeric field, a bad family or family
 parameter (``likelihood``), ``psi_map`` labels missing from ``psi`` and, when
 strict, an off-sum prior; or an :class:`InvariantViolation` from
 :class:`FiniteModel` naming the field in its message: a wrong length, a
@@ -56,12 +56,20 @@ from .model import FiniteModel
 PRIOR_WARN_TOL = 1e-9
 
 
+def _holds_bool(value, ndim: int) -> bool:
+    """Whether ``ndim`` levels of nested lists in ``value`` hold a JSON boolean."""
+    if ndim <= 1:
+        return ndim == 1 and bool in map(type, value)
+    return any(_holds_bool(v, ndim - 1) for v in value)
+
+
 def _numbers(value, field: str) -> np.ndarray:
     """``value`` as a float array; anything but JSON numbers in lists of equal length
-    (numpy alone reads the text ``"1.5"`` as a number) is an error naming ``field``."""
+    (numpy alone reads the text ``"1.5"`` as a number and ``true`` among numbers
+    as 1) is an error naming ``field``."""
     try:
         arr = np.asarray(value)
-        if arr.dtype.kind in "iufO":
+        if arr.dtype.kind in "iufO" and not _holds_bool(value, arr.ndim):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -298,10 +306,9 @@ def save_model(model: FiniteModel, path: str | Path) -> None:
     """Write a model as a file that loads back field-for-field."""
     doc: dict = {}
     if model.theta_coords is not None:
-        coords = np.asarray(model.theta_coords, dtype=float).reshape(model.n_theta, -1)
         doc["theta"] = [
-            {"label": lab, "coord": float(coords[i, 0])}
-            for i, lab in enumerate(model.theta_labels)
+            {"label": lab, "coord": coord}
+            for lab, coord in zip(model.theta_labels, model.theta_coords.tolist())
         ]
     else:
         doc["theta"] = list(model.theta_labels)
@@ -317,5 +324,5 @@ def save_model(model: FiniteModel, path: str | Path) -> None:
     doc["psi"] = list(model.psi_labels)
     doc["psi_map"] = [model.psi_labels[j] for j in model.psi_map]
     if model.psi_coords is not None:
-        doc["psi_coords"] = [float(v) for v in np.asarray(model.psi_coords).reshape(-1)]
+        doc["psi_coords"] = model.psi_coords.tolist()
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

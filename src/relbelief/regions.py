@@ -219,9 +219,7 @@ def eta_sweep(tables: BeliefTables, gamma: float, etas) -> EtaSweepReport:
 # -- brute-force optimality over all subsets --------------------------------
 
 
-def minimal_prior_size_check(
-    tables: BeliefTables, gamma: float, *, max_support: int = 20
-) -> bool:
+def minimal_prior_size_check(tables: BeliefTables, gamma: float) -> bool:
     """Exhaustively verify the prior-size optimality of the belief-ratio region.
 
     At a credibility attained exactly, the belief-ratio region must have the
@@ -232,14 +230,14 @@ def minimal_prior_size_check(
     Raises
     ------
     TooLargeForBruteForce
-        If the support exceeds ``max_support`` points.
+        If the support has more than 20 points.
     InvariantViolation
         If ``gamma`` is not attained exactly (pick one from
         :func:`attainable_gammas`).
     """
     n = tables.n_psi
-    if n > max_support:
-        raise TooLargeForBruteForce(f"support of {n} exceeds limit {max_support}")
+    if n > 20:
+        raise TooLargeForBruteForce(f"support of {n} exceeds limit 20")
     region = rs_region(tables, gamma)
     if abs(region.attained_mass - gamma) > 1e-9:
         raise InvariantViolation(

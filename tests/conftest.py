@@ -71,7 +71,6 @@ def geometric_testbed(n_points: int = 200, rho: float = 0.9, peak: int = 100) ->
         psi_map=j,
         psi_labels=tuple(f"j{i}" for i in j),
         psi_coords=j.astype(float),
-        tail_bound=float(tail),
     )
 
 

@@ -7,8 +7,6 @@ exponentiated here without the kernel's shift: far out in the tails it
 underflows and raises ``ZeroEvidence``, which the library no longer does.
 """
 
-import math
-
 import numpy as np
 
 from relbelief import BeliefTables, FiniteModel, InvariantViolation, ZeroEvidence
@@ -28,13 +26,7 @@ def compute_posterior(model: FiniteModel, x) -> tuple[np.ndarray, float]:
     return joint / evidence, evidence
 
 
-def marginalize(
-    posterior,
-    model: FiniteModel,
-    *,
-    x=None,
-    evidence: float = math.nan,
-) -> BeliefTables:
+def marginalize(posterior, model: FiniteModel) -> BeliefTables:
     """Push a full posterior onto the psi support and form the belief tables.
 
     The ratio is the elementwise quotient of the two normalized marginals,
@@ -48,12 +40,9 @@ def marginalize(
     marg_prior = model.marginal_prior()
     marg_post = np.bincount(model.psi_map, weights=post, minlength=model.n_psi)
     return BeliefTables(
-        x=x,
         marg_prior=marg_prior,
         marg_post=marg_post,
         rb=marg_post / marg_prior,
-        evidence=evidence,
         psi_labels=model.psi_labels,
         psi_coords=model.psi_coords,
-        tail_bound=model.tail_bound,
     )

@@ -221,8 +221,8 @@ def test_criterion_09_prior_size_minimality_brute_force():
         prior = rng.dirichlet(np.ones(10))
         post = rng.dirichlet(np.ones(10))
         tables = BeliefTables(
-            x=None, marg_prior=prior, marg_post=post, rb=post / prior,
-            evidence=1.0, psi_labels=tuple(f"p{i}" for i in range(10)),
+            marg_prior=prior, marg_post=post, rb=post / prior,
+            psi_labels=tuple(f"p{i}" for i in range(10)),
         )
         levels = attainable_gammas(tables, "rs")
         gamma = float(levels[min(5, len(levels) - 1)])

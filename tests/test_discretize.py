@@ -72,12 +72,11 @@ class TestBuildGrid:
     def test_grid_model_reproduces_bin_posteriors(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
         tables, grid = grid_tables(tb.continuous_model(), 1.0, 0.5)
-        np.testing.assert_allclose(tables.marg_post, grid.bin_post, atol=1e-13)
         mean, var = tb.posterior_moments(1.0)
         sd = math.sqrt(var)
         lo, hi = grid.edges[10], grid.edges[11]
         expected = norm.cdf((hi - mean) / sd) - norm.cdf((lo - mean) / sd)
-        assert grid.bin_post[10] == pytest.approx(expected, rel=1e-9)
+        assert tables.marg_post[10] == pytest.approx(expected, rel=1e-9)
 
     def test_discretized_ratio_argmax_near_mle(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
@@ -87,9 +86,9 @@ class TestBuildGrid:
 
     def test_totals_within_truncation_budget(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
-        _, grid = build_grid(tb.continuous_model(), 1.0, 0.25)
+        tables, grid = grid_tables(tb.continuous_model(), 1.0, 0.25)
         assert 1.0 - 1e-6 <= grid.bin_prior.sum() <= 1.0 + 1e-9
-        assert grid.bin_post.sum() == pytest.approx(1.0, abs=1e-9)
+        assert tables.marg_post.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_mass_bin_rejected(self):
         model = ContinuousModel1D(

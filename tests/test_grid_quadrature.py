@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relbelief.discretize as discretize
-from relbelief import NormalNormalTestbed, QuadratureFailure, build_grid
+from relbelief import NormalNormalTestbed, QuadratureFailure, grid_tables
 from relbelief import quadrature
 from relbelief.cli import run
 from relbelief.quadrature import adaptive_gauss_legendre, integrate_bins
@@ -158,13 +158,13 @@ class TestAgainstOracle:
     def test_testbed_grid_masses(self, lam):
         cmodel = NormalNormalTestbed(tau=1.0, sigma=1.0).continuous_model()
         x = 1.0
-        _, grid = build_grid(cmodel, x, lam)
+        tables, grid = grid_tables(cmodel, x, lam)
         prior = oracle_bins(cmodel.prior_density, grid.edges)
         joint = oracle_bins(
             lambda t: cmodel.prior_density(t) * cmodel.likelihood(t, x), grid.edges
         )
         np.testing.assert_allclose(grid.bin_prior, prior, rtol=REL_TOL, atol=0)
-        np.testing.assert_allclose(grid.bin_post, joint / joint.sum(), rtol=REL_TOL, atol=0)
+        np.testing.assert_allclose(tables.marg_post, joint / joint.sum(), rtol=REL_TOL, atol=0)
 
     def test_depth_limit_matches_oracle(self):
         # Same depth accounting: both fail below the depth the integrand

@@ -95,8 +95,8 @@ class TestComputePosterior:
 class TestMarginalize:
     def test_identity_map_returns_full_vectors(self):
         model = two_point_model([0.3, 0.7], [0.2, 0.9])
-        post, m = compute_posterior(model, 1)
-        tables = marginalize(post, model, x=1, evidence=m)
+        post, _ = compute_posterior(model, 1)
+        tables = marginalize(post, model)
         np.testing.assert_allclose(tables.marg_post, post)
         np.testing.assert_allclose(tables.marg_prior, model.prior)
 
@@ -150,22 +150,18 @@ class TestBeliefInvariants:
     def test_tables_reject_inconsistent_ratio(self):
         with pytest.raises(InvariantViolation):
             BeliefTables(
-                x=None,
                 marg_prior=[0.5, 0.5],
                 marg_post=[0.9, 0.1],
                 rb=[1.0, 1.0],
-                evidence=1.0,
                 psi_labels=("a", "b"),
             )
 
     def test_tables_reject_all_diminished_beliefs(self):
         with pytest.raises(InvariantViolation):
             BeliefTables(
-                x=None,
                 marg_prior=[0.5, 0.5],
                 marg_post=[0.45, 0.45],
                 rb=[0.9, 0.9],
-                evidence=1.0,
                 psi_labels=("a", "b"),
             )
 

@@ -25,6 +25,8 @@ from relbelief import (
     ModelSpecError,
     belief_tables,
     load_model,
+    lrse,
+    sample_space_tables,
     save_model,
 )
 from relbelief.cli import build_parser, run
@@ -135,6 +137,26 @@ class TestModelFile:
         model = load_model(path)
         assert model.n_x == 4
         np.testing.assert_allclose(model.likelihood.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_binomial_family_at_many_trials_has_tables_at_every_count(self, tmp_path):
+        # At 2085 trials the end columns hold only subnormal likelihoods, so
+        # their unscaled evidence underflows to 0.0.
+        path = write_json(
+            tmp_path / "m.json",
+            {
+                "theta": [f"t{i}" for i in range(5)],
+                "prior": [0.2] * 5,
+                "likelihood": {"family": "binomial", "n": 2085, "p": [0.3, 0.4, 0.5, 0.6, 0.7]},
+                "psi_map": [f"t{i}" for i in range(5)],
+            },
+        )
+        model = load_model(path)
+        assert np.any(model.prior @ model.likelihood == 0.0)
+        tabs = sample_space_tables(model)
+        assert np.all(np.isfinite(tabs.rb)) and np.all(np.isfinite(tabs.marg_post))
+        np.testing.assert_allclose(tabs.marg_post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        assert lrse(belief_tables(model, "0")).psi_label == "t0"
+        assert lrse(belief_tables(model, "2085")).psi_label == "t4"
 
     @settings(max_examples=100, deadline=None)
     @given(trials=st.integers(1, 60), p=st.floats(0.0, 1.0))
@@ -551,6 +573,25 @@ class TestCli:
         assert code in (1, 2)
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["status"] != "ok"
+
+    def test_subnormal_likelihood_column_estimates(self, tmp_path, capsys):
+        path = write_json(
+            tmp_path / "tiny.json",
+            {
+                "theta": ["a", "b"],
+                "prior": [0.5, 0.5],
+                "x": ["x0", "x1"],
+                "likelihood": [[0.7, 5e-324], [0.2, 5e-324]],
+                "psi_map": ["a", "b"],
+            },
+        )
+        for x, argmax_set in (("x0", "0"), ("x1", "0|1")):
+            code = run(["--output-dir", str(tmp_path / x), "estimate", "--model", path,
+                        "--x", x, "--estimator", "lrse"])
+            assert code == 0
+            assert capsys.readouterr().out == "a\n"
+            row = (tmp_path / x / "estimate.csv").read_text().splitlines()[1]
+            assert row.endswith("," + argmax_set)
 
     def test_saved_spec_reingests_identically(self, classifier_file, tmp_path):
         model = load_model(classifier_file)

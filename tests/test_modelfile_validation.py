@@ -48,7 +48,7 @@ def validate(path, out) -> int:
 
 # Malformed documents that are easy to mistake for valid ones: a non-finite
 # family parameter, a non-integer trial count, a string where a list belongs,
-# text or ragged rows among numbers, a scalar for coordinates.  The second
+# text, booleans or ragged rows among numbers, a scalar for coordinates.  The second
 # item is the field the error names; FiniteModel names psi_coords in its
 # message.
 REPRO = {
@@ -60,6 +60,9 @@ REPRO = {
     "binomial-n-true": (two_point(likelihood=binomial(True)), "likelihood"),
     "theta-string": (two_point(theta="ab"), "theta"),
     "prior-text": (two_point(prior=["x", 0.5]), "prior"),
+    "prior-true": (two_point(prior=[True, 0.5]), "prior"),
+    "likelihood-false": (two_point(likelihood=[[0.9, False], [0.2, 0.8]]), "likelihood"),
+    "binomial-p-true": (two_point(likelihood=binomial(3, [True, 0.5])), "likelihood"),
     "ragged-likelihood": (two_point(likelihood=[[0.9, 0.1], [0.2]]), "likelihood"),
     "coord-text": (two_point(theta=[{"label": "a", "coord": "zz"},
                                     {"label": "b", "coord": 1.0}]), "theta"),
@@ -108,6 +111,8 @@ def test_bad_normal_observation_is_a_validation_error(tmp_path, capsys, x, messa
 # -- generated documents -----------------------------------------------------------
 
 finite = st.floats(-1e6, 1e6)
+# A coordinate is a number or, in two dimensions, a row of two.
+COORD = st.sampled_from([finite, st.lists(finite, min_size=2, max_size=2)])
 rates = st.floats(1e-3, 1 - 1e-3)  # every sample point stays possible at n <= 50
 FAMILIES = ("bernoulli", "binomial", "normal")
 KINDS = ("matrix", *FAMILIES)
@@ -124,7 +129,7 @@ def valid_docs(draw, kinds=KINDS, full=False) -> dict:
     total = math.fsum(weights)
     labels = [f"t{i}" for i in range(n_theta)]
     if optional():
-        labels = [{"label": t, "coord": c} for t, c in zip(labels, draw(per_theta(finite)))]
+        labels = [{"label": t, "coord": c} for t, c in zip(labels, draw(per_theta(draw(COORD))))]
     extra = draw(st.lists(st.integers(0, n_psi - 1), min_size=n_theta - n_psi,
                           max_size=n_theta - n_psi))
     psi_map = draw(st.permutations(list(range(n_psi)) + extra))
@@ -133,7 +138,7 @@ def valid_docs(draw, kinds=KINDS, full=False) -> dict:
     if optional():
         doc["psi"] = [f"p{j}" for j in range(n_psi)]
     if optional():
-        doc["psi_coords"] = draw(st.lists(finite, min_size=n_psi, max_size=n_psi))
+        doc["psi_coords"] = draw(st.lists(draw(COORD), min_size=n_psi, max_size=n_psi))
     kind = draw(st.sampled_from(kinds))
     if kind == "matrix":
         n_x = draw(st.integers(1, 4))
@@ -151,9 +156,10 @@ def valid_docs(draw, kinds=KINDS, full=False) -> dict:
     return doc
 
 
-# Values that are no finite JSON number: numpy alone would read "1.5" as one.
-# A coordinate may be a list, so a nested list is only bad for the other fields.
-NOT_A_COORD = st.sampled_from([NAN, INF, -INF, "abc", "1.5", None, {}])
+# Values that are no finite JSON number: numpy alone would read "1.5" as one,
+# and a boolean among numbers as 0 or 1.  A coordinate may be a list, so a
+# nested list is only bad for the other fields.
+NOT_A_COORD = st.sampled_from([NAN, INF, -INF, "abc", "1.5", None, {}, True, False])
 NOT_A_NUMBER = st.one_of(NOT_A_COORD, st.just([1.0]))
 NOT_A_LIST = st.sampled_from(["ab", 3.0, {"a": 1}, None])
 NOT_AN_N = st.one_of(st.floats(0.5, 50).filter(lambda v: not v.is_integer()),

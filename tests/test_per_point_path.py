@@ -30,7 +30,6 @@ from relbelief import (
     FiniteModel,
     InvariantViolation,
     LossSpec,
-    ZeroEvidence,
     bayes_rule,
     belief_tables,
     hpd_region,
@@ -52,18 +51,15 @@ from test_sample_space_tables import finite_models, losses_for
 
 
 def oracle_belief_tables(model, x) -> BeliefTables:
-    post, evidence = compute_posterior(model, x)
+    post, _ = compute_posterior(model, x)
     marg_prior = np.bincount(model.psi_map, weights=model.prior, minlength=model.n_psi)
     marg_post = np.bincount(model.psi_map, weights=post, minlength=model.n_psi)
     return BeliefTables(
-        x=x,
         marg_prior=marg_prior,
         marg_post=marg_post,
         rb=marg_post / marg_prior,
-        evidence=evidence,
         psi_labels=model.psi_labels,
         psi_coords=model.psi_coords,
-        tail_bound=model.tail_bound,
     )
 
 
@@ -99,12 +95,9 @@ def oracle_lpl_region(loss, tables, gamma) -> CredibleRegion:
 def oracle_estimate(tables, values) -> EstimateResult:
     ties = tuple(int(i) for i in np.flatnonzero(_tie_mask(np.asarray(values, dtype=float))))
     return EstimateResult(
-        psi_index=ties[0],
+        argmax_set=ties,
         psi_label=tables.psi_labels[ties[0]],
         criterion_value=float(values[ties[0]]),
-        tie=len(ties) > 1,
-        argmax_set=ties,
-        tail_bound=tables.tail_bound,
     )
 
 
@@ -134,10 +127,7 @@ def assert_same_tables(got: BeliefTables, want: BeliefTables):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes(), name
         assert not a.flags.writeable, name
-    assert got.x == want.x
-    assert repr(got.evidence) == repr(want.evidence)
     assert got.psi_labels == want.psi_labels
-    assert got.tail_bound == want.tail_bound
     if want.psi_coords is None:
         assert got.psi_coords is None
     else:
@@ -243,7 +233,8 @@ def test_replaced_model_gets_fresh_tables():
     np.testing.assert_array_equal(sample_space_tables(model).rb, tabs.rb)
 
 
-def test_impossible_sample_point_raises_on_every_call():
+def test_underflowing_sample_point_gets_exact_tables_on_every_call():
+    # Column 1's evidence, 1e-300 * 1e-30, underflows to 0.0 unscaled.
     model = FiniteModel(
         theta_labels=("a", "b"),
         prior=[1.0, 1e-300],
@@ -251,9 +242,13 @@ def test_impossible_sample_point_raises_on_every_call():
         psi_map=[0, 1],
         psi_labels=("a", "b"),
     )
+    want = oracle_belief_tables(model, 0)
     for _ in range(2):
-        with pytest.raises(ZeroEvidence):
-            sample_space_tables(model)
+        tabs = sample_space_tables(model)
+        assert tabs.marg_post[:, 1].tolist() == [0.0, 1.0]
+        assert tabs.rb[1, 1] == 1.0 / model.prior[1]
+        assert tabs.marg_post[:, 0].tobytes() == want.marg_post.tobytes()
+        assert tabs.rb[:, 0].tobytes() == want.rb.tobytes()
 
 
 # -- the public and the trusted constructors ------------------------------------------
@@ -261,11 +256,9 @@ def test_impossible_sample_point_raises_on_every_call():
 
 def tables_kwargs(**override):
     base = dict(
-        x=None,
         marg_prior=[0.5, 0.5],
         marg_post=[0.25, 0.75],
         rb=[0.5, 1.5],
-        evidence=1.0,
         psi_labels=("a", "b"),
     )
     base.update(override)
@@ -311,7 +304,7 @@ def test_kernel_keeps_the_two_identities():
     marg_prior = model.marginal_prior()
     post = np.array([0.25, 0.75])
     rb = post / marg_prior
-    tables = BeliefTables._trusted(model, 1, post, rb, 0.5)
+    tables = BeliefTables._trusted(model, post, rb)
     assert not tables.rb.flags.writeable and not tables.marg_post.flags.writeable
     _check_identities(marg_prior, rb[:, None])
     # A bad column among good ones fails the whole block.
@@ -356,11 +349,9 @@ def coordinate_tables(coords, post) -> BeliefTables:
     n = len(coords)
     prior = np.full(n, 1.0 / n)
     return BeliefTables(
-        x=None,
         marg_prior=prior,
         marg_post=post,
         rb=post / prior,
-        evidence=1.0,
         psi_labels=tuple(f"p{j}" for j in range(n)),
         psi_coords=coords,
     )

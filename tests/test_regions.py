@@ -44,11 +44,9 @@ def make_tables(marg_prior, marg_post):
     prior = np.asarray(marg_prior, dtype=float)
     post = np.asarray(marg_post, dtype=float)
     return BeliefTables(
-        x=None,
         marg_prior=prior,
         marg_post=post,
         rb=post / prior,
-        evidence=1.0,
         psi_labels=tuple(f"p{i}" for i in range(prior.size)),
     )
 

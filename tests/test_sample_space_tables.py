@@ -17,7 +17,6 @@ from relbelief import (
     FiniteModel,
     InvariantViolation,
     LossSpec,
-    ZeroEvidence,
     belief_tables,
     prior_risk,
     sample_space_tables,
@@ -70,7 +69,8 @@ def oracle_unbiasedness_gap(loss, rule, model) -> float:
     for x in range(model.n_x):
         tab = belief_tables(model, x)
         j = int(rule[x])
-        terms.append(tab.evidence * h[j] * (tab.marg_post[j] - marg_prior[j]))
+        evidence = sample_space_tables(model).evidence[x]
+        terms.append(evidence * h[j] * (tab.marg_post[j] - marg_prior[j]))
     return math.fsum(terms)
 
 
@@ -193,7 +193,6 @@ def test_columns_reproduce_single_point_tables(model):
     tabs = sample_space_tables(model)
     for x in range(model.n_x):
         point = belief_tables(model, x)
-        assert tabs.evidence[x] == point.evidence
         np.testing.assert_array_equal(tabs.marg_prior, point.marg_prior)
         np.testing.assert_array_equal(tabs.marg_post[:, x], point.marg_post)
         np.testing.assert_array_equal(tabs.rb[:, x], point.rb)
@@ -201,6 +200,7 @@ def test_columns_reproduce_single_point_tables(model):
             model.psi_map, weights=model.prior * model.likelihood[:, x], minlength=model.n_psi
         )
         np.testing.assert_array_equal(tabs.marg_joint[:, x], joint)
+        assert tabs.evidence[x] == (model.prior * model.likelihood[:, x]).sum()
 
 
 @given(model=finite_models())
@@ -251,7 +251,24 @@ def test_prior_risk_matches_cell_by_cell_oracle(model, data):
     assert abs(report.prior_weighted_sum - weighted) <= ABS_TOL
 
 
-def test_underflowing_evidence_is_reported():
+def test_subnormal_column_gets_its_tables():
+    model = FiniteModel(
+        theta_labels=("a", "b"),
+        prior=[0.5, 0.5],
+        likelihood=[[0.7, 5e-324], [0.2, 5e-324]],
+        psi_map=[0, 1],
+        psi_labels=("a", "b"),
+    )
+    tabs = sample_space_tables(model)
+    joint = model.prior * model.likelihood[:, 0]
+    np.testing.assert_array_equal(tabs.marg_post[:, 0], joint / joint.sum())
+    np.testing.assert_array_equal(tabs.marg_post[:, 1], [0.5, 0.5])
+    np.testing.assert_array_equal(tabs.rb[:, 1], [1.0, 1.0])
+    assert belief_tables(model, 1).marg_post.tolist() == [0.5, 0.5]
+
+
+def test_underflowing_evidence_leaves_the_tables_exact():
+    # Column 1's evidence, 1e-300 * 1e-30, underflows to 0.0 unscaled.
     model = FiniteModel(
         theta_labels=("a", "b"),
         prior=[1.0, 1e-300],
@@ -259,7 +276,12 @@ def test_underflowing_evidence_is_reported():
         psi_map=[0, 1],
         psi_labels=("a", "b"),
     )
-    with pytest.raises(ZeroEvidence):
-        belief_tables(model, 1)
-    with pytest.raises(ZeroEvidence):
-        sample_space_tables(model)
+    point = belief_tables(model, 1)
+    assert point.marg_post.tolist() == [0.0, 1.0]
+    assert point.rb[1] == 1.0 / model.prior[1]
+    tabs = sample_space_tables(model)
+    assert tabs.evidence[1] == 0.0
+    zero = belief_tables(model, 0)
+    post = model.prior * model.likelihood[:, 0]
+    np.testing.assert_array_equal(zero.marg_post, post / post.sum())
+    np.testing.assert_array_equal(tabs.marg_joint[:, 0], post)
