@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "errors": (
         "HypothesisViolated", "InfiniteSampleSpace", "InvariantViolation", "ModelSpecError",
-        "QuadratureFailure", "RelBeliefError", "SingularDesign", "TooLargeForBruteForce",
-        "UnknownPsi", "ZeroBinMass", "ZeroEvidence",
+        "QuadratureFailure", "RelBeliefError", "SingularDesign", "UnknownPsi", "ZeroBinMass",
+        "ZeroEvidence",
     ),
     "model": (
         "BeliefTables", "FiniteModel", "SampleSpaceTables", "belief_tables", "normalized",
@@ -35,7 +35,7 @@ _SUBMODULE_NAMES = {
     ),
     "regions": (
         "CredibleRegion", "attainable_gammas", "eta_sweep", "hpd_region", "lpl_region",
-        "minimal_prior_size_check", "rs_region", "tail_probability",
+        "rs_region", "tail_probability",
     ),
     "discretize": (
         "ContinuousModel1D", "RegularGrid", "build_grid", "capped_rule_refinement",

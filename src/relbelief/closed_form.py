@@ -297,10 +297,11 @@ class NormalNormalTestbed:
                 tau * math.sqrt(2 * math.pi)
             )
 
+        log_norm = math.log(sigma * math.sqrt(2 * math.pi))
+
         def likelihood(t, x):
-            return np.exp(-0.5 * ((x - np.asarray(t)) / sigma) ** 2) / (
-                sigma * math.sqrt(2 * math.pi)
-            )
+            z = (x - np.asarray(t)) / sigma
+            return -0.5 * z * z - log_norm
 
         half = self.half_width_sds * tau
         return ContinuousModel1D(

@@ -1,7 +1,7 @@
 """Regular discretization of one-dimensional continuous-parameter models.
 
-A continuous model (positive prior density and a likelihood density, both on
-a truncated interval) is binned into an equal-width grid.  Each bin gets its
+A continuous model (positive prior density and a log-likelihood, both on a
+truncated interval) is binned into an equal-width grid.  Each bin gets its
 exact prior mass by adaptive quadrature and an integrated likelihood, so the
 resulting finite model reproduces the exact bin posterior masses.  The
 refinement experiments then track how the grid estimators and regions
@@ -21,7 +21,7 @@ from .errors import HypothesisViolated, InvariantViolation, ZeroBinMass
 from .estimators import bayes_rule, lrse
 from .losses import LossSpec
 from .model import BeliefTables, FiniteModel, belief_tables
-from .quadrature import adaptive_gauss_legendre, integrate_bins
+from .quadrature import integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
 TRUNCATION_TOL = 1e-6
@@ -32,9 +32,10 @@ class ContinuousModel1D:
     """Continuous scalar-parameter model truncated to a working interval.
 
     ``prior_density`` must be positive and continuous on the interval, and
-    the interval must carry all but a negligible sliver (<= 1e-9 by
-    construction choice) of the prior mass.  ``likelihood(theta, x)`` is the
-    sampling density at the observed ``x``; both callables must accept numpy
+    the interval must carry all but ``TRUNCATION_TOL`` of the prior mass
+    (:func:`build_grid` checks this on every grid).  ``likelihood(theta, x)``
+    is the log of the sampling density at the observed ``x``, as for a
+    :class:`FiniteModel` density callback; both callables must accept numpy
     arrays of ``theta`` values.
     """
 
@@ -47,17 +48,6 @@ class ContinuousModel1D:
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise InvariantViolation("support must be a finite interval [a, b] with a < b")
         object.__setattr__(self, "support", (float(a), float(b)))
-
-    def validate(self) -> float:
-        """Check the prior integrates to one over the interval; returns the mass."""
-        a, b = self.support
-        total = adaptive_gauss_legendre(self.prior_density, a, b)
-        if not (1.0 - TRUNCATION_TOL <= total <= 1.0 + 1e-9):
-            raise InvariantViolation(
-                f"prior mass over the support is {total!r}; expected within "
-                f"{TRUNCATION_TOL} of one"
-            )
-        return total
 
 
 @dataclass(frozen=True)
@@ -100,17 +90,25 @@ def build_grid(
     together in array passes).  One quadrature pass serves both: its
     stacked integrand evaluates the prior density once per node and returns
     the prior and the prior times the likelihood as two columns, each with
-    its own acceptance test.  The returned finite model reproduces the
-    exact bin posterior masses: its likelihood column is the bin-averaged
-    likelihood under the prior conditioned on the bin.  Bin ``i`` is
-    labelled ``bin{i}`` as both theta and psi; its representative, the bin
-    midpoint, is in ``theta_coords`` and ``psi_coords``.
+    its own acceptance test.  The likelihood is exponentiated after one
+    shift, the largest log-likelihood at the nodes of the first pass, so it
+    is one at the first pass's best node and the joint column underflows
+    only where the posterior is negligible.  The returned finite model
+    reproduces the exact bin posterior masses: its likelihood column is the
+    bin-averaged shifted likelihood under the prior conditioned on the
+    bin.  Bin ``i`` is labelled ``bin{i}`` as both theta and psi; its
+    representative, the bin midpoint, is in ``theta_coords`` and
+    ``psi_coords``.
 
     Raises
     ------
     ZeroBinMass
         If some bin carries no prior mass (the discretization would not be
         regular).
+    InvariantViolation
+        If the interval's prior mass is more than ``TRUNCATION_TOL`` from
+        one, or the log-likelihood is ``-inf`` at every node of the first
+        pass (the observed data are impossible on the support).
     """
     a, b = cmodel.support
     if not 0 < lam <= (b - a) / 4:
@@ -121,17 +119,23 @@ def build_grid(
     edges = a + eff_lam * np.arange(n_bins + 1)
     reps = 0.5 * (edges[:-1] + edges[1:])
 
+    shift = None  # the first pass's largest log-likelihood
+
     def prior_and_joint(t):
+        nonlocal shift
         p = cmodel.prior_density(t)
-        return np.stack([p, p * cmodel.likelihood(t, x)])
+        log_lik = np.asarray(cmodel.likelihood(t, x), dtype=float)
+        if shift is None:
+            shift = np.max(log_lik)
+            if shift == -np.inf:
+                raise InvariantViolation("observed data has zero evidence on the support")
+        return np.stack([p, p * np.exp(log_lik - shift)])
 
     prior_mass, joint_mass = integrate_bins(prior_and_joint, edges)
     if np.any(prior_mass <= 0.0):
         bad = int(np.argmin(prior_mass))
         raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
     total_prior = float(prior_mass.sum())
-    if float(joint_mass.sum()) <= 0.0:
-        raise InvariantViolation("observed data has zero evidence on the support")
     if not (1.0 - TRUNCATION_TOL <= total_prior <= 1.0 + 1e-9):
         raise InvariantViolation(
             f"grid prior mass {total_prior!r} outside the truncation budget"
@@ -173,22 +177,27 @@ def eta_schedule(grid: RegularGrid, lrse_bin: int) -> float:
 
 
 def check_peak_separation(tables: BeliefTables):
-    """Verify the belief ratio has a single well-separated peak on a grid.
+    """Verify the belief ratio has a single well-separated interior peak on a grid.
 
     The bins within 1e-9 (relative) of the maximal ratio must form one
-    contiguous run of at most three bins; otherwise the ratio either has
-    tied separated maxima or comes arbitrarily close to its maximum away
-    from it, and refinement results would be meaningless.
+    contiguous run of at most three bins, away from both edge bins;
+    otherwise the ratio either has tied separated maxima, comes arbitrarily
+    close to its maximum away from it, or may peak outside the interval,
+    and refinement results would be meaningless.
     """
     rb = tables.rb
     top = float(rb.max())
     near = np.flatnonzero(rb >= top * (1.0 - 1e-9))
+    coords = tables.psi_coords
+    where = (coords[near] if coords is not None else near).tolist()
     if near.size > 3 or (near.size > 1 and np.any(np.diff(near) != 1)):
-        coords = tables.psi_coords
-        where = coords[near] if coords is not None else near
         raise HypothesisViolated(
-            "belief ratio must have a unique separated maximum; near-maximal "
-            f"bins: {list(np.atleast_1d(where))}"
+            f"belief ratio must have a unique separated maximum; near-maximal bins: {where}"
+        )
+    if near[0] == 0 or near[-1] == rb.size - 1:
+        raise HypothesisViolated(
+            "belief ratio peaks in an edge bin; its maximum may lie outside the "
+            f"interval; near-maximal bins: {where}"
         )
 
 

@@ -41,10 +41,6 @@ class HypothesisViolated(RelBeliefError):
     """
 
 
-class TooLargeForBruteForce(RelBeliefError):
-    """Support too large for exhaustive subset enumeration."""
-
-
 class ModelSpecError(RelBeliefError, ValueError):
     """A model file violates the documented schema.
 

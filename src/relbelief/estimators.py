@@ -98,15 +98,6 @@ def map_rule(model: FiniteModel) -> np.ndarray:
     return np.argmax(_tie_mask(sample_space_tables(model).marg_post), axis=0)
 
 
-def anti_lrse_rule(model: FiniteModel) -> np.ndarray:
-    """Rule picking the psi whose belief dropped the most at each x.
-
-    Serves as the negative control for the unbiasedness diagnostics: it
-    deliberately chooses a value the data argues against.
-    """
-    return np.argmin(sample_space_tables(model).rb, axis=0)
-
-
 # -- Bayesian unbiasedness --------------------------------------------------
 
 

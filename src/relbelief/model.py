@@ -237,10 +237,6 @@ class FiniteModel:
             lambda: _frozen(np.bincount(self.psi_map, weights=self.prior, minlength=self.n_psi)),
         )
 
-    def fiber(self, psi_index: int) -> np.ndarray:
-        """Theta indices mapping to the given psi value."""
-        return np.flatnonzero(self.psi_map == psi_index)
-
 
 @dataclass(frozen=True)
 class BeliefTables:

@@ -146,37 +146,3 @@ def integrate_bins(
             depth + 1,
         ))
     return totals.reshape(first.shape[:-1] + (n_bins,))
-
-
-def adaptive_gauss_legendre(
-    f,
-    a: float,
-    b: float,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    max_depth: int = 48,
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` to the requested relative accuracy.
-
-    The one-bin case of :func:`integrate_bins`.
-
-    Parameters
-    ----------
-    f : callable
-        Vectorized integrand mapping an ndarray of points to values.
-    a, b : float
-        Integration limits, ``a < b``.
-    rel_tol : float
-        Relative error target, judged panel against bisected panels.
-    max_depth : int
-        Bisection depth limit before giving up.
-
-    Raises
-    ------
-    QuadratureFailure
-        When some subinterval cannot reach the tolerance within the depth
-        limit.
-    """
-    if not b > a:
-        raise QuadratureFailure(f"empty interval [{a}, {b}]")
-    return float(integrate_bins(f, [a, b], rel_tol, max_depth=max_depth)[0])

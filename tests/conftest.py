@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relbelief
-from relbelief import FiniteModel
+from relbelief import FiniteModel, belief_tables
 
 
 def fresh_python(script: str) -> str:
@@ -21,6 +21,22 @@ def fresh_python(script: str) -> str:
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
+
+
+def fiber(model: FiniteModel, psi_index: int) -> np.ndarray:
+    """Theta indices mapping to the given psi value."""
+    return np.flatnonzero(model.psi_map == psi_index)
+
+
+def anti_lrse_rule(model: FiniteModel) -> np.ndarray:
+    """Rule picking the psi whose belief dropped the most at each x.
+
+    Serves as the negative control for the unbiasedness diagnostics: it
+    deliberately chooses a value the data argues against.
+    """
+    return np.array(
+        [int(np.argmin(belief_tables(model, x).rb)) for x in range(model.n_x)], dtype=np.intp
+    )
 
 
 def random_model(rng, max_theta=12, max_psi=6, max_x=8) -> FiniteModel:

@@ -21,7 +21,6 @@ from relbelief import (
     conditional_risk_mc,
     grid_tables,
     lpl_region,
-    minimal_prior_size_check,
     regression_estimates,
     regression_predict,
     rs_region,
@@ -30,8 +29,9 @@ from relbelief import (
 )
 from relbelief.closed_form import NormalNormalTestbed
 from relbelief.discretize import capped_rule_refinement, grid_lrse_refinement, region_refinement
-from relbelief.estimators import anti_lrse_rule, lrse, lrse_rule
-from conftest import geometric_testbed, model_corpus
+from relbelief.estimators import lrse, lrse_rule
+from conftest import anti_lrse_rule, geometric_testbed, model_corpus
+from region_oracle import minimal_prior_size_check
 
 # Conditional misclassification risk sums for the four Beta configurations
 # at alpha=1, mu=1, n=10 (reference values reproduced at +-0.01).

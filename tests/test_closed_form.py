@@ -22,7 +22,7 @@ from relbelief import (
 from relbelief.closed_form import NormalNormalTestbed
 from relbelief.discretize import grid_tables
 from relbelief.estimators import lrse, map_estimate
-from relbelief.quadrature import adaptive_gauss_legendre
+from relbelief.quadrature import integrate_bins
 from predictive_oracle import predict_lrse, predictive_tables_for
 
 
@@ -187,8 +187,8 @@ class TestRegressionPrediction:
 
         cmodel = ContinuousModel1D(
             prior_density=lambda t: norm.pdf(t, 0.0, prior_sd),
-            likelihood=lambda t, x: norm.pdf(t, est.psi_map, post_sd)
-            / norm.pdf(t, 0.0, prior_sd),
+            likelihood=lambda t, x: norm.logpdf(t, est.psi_map, post_sd)
+            - norm.logpdf(t, 0.0, prior_sd),
             support=(-half, half),
         )
         lam = prior_sd / 20
@@ -232,9 +232,9 @@ class TestClassPrediction:
         assert tables.prior_pred[1] == pytest.approx(alpha / (alpha + beta), rel=1e-12)
         from scipy.stats import beta as beta_dist
 
-        by_quadrature = adaptive_gauss_legendre(
-            lambda e: e * beta_dist.pdf(e, alpha, beta), 0.0, 1.0
-        )
+        by_quadrature = integrate_bins(
+            lambda e: e * beta_dist.pdf(e, alpha, beta), [0.0, 1.0]
+        )[0]
         assert tables.prior_pred[1] == pytest.approx(by_quadrature, rel=1e-9)
 
     def test_generic_argmax_matches_threshold_rule(self):
@@ -276,8 +276,9 @@ class TestNormalNormalTestbed:
         assert tb.psi_lrse(x) == pytest.approx(est.psi_lrse, rel=1e-12)
 
     def test_interval_validates(self):
-        tb = NormalNormalTestbed()
-        assert tb.continuous_model().validate() == pytest.approx(1.0, abs=1e-9)
+        cmodel = NormalNormalTestbed().continuous_model()
+        mass = integrate_bins(cmodel.prior_density, cmodel.support)[0]
+        assert mass == pytest.approx(1.0, abs=1e-9)
 
     def test_parameters_validated(self):
         with pytest.raises(InvariantViolation):

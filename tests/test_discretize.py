@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from relbelief import (
@@ -21,36 +24,38 @@ from relbelief import (
     region_refinement,
 )
 from relbelief.estimators import lrse, map_estimate
-from relbelief.quadrature import adaptive_gauss_legendre
+from relbelief.cli import run
+from relbelief.discretize import check_peak_separation
+from relbelief.quadrature import integrate_bins
 from relbelief.regions import rs_region
 
 
 def uniform_model():
     return ContinuousModel1D(
         prior_density=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        likelihood=lambda t, x: np.ones_like(np.asarray(t, dtype=float)),
+        likelihood=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
         support=(0.0, 1.0),
     )
 
 
 class TestQuadrature:
     def test_polynomial_is_exact(self):
-        val = adaptive_gauss_legendre(lambda t: 3 * t**2, 0.0, 2.0)
+        val = integrate_bins(lambda t: 3 * t**2, [0.0, 2.0])[0]
         assert val == pytest.approx(8.0, rel=1e-12)
 
     def test_normal_cdf_difference(self):
-        val = adaptive_gauss_legendre(lambda t: norm.pdf(t), -1.0, 2.0)
+        val = integrate_bins(lambda t: norm.pdf(t), [-1.0, 2.0])[0]
         assert val == pytest.approx(norm.cdf(2.0) - norm.cdf(-1.0), rel=1e-10)
 
     def test_oscillatory_integrand(self):
-        val = adaptive_gauss_legendre(lambda t: np.sin(40 * t), 0.0, np.pi)
+        val = integrate_bins(lambda t: np.sin(40 * t), [0.0, np.pi])[0]
         exact = (1 - math.cos(40 * math.pi)) / 40
         assert val == pytest.approx(exact, abs=1e-10)
 
     def test_depth_limit_failure(self):
         with pytest.raises(QuadratureFailure):
-            adaptive_gauss_legendre(
-                lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), 0.0, 1.0, max_depth=3
+            integrate_bins(
+                lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), [0.0, 1.0], max_depth=3
             )
 
 
@@ -93,7 +98,7 @@ class TestBuildGrid:
     def test_zero_mass_bin_rejected(self):
         model = ContinuousModel1D(
             prior_density=lambda t: np.where(np.asarray(t) < 0.5, 2.0, 0.0),
-            likelihood=lambda t, x: np.ones_like(np.asarray(t, dtype=float)),
+            likelihood=lambda t, x: np.zeros_like(np.asarray(t, dtype=float)),
             support=(0.0, 1.0),
         )
         with pytest.raises(ZeroBinMass):
@@ -176,11 +181,78 @@ class TestRuleRefinement:
         # exactly equal bumps
         model = ContinuousModel1D(
             prior_density=lambda t: norm.pdf(t),
-            likelihood=lambda t, x: np.exp(-0.5 * (np.abs(np.asarray(t)) - 4.0) ** 2),
+            likelihood=lambda t, x: -0.5 * (np.abs(np.asarray(t)) - 4.0) ** 2,
             support=(-8.0, 8.0),
         )
         with pytest.raises(HypothesisViolated):
             grid_lrse_refinement(model, 0.0, [0.1], 4.0)
+
+
+class TestEdgePeaks:
+    def test_edge_bin_peak_violates_hypotheses(self):
+        tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
+        tables, _ = grid_tables(tb.continuous_model(), 30.0, 0.1)
+        with pytest.raises(HypothesisViolated, match="edge bin"):
+            check_peak_separation(tables)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--x", "10"], ["--x", "30"], ["--x", "50"], ["--sigma", "10", "--x", "20"]],
+        ids=["x10", "x30", "x50", "sigma10-x20"],
+    )
+    def test_converge_exits_1_naming_the_edge_bin(self, tmp_path, capsys, args):
+        assert run(["--output-dir", str(tmp_path), "converge", *args]) == 1
+        err = capsys.readouterr().err
+        assert "peaks in an edge bin" in err and "7.9875" in err
+
+    @pytest.mark.parametrize("x", ["7.9", "4", "-1.5"])
+    def test_interior_peaks_still_converge(self, tmp_path, capsys, x):
+        assert run(["--output-dir", str(tmp_path), "converge", "--x", x]) == 0
+
+
+class TestLogLikelihoodProtocol:
+    def test_many_observations_do_not_underflow(self):
+        # 2,000 N(theta, 1) observations: the largest likelihood on the
+        # interval is about exp(-2,800), which a linear density cannot hold.
+        data = np.random.default_rng(2000).normal(0.5, 1.0, 2000)
+        n, total, squares = data.size, data.sum(), float(data @ data)
+
+        def log_lik(t, x):
+            t = np.asarray(t, dtype=float)
+            return -0.5 * (squares - 2.0 * t * total + n * t * t) - n * math.log(
+                math.sqrt(2 * math.pi)
+            )
+
+        cmodel = ContinuousModel1D(
+            prior_density=norm.pdf, likelihood=log_lik, support=(-8.0, 8.0)
+        )
+        tables, grid = grid_tables(cmodel, data.mean(), 0.01)
+        assert abs(grid.representatives[lrse(tables).psi_index] - data.mean()) <= grid.lam
+
+    def test_impossible_data_has_zero_evidence(self):
+        cmodel = ContinuousModel1D(
+            prior_density=norm.pdf,
+            likelihood=lambda t, x: np.full(np.shape(t), -np.inf),
+            support=(-8.0, 8.0),
+        )
+        with pytest.raises(InvariantViolation, match="zero evidence"):
+            build_grid(cmodel, 0.0, 0.5)
+
+
+# Smooth monotone maps g of theta, with the inverse and its derivative.
+MAPS = {
+    "exp-quarter": (lambda th: np.exp(th / 4.0), lambda u: 4.0 * np.log(u), lambda u: 4.0 / u),
+    "sinh": (np.sinh, np.arcsinh, lambda u: 1.0 / np.sqrt(1.0 + u * u)),
+}
+
+
+def mapped_model(g, g_inv, g_inv_slope, tau, sigma, half_width):
+    """The normal-normal testbed in the parameter g(theta), Jacobian in the prior."""
+    return ContinuousModel1D(
+        prior_density=lambda u: norm.pdf(g_inv(u), 0.0, tau) * g_inv_slope(u),
+        likelihood=lambda u, x: norm.logpdf(x, g_inv(u), sigma),
+        support=(float(g(-half_width)), float(g(half_width))),
+    )
 
 
 class TestReparameterizationDemo:
@@ -192,18 +264,8 @@ class TestReparameterizationDemo:
         x_obs = 1.0
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
         psi_lrse, psi_map = tb.psi_lrse(x_obs), tb.psi_map(x_obs)
-
-        def prior_t(t):
-            t = np.asarray(t, dtype=float)
-            return norm.pdf(4.0 * np.log(t)) * 4.0 / t
-
-        def lik_t(t, x):
-            return norm.pdf(x - 4.0 * np.log(np.asarray(t, dtype=float)))
-
-        lo, hi = float(np.exp(-2.0)), float(np.exp(2.0))
-        transformed = ContinuousModel1D(
-            prior_density=prior_t, likelihood=lik_t, support=(lo, hi)
-        )
+        transformed = mapped_model(*MAPS["exp-quarter"], tau=1.0, sigma=1.0, half_width=8.0)
+        lo, hi = transformed.support
         lam = (hi - lo) / 512
         tables, grid = grid_tables(transformed, x_obs, lam)
 
@@ -215,6 +277,41 @@ class TestReparameterizationDemo:
         continuous_t_map = float(np.exp(3.0 / 32.0))
         assert abs(t_map - continuous_t_map) <= grid.lam
         assert abs(t_map - np.exp(psi_map / 4.0)) > 2 * grid.lam
+
+    @pytest.mark.parametrize("name", sorted(MAPS))
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-1.2, 1.2))
+    def test_lrse_and_rs_region_follow_the_map(self, name, x):
+        # Prior N(0, 0.5^2) on +-5 sd and x ~ N(theta, 0.25^2), so 512 bins
+        # resolve the posterior wherever g is steep or flat.  The belief
+        # ratio is a density ratio, so the Jacobian cancels from it: the
+        # grid LRSE in g lands within one bin of g(x), and the ends of the
+        # RS region in g land near the images of the theta-region's ends.
+        g, g_inv, _ = MAPS[name]
+        tau, sigma, gamma = 0.5, 0.25, 0.9
+        cmodel = mapped_model(*MAPS[name], tau=tau, sigma=sigma, half_width=5 * tau)
+        lo, hi = cmodel.support
+        tables, grid = grid_tables(cmodel, x, (hi - lo) / 512)
+        assert abs(grid.representatives[lrse(tables).psi_index] - g(x)) <= grid.lam
+
+        # In theta the ratio is the likelihood, so the RS region is x +- r
+        # with posterior mass gamma.
+        tb = NormalNormalTestbed(tau=tau, sigma=sigma)
+        mean, var = tb.posterior_moments(x)
+        sd = math.sqrt(var)
+        r = brentq(
+            lambda r: norm.cdf(x + r, mean, sd) - norm.cdf(x - r, mean, sd) - gamma, 0.0, 5.0,
+            xtol=1e-14,
+        )
+        ends = np.array([x - r, x + r])
+        # Compared in theta.  The region's bins overshoot gamma by at most
+        # one boundary bin, which moves both ends, so each end is allowed
+        # the theta-width of one bin at each end.
+        end_bins = grid.bin_index_of(g(ends))
+        one_bin_each = float(np.sum(g_inv(grid.edges[end_bins + 1]) - g_inv(grid.edges[end_bins])))
+        members = rs_region(tables, gamma).members
+        got = g_inv(grid.edges[[members[0], members[-1] + 1]])
+        assert np.all(np.abs(got - ends) <= one_bin_each)
 
 
 class TestRegionRefinement:

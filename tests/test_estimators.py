@@ -15,7 +15,8 @@ from relbelief import (
     unbiasedness_gap,
     uniform_unbiasedness_check,
 )
-from relbelief.estimators import anti_lrse_rule, lrse_rule, map_rule
+from relbelief.estimators import lrse_rule, map_rule
+from conftest import anti_lrse_rule, fiber
 from predictive_oracle import PredictiveTables, predict_lrse, predictive_tables_for
 
 
@@ -67,7 +68,7 @@ class TestPointEstimators:
                 theta_labels=base.psi_labels,
                 prior=np.full(base.n_psi, 1.0 / base.n_psi),
                 likelihood=np.vstack(
-                    [base.likelihood[base.fiber(j)[0]] for j in range(base.n_psi)]
+                    [base.likelihood[fiber(base, j)[0]] for j in range(base.n_psi)]
                 ),
                 psi_map=np.arange(base.n_psi),
                 psi_labels=base.psi_labels,

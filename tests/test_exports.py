@@ -13,14 +13,14 @@ PUBLIC_NAMES = [
     "CredibleRegion", "EstimateResult", "FiniteModel", "GaussianRegression", "HypothesisViolated",
     "InfiniteSampleSpace", "InvariantViolation", "LossSpec", "ModelSpecError",
     "NormalNormalTestbed", "QuadratureFailure", "RegularGrid", "RelBeliefError", "RiskReport",
-    "SampleSpaceTables", "SimConfig", "SingularDesign", "TooLargeForBruteForce", "UnknownPsi",
-    "ZeroBinMass", "ZeroEvidence", "attainable_gammas", "bayes_rule", "belief_tables",
+    "SampleSpaceTables", "SimConfig", "SingularDesign", "UnknownPsi", "ZeroBinMass",
+    "ZeroEvidence", "attainable_gammas", "bayes_rule", "belief_tables",
     "build_grid", "capped_rule_refinement", "classifier_risks", "classify", "closed_form",
     "conditional_risk_mc", "discretize", "errors", "estimators",
     "eta_schedule", "eta_sweep", "exact_conditional_risk", "gaussian_likelihood_ratio",
     "grid_lrse_refinement", "grid_tables", "hpd_region", "load_model", "losses", "lpl_region",
-    "lrse", "lrse_rule", "map_estimate", "map_rule", "minimal_prior_size_check",
-    "model", "modelfile", "normalized", "parse_loss", "predict_class", "prior_risk", "quadrature",
+    "lrse", "lrse_rule", "map_estimate", "map_rule", "model", "modelfile", "normalized",
+    "parse_loss", "predict_class", "prior_risk", "quadrature",
     "refinement_experiments", "region_refinement", "regions", "regression_estimates",
     "regression_predict", "risk_table", "rs_region", "sample_space_tables", "save_model",
     "simulate", "tail_probability", "unbiasedness_gap", "uniform_unbiasedness_check",
@@ -30,7 +30,7 @@ SUBMODULES = ["closed_form", "discretize", "errors", "estimators", "losses", "mo
 
 
 def test_export_list_is_unchanged():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 70
     assert relbelief.__all__ == PUBLIC_NAMES
 
 
@@ -67,4 +67,4 @@ def test_import_loads_no_submodule_and_star_binds_every_name():
         "from relbelief import *\n"
         "print(loaded, len([n for n in relbelief.__all__ if n in globals()]))\n"
     )
-    assert fresh_python(script) == "[] 72"
+    assert fresh_python(script) == "[] 70"

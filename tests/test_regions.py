@@ -9,20 +9,19 @@ from relbelief import (
     BeliefTables,
     InvariantViolation,
     LossSpec,
-    TooLargeForBruteForce,
     UnknownPsi,
     attainable_gammas,
     belief_tables,
     eta_sweep,
     hpd_region,
     lpl_region,
-    minimal_prior_size_check,
     rs_region,
     tail_probability,
 )
 from relbelief.discretize import _difference_mass
 from relbelief.estimators import TIE_RTOL, lrse
 from relbelief.regions import CredibleRegion
+from region_oracle import TooLargeForBruteForce, minimal_prior_size_check
 from test_sample_space_tables import finite_models
 
 
