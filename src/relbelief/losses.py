@@ -27,11 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InfiniteSampleSpace,
-    InvariantViolation,
-    UnknownPsi,
-)
+from .errors import InvariantViolation, UnknownPsi
 from .model import BeliefTables, FiniteModel, sample_space_tables
 
 ZERO_ONE = "zero-one"
@@ -258,13 +254,12 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
     is true, averaging the per-theta sampling distributions under the prior
     conditioned on the fiber.
     """
-    if not model.is_table:
-        raise InfiniteSampleSpace("prior risk needs an enumerable sample space")
-    if np.max(np.abs(model.likelihood.sum(axis=1) - 1.0)) > 1e-9:
+    tabs = sample_space_tables(model)  # InfiniteSampleSpace for a density callback
+    lik = model.likelihood if model.is_table else np.exp(model.likelihood(np.arange(model.n_x)))
+    if np.max(np.abs(lik.sum(axis=1) - 1.0)) > 1e-9:
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )
-    tabs = sample_space_tables(model)
     return tabs.marg_joint / tabs.marg_prior[:, None]
 
 
@@ -280,7 +275,7 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     Raises
     ------
     InfiniteSampleSpace
-        If the model carries a density callback instead of a table.
+        If the model carries a density callback, not a finite sample space.
     """
     sampling = conditional_sampling_table(model)
     rule_arr = check_rule(rule, model)

@@ -1,19 +1,17 @@
 """Finite Bayesian models and their prior and posterior tables.
 
 Everything downstream works on the finite representation defined here: a
-parameter support with strictly positive prior weights, a likelihood (a table
-over a finite sample space, or a callback giving the log-likelihood over the
-parameter support of a single observed point), and a surjective map from the
-full parameter onto the marginal parameter of interest.  Continuous-parameter
-problems enter through :mod:`relbelief.discretize`, which emits a
-:class:`FiniteModel` over grid bins; this module is strictly finite.
+parameter support with strictly positive prior weights, a likelihood, and a
+surjective map from the full parameter onto the marginal parameter of
+interest.  Continuous-parameter problems enter through
+:mod:`relbelief.discretize`, which emits a :class:`FiniteModel` over grid
+bins; this module is strictly finite.
 
-One kernel turns an ``(n_theta, k)`` block of likelihood columns into belief
-tables.  A table model's block is its whole likelihood table, so the belief
-tables at one point are a column of :func:`sample_space_tables`; each column
-is scaled by a power of two so that a possible point never underflows.  A
-callback's block is its one log-likelihood column, shifted by its maximum
-and exponentiated, so no density underflows before it is normalized.
+A likelihood is a matrix or a callback giving log-likelihood columns (see
+:class:`FiniteModel`).  One kernel scales each column by a power of two, so
+that a possible point never underflows, and turns a block of columns into
+belief tables: all of a matrix's columns at once and cached, only the
+columns a query reads from a callback.
 
 All values are immutable after construction and safe to share across
 threads.  A :class:`FiniteModel` computes its marginal prior and its
@@ -34,8 +32,6 @@ from .errors import InfiniteSampleSpace, InvariantViolation, ZeroEvidence
 # One shared rounding policy: probability vectors are renormalized at
 # construction and must then sum to one within SUM_TOL.
 SUM_TOL = 1e-12
-
-LikelihoodCallback = Callable[[object], np.ndarray]
 
 
 def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
@@ -115,10 +111,12 @@ class FiniteModel:
     prior : numpy.ndarray
         Strictly positive prior weights; renormalized at construction.
     likelihood : numpy.ndarray or callable
-        Either a ``(n_theta, n_x)`` table of nonnegative sampling weights
-        over a finite sample space, or a callback ``f(x)`` returning the
-        ``(n_theta,)`` array of log sampling densities of the single observed
-        ``x``, ``-inf`` where ``x`` is impossible under that theta.
+        A matrix, an ``(n_theta, n_x)`` table of nonnegative sampling weights,
+        or a callback giving log-likelihoods (``-inf`` where impossible),
+        checked when read: without ``x_labels`` a density whose ``f(x)`` is
+        the ``(n_theta,)`` column at the observed ``x``; with them a finite
+        log source whose ``f(k)`` is the ``(n_theta, *k.shape)`` columns of
+        an integer index array ``k``.
     psi_map : numpy.ndarray
         Integer index of the marginal parameter value for each theta; must
         be surjective onto ``range(len(psi_labels))``.
@@ -128,7 +126,7 @@ class FiniteModel:
         Real coordinates for the supports; required only by geometry-aware
         operations (ball losses, refinement experiments).
     x_labels : tuple of str, optional
-        Labels for the sample-space columns of a table likelihood.
+        Labels for the sample-space columns; required by a finite log source.
     family_spec : dict, optional
         Serializable description of a named likelihood family, kept so a
         model loaded from a file can be written back field-for-field.
@@ -141,7 +139,7 @@ class FiniteModel:
 
     theta_labels: tuple[str, ...]
     prior: np.ndarray
-    likelihood: np.ndarray | LikelihoodCallback
+    likelihood: np.ndarray | Callable[..., np.ndarray]
     psi_map: np.ndarray
     psi_labels: tuple[str, ...]
     theta_coords: np.ndarray | None = None
@@ -173,6 +171,8 @@ class FiniteModel:
             raise InvariantViolation("psi_map must be surjective: every psi needs a preimage")
         object.__setattr__(self, "psi_map", _frozen(psi_map))
 
+        if self.x_labels is not None:
+            object.__setattr__(self, "x_labels", tuple(self.x_labels))
         if not callable(self.likelihood):
             lik = np.asarray(self.likelihood, dtype=float)
             if lik.ndim != 2 or lik.shape[0] != n_theta:
@@ -184,13 +184,8 @@ class FiniteModel:
                     "every sample-space column needs at least one positive likelihood"
                 )
             object.__setattr__(self, "likelihood", _frozen(lik))
-            if self.x_labels is not None:
-                x_labels = tuple(self.x_labels)
-                if len(x_labels) != lik.shape[1]:
-                    raise InvariantViolation("x_labels length does not match likelihood")
-                object.__setattr__(self, "x_labels", x_labels)
-        elif self.x_labels is not None:
-            raise InvariantViolation("x_labels are meaningless with a density callback")
+            if self.x_labels is not None and len(self.x_labels) != lik.shape[1]:
+                raise InvariantViolation("x_labels length does not match likelihood")
 
         for name, size in (("theta_coords", n_theta), ("psi_coords", n_psi)):
             if getattr(self, name) is not None:
@@ -208,14 +203,14 @@ class FiniteModel:
 
     @property
     def is_table(self) -> bool:
-        """True when the likelihood is a finite table rather than a callback."""
+        """True when the likelihood is a matrix rather than log-likelihood columns."""
         return not callable(self.likelihood)
 
     @property
     def n_x(self) -> int:
-        if not self.is_table:
-            raise InfiniteSampleSpace("model has a density callback, not a sample-space table")
-        return self.likelihood.shape[1]
+        if self.x_labels is None and not self.is_table:
+            raise InfiniteSampleSpace("model has a density callback, not a finite sample space")
+        return self.likelihood.shape[1] if self.x_labels is None else len(self.x_labels)
 
     def x_index(self, x) -> int:
         """Resolve an observed value to a sample-space column index."""
@@ -310,35 +305,25 @@ class BeliefTables:
 def belief_tables(model: FiniteModel, x) -> BeliefTables:
     """Belief tables at the observed ``x``.
 
-    On a table model these are column ``model.x_index(x)`` of the cached
-    :func:`sample_space_tables`.  A density callback's log-likelihood is
-    shifted by its maximum, exponentiated and run through the same kernel as
-    a one-column block; that result is not cached.
+    On a matrix model these are column ``model.x_index(x)`` of the cached
+    :func:`sample_space_tables`.  A callback is asked for its one
+    log-likelihood column at ``x`` (at ``x``'s index on a finite sample
+    space), which runs through the same kernel uncached.
 
     Raises
     ------
     ZeroEvidence
-        If a density callback's log-likelihood is ``-inf`` everywhere.  A
-        table model has a positive likelihood in every column, and the
-        kernel scales each column so that its evidence does not underflow.
+        If the log-likelihood at ``x`` is ``-inf`` everywhere; a matrix
+        column is possible by construction and scaled so it cannot underflow.
     InvariantViolation
         If the callback does not return ``n_theta`` log-likelihoods, or
         returns NaN or ``+inf``.
     """
     if model.is_table:
-        col = model.x_index(x)
-        tabs = sample_space_tables(model)
+        col, tabs = model.x_index(x), sample_space_tables(model)
     else:
-        loglik = np.asarray(model.likelihood(x), dtype=float)
-        if loglik.shape != (model.n_theta,) or np.any(np.isnan(loglik) | (loglik == np.inf)):
-            raise InvariantViolation(
-                "density callback must return one log-likelihood per theta, none NaN or +inf"
-            )
-        top = loglik.max()
-        if top == -np.inf:
-            raise ZeroEvidence(f"observed data {x!r} has zero evidence")
-        col = 0
-        tabs = _build_sample_space_tables(model, np.exp(loglik - top)[:, None])
+        at = x if model.x_labels is None else model.x_index(x)
+        col, tabs = 0, _build_sample_space_tables(model, model.likelihood, at)
     return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col])
 
 
@@ -362,7 +347,8 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
     """Evidence, marginal joint, posterior and ratio for every ``x`` in one pass.
 
     The tables are built once per model and cached on it, so every sweep
-    and every single-point query on the same model shares them.  Raises
+    and every single-point query on the same model shares them; a finite log
+    source is asked for all its columns in one call.  Raises
     :class:`InfiniteSampleSpace` for a density callback and
     :class:`ZeroEvidence` if some ``x`` is impossible.
     """
@@ -371,24 +357,38 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
     )
 
 
-def _build_sample_space_tables(model: FiniteModel, lik: np.ndarray) -> SampleSpaceTables:
-    """Belief tables of every column of an ``(n_theta, k)`` likelihood block.
+def _build_sample_space_tables(model: FiniteModel, lik, at=None) -> SampleSpaceTables:
+    """Belief tables of every column of a matrix block or of a log-likelihood callback.
 
-    A column whose largest likelihood is below one half is first scaled by
-    the power of two that lifts that maximum into ``[1/2, 1)``, so a
-    possible sample point never underflows to zero evidence.  The scaling is
-    exact and cancels in the posterior and the ratio; it is undone on the
-    evidence and the marginal joint, which may then read 0.0.
+    A callback ``lik`` is read at the point ``at`` or, if ``at`` is None, at
+    every column of its finite sample space.  Each column is multiplied by
+    ``2**up`` first: a matrix column below one half by the exact power that
+    lifts it into ``[1/2, 1)``, a log column split into ``-up`` powers of two
+    and a remainder at most 0 before it is exponentiated.  The power cancels
+    in the posterior and the ratio; the evidence and marginal joint undo it.
     """
-    n_psi, k = model.n_psi, lik.shape[1]
-    _, exponent = np.frexp(lik.max(axis=0))
-    up = np.maximum(-exponent, 0)
-    joint = model.prior[:, None] * np.ldexp(lik, up)
+    if callable(lik):
+        shape = (model.n_theta,) if at is not None else (model.n_theta, model.n_x)
+        loglik = np.asarray(lik(np.arange(shape[-1]) if at is None else at), dtype=float)
+        if loglik.shape != shape or np.any(np.isnan(loglik) | (loglik == np.inf)):
+            raise InvariantViolation(
+                "a callback must return one log-likelihood per theta and point, none NaN or +inf"
+            )
+        loglik = loglik.reshape(model.n_theta, -1)
+        top = loglik.max(axis=0)  # an impossible column keeps up = 0 and has no evidence
+        up = -np.ceil(np.where(top > -np.inf, top, 0.0) / np.log(2.0)).astype(np.intp)
+        joint = np.exp(loglik + up * np.log(2.0))
+    else:
+        up = np.maximum(-np.frexp(lik.max(axis=0))[1], 0)
+        joint = np.ldexp(lik, up)
+    joint *= model.prior[:, None]  # in place: the scaled block is a fresh array
+    n_psi, k = model.n_psi, joint.shape[1]
     # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
     # sum over theta does; a sum over axis 0 would round differently.
     evidence = np.ascontiguousarray(joint.T).sum(axis=1)
     if np.any(evidence <= 0.0):
-        raise ZeroEvidence(f"sample point {int(np.argmin(evidence))} has zero evidence")
+        bad = int(np.argmin(evidence)) if at is None else at
+        raise ZeroEvidence(f"sample point {bad!r} has zero evidence")
     # One bincount over (psi, x) cells adds each fiber in theta order.
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
 
@@ -399,13 +399,14 @@ def _build_sample_space_tables(model: FiniteModel, lik: np.ndarray) -> SampleSpa
     marg_post = _frozen(fiber_sums(joint / evidence))
     rb = marg_post / marg_prior[:, None]
     _check_identities(marg_prior, rb)
-    return SampleSpaceTables(
-        evidence=_frozen(np.ldexp(evidence, -up)),
-        marg_prior=marg_prior,
-        marg_joint=_frozen(np.ldexp(fiber_sums(joint), -up)),
-        marg_post=marg_post,
-        rb=_frozen(rb),
-    )
+    with np.errstate(over="ignore"):
+        return SampleSpaceTables(
+            evidence=_frozen(np.ldexp(evidence, -up)),
+            marg_prior=marg_prior,
+            marg_joint=_frozen(np.ldexp(fiber_sums(joint), -up)),
+            marg_post=marg_post,
+            rb=_frozen(rb),
+        )
 
 
 def _check_identities(marg_prior: np.ndarray, rb: np.ndarray) -> None:

@@ -11,10 +11,10 @@ Schema (all keys at the top level of one JSON object):
     instead rejects the file.
 ``likelihood``
     Either a matrix (rows per theta, columns per sample point) or a named
-    family object: ``{"family": "bernoulli", "p": [...]}`` for a single
-    success/failure trial, ``{"family": "binomial", "n": int, "p": [...]}``
-    for trial counts, or ``{"family": "normal", "mean": [...], "sd": [...]}``
-    which yields a callback giving the log-density over theta of a continuous
+    family, which yields a callback giving log-likelihood columns over theta:
+    ``{"family": "binomial", "n": int, "p": [...]}`` for trial counts,
+    ``{"family": "bernoulli", "p": [...]}`` for the binomial at ``n = 1``, or
+    ``{"family": "normal", "mean": [...], "sd": [...]}`` for a continuous
     observation.
 ``psi_map``
     List of marginal-value labels, one per theta.
@@ -33,11 +33,12 @@ Every rejection is a validation error (exit 2 on the command line): either a
 :class:`ModelSpecError` whose ``field`` names the key (``file`` for the
 document) for bad JSON, a missing field, a label field that is not a list,
 text, nulls, ragged rows or booleans in a numeric field, a bad family or family
-parameter (``likelihood``), ``psi_map`` labels missing from ``psi`` and, when
-strict, an off-sum prior; or an :class:`InvariantViolation` from
-:class:`FiniteModel` naming the field in its message: a wrong length, a
-non-finite or out-of-range weight or coordinate, an impossible sample point or
-a ``psi`` value with no preimage.  A normal family rejects a NaN or text ``x``.
+parameter (``likelihood``, a count impossible under every ``p`` included),
+``psi_map`` labels missing from ``psi`` and, when strict, an off-sum prior; or
+an :class:`InvariantViolation` from :class:`FiniteModel` naming the field: a
+wrong length, a non-finite or out-of-range weight or coordinate, an impossible
+matrix column or a ``psi`` value with no preimage.  A normal family rejects a
+NaN or text ``x``.
 """
 
 from __future__ import annotations
@@ -171,24 +172,25 @@ def _relative_rounding(n: int, p: np.ndarray, p_err):
     return prod, np.divide(err, prod, out=np.zeros_like(prod), where=prod > 0)
 
 
-def _binomial_table(trials: int, p: np.ndarray) -> np.ndarray:
-    """Binomial probabilities of ``k = 0..trials``, one row per success rate.
+def _binomial_log_pmf(trials: int, p: np.ndarray, counts) -> np.ndarray:
+    """Log binomial probabilities of any array of ``counts``, one row per success rate.
 
     Loader's saddle-point form (C. Loader, "Fast and Accurate Computation of
     Binomial Probabilities", 2000): for ``0 < k < trials`` the log
     probability is a sum of Stirling errors and two deviances, each small
     and accurate to its own rounding, so the relative error does not grow
-    with ``trials``.  The end points are ``(1 - p)^trials`` and
-    ``p^trials``, so ``p = 0`` and ``p = 1`` give exact unit rows.  Rows are
-    built in blocks of about ``_BLOCK_CELLS`` cells, so the temporaries stay
-    small whatever the size of the table.
+    with ``trials``.  The end points are ``trials log(1 - p)`` and
+    ``trials log(p)``, exact at ``p = 0`` and ``p = 1``.  Rows are built in
+    blocks of about ``_BLOCK_CELLS`` cells, so the temporaries stay small.
     """
     n = trials
-    k = np.arange(1, n)
-    base = (_stirling_error(n) - _stirling_error(k) - _stirling_error(n - k)
-            - 0.5 * np.log(2 * math.pi * (k * (n - k) / n)))
-    table = np.empty((p.size, n + 1))
-    rows = max(1, _BLOCK_CELLS // (n + 1))
+    k = np.ravel(counts)
+    inner = (k > 0) & (k < n)
+    ki = k[inner]
+    base = (_stirling_error(n) - _stirling_error(ki) - _stirling_error(n - ki)
+            - 0.5 * np.log(2 * math.pi * (ki * (n - ki) / n)))
+    table = np.empty((p.size, k.size))
+    rows = max(1, _BLOCK_CELLS // max(k.size, 1))
     for start in range(0, p.size, rows):
         block = p[start:start + rows, None]
         q = 1.0 - block
@@ -199,11 +201,11 @@ def _binomial_table(trials: int, p: np.ndarray) -> np.ndarray:
         mean_q, rel_q = _relative_rounding(n, q, (1.0 - q) - block)
         out = table[start:start + rows]
         with np.errstate(divide="ignore"):
-            out[:, :1] = n * np.log1p(-block)
-            out[:, -1:] = n * np.log(block)
-            out[:, 1:-1] = (base - _deviance(k, mean) - _deviance(n - k, mean_q)
-                            - (mean - k) * rel - (mean_q - (n - k)) * rel_q)
-    return np.exp(table, out=table)
+            out[:, k == 0] = n * np.log1p(-block)
+            out[:, k == n] = n * np.log(block)
+            out[:, inner] = (base - _deviance(ki, mean) - _deviance(n - ki, mean_q)
+                             - (mean - ki) * rel - (mean_q - (n - ki)) * rel_q)
+    return table.reshape(p.shape + np.shape(counts))
 
 
 def _family_likelihood(spec: dict, n_theta: int):
@@ -220,12 +222,13 @@ def _family_likelihood(spec: dict, n_theta: int):
         p = param("p")
         if not np.all((p >= 0) & (p <= 1)):
             raise ModelSpecError("likelihood", f"{family} needs every p in [0, 1]")
-        if family == "bernoulli":
-            return np.column_stack([1.0 - p, p]), ("0", "1")
-        trials = spec.get("n")
+        trials = spec.get("n") if family == "binomial" else 1  # Bernoulli: one trial
         if type(trials) is not int or trials < 1:
             raise ModelSpecError("likelihood", "binomial needs an integer n >= 1")
-        return _binomial_table(trials, p), tuple(str(k) for k in range(trials + 1))
+        # With no table built, "every count is possible" is decided from p.
+        if not (np.any(p < 1) and np.any(p > 0) and (trials == 1 or np.any((p > 0) & (p < 1)))):
+            raise ModelSpecError("likelihood", "some count is impossible under every p")
+        return (lambda k: _binomial_log_pmf(trials, p, k)), tuple(map(str, range(trials + 1)))
     if family == "normal":
         mean, sd = param("mean"), param("sd")
         if not np.all(np.isfinite(mean) & np.isfinite(sd) & (sd > 0)):
@@ -320,7 +323,7 @@ def save_model(model: FiniteModel, path: str | Path) -> None:
         if model.x_labels is not None:
             doc["x"] = list(model.x_labels)
     else:
-        raise ModelSpecError("likelihood", "cannot serialize an anonymous density callback")
+        raise ModelSpecError("likelihood", "cannot serialize an anonymous likelihood callback")
     doc["psi"] = list(model.psi_labels)
     doc["psi_map"] = [model.psi_labels[j] for j in model.psi_map]
     if model.psi_coords is not None:

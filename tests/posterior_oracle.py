@@ -2,8 +2,8 @@
 
 ``compute_posterior`` then ``marginalize`` is the one-point computation that
 ``relbelief.model`` replaced with a column of its sample-space tables.  It
-multiplies raw likelihoods, so a density callback's log-likelihood is
-exponentiated here without the kernel's shift: far out in the tails it
+multiplies raw likelihoods, so a callback's log-likelihood is exponentiated
+here without the kernel's power-of-two scaling: far out in the tails it
 underflows and raises ``ZeroEvidence``, which the library no longer does.
 """
 
@@ -18,7 +18,8 @@ def compute_posterior(model: FiniteModel, x) -> tuple[np.ndarray, float]:
     if model.is_table:
         lik = model.likelihood[:, model.x_index(x)]
     else:
-        lik = np.exp(np.asarray(model.likelihood(x), dtype=float))
+        at = x if model.x_labels is None else model.x_index(x)
+        lik = np.exp(np.asarray(model.likelihood(at), dtype=float))
     joint = model.prior * lik
     evidence = float(joint.sum())
     if evidence <= 0.0:

@@ -1,13 +1,16 @@
 """Density callbacks: log-likelihoods through the one posterior kernel.
 
-A callback returns the log-likelihood over theta of one observed point.  The
-kernel shifts it by its maximum before exponentiating, so the tables stay
+A callback returns the log-likelihood over theta of one observed point, or of
+any columns of a finite sample space.  The kernel splits each column into a
+power of two and a remainder before exponentiating, so the tables stay
 accurate far out in the tails, where raw densities underflow to zero.  Run
-through the kernel, a callback must reproduce the column of a table model it
+through the kernel, a callback must reproduce the columns of a table model it
 was read from.
 """
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from relbelief import (
     InvariantViolation,
     ZeroEvidence,
     belief_tables,
+    load_model,
     lrse,
     sample_space_tables,
 )
@@ -69,6 +73,38 @@ def test_callback_reproduces_the_table_column(model, shift):
         np.testing.assert_allclose(moved.rb, base.rb, rtol=RTOL, atol=0)
 
 
+@given(model=finite_models())
+@settings(max_examples=150, deadline=None)
+def test_finite_log_source_reproduces_the_matrix_tables(model):
+    with np.errstate(divide="ignore"):
+        logs = np.log(model.likelihood)
+    source = dataclasses.replace(model, likelihood=lambda k: logs[:, k],
+                                 x_labels=tuple(f"x{j}" for j in range(model.n_x)))
+    want, got = sample_space_tables(model), sample_space_tables(source)
+    for name in ("evidence", "marg_joint", "marg_post", "rb"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=RTOL, atol=0)
+    # One column asked for alone has the bits of its column in the whole block.
+    for x in range(model.n_x):
+        point = belief_tables(source, f"x{x}")
+        assert point.marg_post.tobytes() == got.marg_post[:, x].tobytes()
+        assert point.rb.tobytes() == got.rb[:, x].tobytes()
+
+
+def test_bernoulli_is_the_binomial_at_one_trial(tmp_path):
+    models = []
+    for likelihood in ({"family": "bernoulli", "p": [0.0, 0.3, 1.0]},
+                       {"family": "binomial", "n": 1, "p": [0.0, 0.3, 1.0]}):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"theta": ["a", "b", "c"], "prior": [0.2, 0.3, 0.5],
+                                    "psi_map": ["a", "b", "b"], "likelihood": likelihood}))
+        models.append(load_model(path))
+    bernoulli, binomial = models
+    assert bernoulli.x_labels == binomial.x_labels == ("0", "1")
+    want, got = sample_space_tables(binomial), sample_space_tables(bernoulli)
+    for name in ("evidence", "marg_joint", "marg_post", "rb"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=RTOL, atol=0)
+
+
 def two_point(loglik) -> FiniteModel:
     return FiniteModel(
         theta_labels=("a", "b"),
@@ -88,6 +124,14 @@ def test_point_impossible_under_one_theta_is_certain_of_the_other():
     tables = belief_tables(two_point(lambda x: np.array([-np.inf, -1e4])), 0.0)
     np.testing.assert_array_equal(tables.marg_post, [0.0, 1.0])
     np.testing.assert_array_equal(tables.rb, [0.0, 2.0])
+
+
+def test_density_far_above_one_keeps_its_tables_without_warning():
+    # exp(800) overflows a double; the evidence reads inf, the tables stay exact.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = belief_tables(two_point(lambda x: np.array([800.0, 800.0 - np.log(3.0)])), 0.0)
+    np.testing.assert_allclose(tables.marg_post, [0.75, 0.25], rtol=RTOL, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -189,6 +189,26 @@ class TestPriorRisk:
         with pytest.raises(InfiniteSampleSpace):
             prior_risk(LossSpec.zero_one(), [0], model)
 
+    @pytest.mark.parametrize("form", ["matrix", "log source"])
+    def test_rows_that_are_not_distributions_are_rejected(self, form):
+        from relbelief.losses import conditional_sampling_table
+
+        # Theta b's row sums to 0.9, so it is no sampling distribution over x.
+        table = np.array([[0.6, 0.4], [0.5, 0.4]])
+        logs = np.log(table)
+        model = FiniteModel(
+            theta_labels=("a", "b"),
+            prior=[0.5, 0.5],
+            likelihood=table if form == "matrix" else lambda k: logs[:, k],
+            psi_map=[0, 1],
+            psi_labels=("a", "b"),
+            x_labels=("x0", "x1"),
+        )
+        with pytest.raises(InvariantViolation, match="row-stochastic"):
+            conditional_sampling_table(model)
+        with pytest.raises(InvariantViolation, match="row-stochastic"):
+            prior_risk(LossSpec.zero_one(), [0, 1], model)
+
     def test_chunking_invariance_of_error_sums(self):
         # fsum aggregation must make the report independent of any chunking
         # of the sample space; emulate chunked evaluation by permuting and

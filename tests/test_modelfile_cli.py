@@ -30,7 +30,7 @@ from relbelief import (
     save_model,
 )
 from relbelief.cli import build_parser, run
-from relbelief.modelfile import _binomial_table
+from relbelief.modelfile import _binomial_log_pmf
 
 
 def write_json(path, doc):
@@ -58,6 +58,16 @@ def classifier_file(tmp_path):
     path = tmp_path / "classifier.json"
     save_model(model, path)
     return str(path)
+
+
+def binomial_table(trials, p):
+    """The binomial probabilities of every count, exponentiated from the log-pmf."""
+    return np.exp(_binomial_log_pmf(trials, np.asarray(p), np.arange(trials + 1)))
+
+
+def every_column(model):
+    """A family model's likelihood table, exponentiated from all of its log columns."""
+    return np.exp(model.likelihood(np.arange(model.n_x)))
 
 
 def assert_near_exact(got, exact):
@@ -121,7 +131,7 @@ class TestModelFile:
             },
         )
         model = load_model(path)
-        np.testing.assert_allclose(model.likelihood, [[0.95, 0.05], [0.2, 0.8]])
+        np.testing.assert_allclose(every_column(model), [[0.95, 0.05], [0.2, 0.8]])
         assert model.x_labels == ("0", "1")
 
     def test_binomial_family(self, tmp_path):
@@ -136,11 +146,11 @@ class TestModelFile:
         )
         model = load_model(path)
         assert model.n_x == 4
-        np.testing.assert_allclose(model.likelihood.sum(axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(every_column(model).sum(axis=1), 1.0, atol=1e-12)
 
     def test_binomial_family_at_many_trials_has_tables_at_every_count(self, tmp_path):
         # At 2085 trials the end columns hold only subnormal likelihoods, so
-        # their unscaled evidence underflows to 0.0.
+        # their evidence, once the kernel's scaling is divided out, reads 0.0.
         path = write_json(
             tmp_path / "m.json",
             {
@@ -151,17 +161,39 @@ class TestModelFile:
             },
         )
         model = load_model(path)
-        assert np.any(model.prior @ model.likelihood == 0.0)
         tabs = sample_space_tables(model)
+        assert np.any(tabs.evidence == 0.0)
         assert np.all(np.isfinite(tabs.rb)) and np.all(np.isfinite(tabs.marg_post))
         np.testing.assert_allclose(tabs.marg_post.sum(axis=0), 1.0, rtol=0, atol=1e-12)
         assert lrse(belief_tables(model, "0")).psi_label == "t0"
         assert lrse(belief_tables(model, "2085")).psi_label == "t4"
 
+    @pytest.mark.parametrize("trials", [2090, 200_000])
+    def test_binomial_family_past_the_linear_range_validates_and_estimates(
+        self, tmp_path, capsys, trials
+    ):
+        # Every p^n and (1 - p)^n underflows at these counts: only log space
+        # can tell the thetas apart at x = 0 and x = n.
+        path = write_json(
+            tmp_path / "m.json",
+            {
+                "theta": [f"t{i}" for i in range(5)],
+                "prior": [0.2] * 5,
+                "likelihood": {"family": "binomial", "n": trials, "p": [0.3, 0.4, 0.5, 0.6, 0.7]},
+                "psi_map": [f"t{i}" for i in range(5)],
+            },
+        )
+        out = ["--output-dir", str(tmp_path / "out")]
+        assert run([*out, "validate", "--model", path]) == 0
+        for x, want in (("0", "t0"), (str(trials), "t4")):
+            capsys.readouterr()
+            assert run([*out, "estimate", "--model", path, "--x", x, "--estimator", "lrse"]) == 0
+            assert capsys.readouterr().out.split()[0] == want
+
     @settings(max_examples=100, deadline=None)
     @given(trials=st.integers(1, 60), p=st.floats(0.0, 1.0))
     def test_binomial_table_matches_exact_rationals_and_scipy(self, trials, p):
-        got = _binomial_table(trials, np.array([p]))[0]
+        got = binomial_table(trials, [p])[0]
         rate = Fraction(p)
         exact = np.array([float(math.comb(trials, k) * rate**k * (1 - rate) ** (trials - k))
                           for k in range(trials + 1)])
@@ -181,7 +213,7 @@ class TestModelFile:
     # Without the correction for the rounding of n p and n q this k is off by 1.2e-13.
     @example(trials=200_000, p=0.40289176273136823, z=3.0)
     def test_binomial_table_stays_exact_at_many_trials(self, trials, p, z):
-        row = _binomial_table(trials, np.array([p]))[0]
+        row = binomial_table(trials, [p])[0]
         assert abs(math.fsum(row) - 1.0) <= 1e-14
         k = min(trials, max(0, round(trials * p + z * math.sqrt(trials * p * (1 - p)))))
         ks = [0, k, trials]
@@ -199,7 +231,7 @@ class TestModelFile:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for trials in (1, 4, 7):
-                table = _binomial_table(trials, np.array([0.0, 1.0]))
+                table = binomial_table(trials, [0.0, 1.0])
                 np.testing.assert_array_equal(table, np.eye(trials + 1)[[0, -1]])
 
     def test_normal_family_gives_callback(self, tmp_path):
@@ -218,20 +250,30 @@ class TestModelFile:
         assert tables.marg_post[1] > tables.marg_post[0]
 
     def test_family_round_trip(self, tmp_path):
-        path = write_json(
-            tmp_path / "m.json",
-            {
-                "theta": ["a", "b"],
-                "prior": [0.5, 0.5],
-                "likelihood": {"family": "normal", "mean": [0.0, 2.0], "sd": [1.0, 1.0]},
-                "psi_map": ["a", "b"],
-            },
-        )
-        model = load_model(path)
-        out = tmp_path / "copy.json"
-        save_model(model, out)
-        again = load_model(out)
-        assert again.family_spec == model.family_spec
+        for likelihood in (
+            {"family": "normal", "mean": [0.0, 2.0], "sd": [1.0, 1.0]},
+            {"family": "binomial", "n": 7, "p": [0.0, 0.6]},
+            {"family": "bernoulli", "p": [0.3, 1.0]},
+        ):
+            path = write_json(
+                tmp_path / "m.json",
+                {
+                    "theta": ["a", "b"],
+                    "prior": [0.5, 0.5],
+                    "likelihood": likelihood,
+                    "psi_map": ["a", "b"],
+                },
+            )
+            model = load_model(path)
+            out = tmp_path / "copy.json"
+            save_model(model, out)
+            again = load_model(out)
+            assert again.family_spec == model.family_spec
+            assert again.x_labels == model.x_labels
+            if model.x_labels is not None:
+                for name in ("evidence", "marg_joint", "marg_post", "rb"):
+                    np.testing.assert_array_equal(getattr(sample_space_tables(again), name),
+                                                  getattr(sample_space_tables(model), name))
 
     def test_off_prior_normalizes_with_warning(self, tmp_path):
         path = write_json(

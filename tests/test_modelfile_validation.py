@@ -12,6 +12,7 @@ import math
 import operator
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbelief import InvariantViolation, ModelSpecError, load_model, save_model
+from relbelief import (
+    InvariantViolation,
+    ModelSpecError,
+    load_model,
+    sample_space_tables,
+    save_model,
+)
 from relbelief.cli import run
 from relbelief.modelfile import PRIOR_WARN_TOL
 
@@ -307,3 +314,33 @@ def test_prior_sum_splits_strict_and_lenient_at_the_bound(doc, k, sign):
         else:
             load_model(path, strict=True)
         assert validate(path, Path(tmp) / "out") == 2 * off
+
+
+# A success rate at either end makes some counts impossible under that theta.
+rate_or_end = st.one_of(st.sampled_from([0.0, 1.0]),
+                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trials=st.integers(1, 40), p=st.lists(rate_or_end, min_size=1, max_size=4),
+       family=st.sampled_from(["binomial", "bernoulli"]))
+def test_count_family_is_rejected_exactly_when_a_count_is_impossible(trials, p, family):
+    if family == "bernoulli":
+        trials = 1
+    rates = [Fraction(r) for r in p]
+    exact = [[math.comb(trials, k) * r**k * (1 - r) ** (trials - k) for k in range(trials + 1)]
+             for r in rates]
+    dead = any(all(row[k] == 0 for row in exact) for k in range(trials + 1))
+    likelihood = {"family": family, "p": p, **({"n": trials} if family == "binomial" else {})}
+    doc = {"theta": [f"t{i}" for i in range(len(p))], "prior": [1 / len(p)] * len(p),
+           "psi_map": [f"t{i}" for i in range(len(p))], "likelihood": likelihood}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(doc, tmp)
+        assert validate(path, Path(tmp) / "out") == 2 * dead
+        if dead:
+            with pytest.raises(ModelSpecError, match="impossible under every p") as err:
+                load_model(path)
+            assert err.value.field == "likelihood"
+        else:
+            tabs = sample_space_tables(load_model(path))
+            assert np.all(np.isfinite(tabs.rb))
