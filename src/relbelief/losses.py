@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import BeliefTables, FiniteModel, sample_space_tables
+from .model import BeliefTables, FiniteModel, _whole_sample_space, sample_space_tables
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -254,9 +254,8 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
     is true, averaging the per-theta sampling distributions under the prior
     conditioned on the fiber.
     """
-    tabs = sample_space_tables(model)  # InfiniteSampleSpace for a density callback
-    lik = model.likelihood if model.is_table else np.exp(model.likelihood(np.arange(model.n_x)))
-    if np.max(np.abs(lik.sum(axis=1) - 1.0)) > 1e-9:
+    tabs, theta_sums = _whole_sample_space(model)  # InfiniteSampleSpace for a density
+    if not np.all(np.abs(theta_sums - 1.0) <= 1e-9):
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )

@@ -8,10 +8,9 @@ interest.  Continuous-parameter problems enter through
 bins; this module is strictly finite.
 
 A likelihood is a matrix or a callback giving log-likelihood columns (see
-:class:`FiniteModel`).  One kernel scales each column by a power of two, so
-that a possible point never underflows, and turns a block of columns into
-belief tables: all of a matrix's columns at once and cached, only the
-columns a query reads from a callback.
+:class:`FiniteModel`).  One kernel scales columns so that a possible point
+never underflows and turns them into belief tables: all of a matrix's
+columns at once and cached, only the columns a query reads from a callback.
 
 All values are immutable after construction and safe to share across
 threads.  A :class:`FiniteModel` computes its marginal prior and its
@@ -112,11 +111,10 @@ class FiniteModel:
         Strictly positive prior weights; renormalized at construction.
     likelihood : numpy.ndarray or callable
         A matrix, an ``(n_theta, n_x)`` table of nonnegative sampling weights,
-        or a callback giving log-likelihoods (``-inf`` where impossible),
-        checked when read: without ``x_labels`` a density whose ``f(x)`` is
-        the ``(n_theta,)`` column at the observed ``x``; with them a finite
-        log source whose ``f(k)`` is the ``(n_theta, *k.shape)`` columns of
-        an integer index array ``k``.
+        or a callback of log-likelihoods (``-inf`` where impossible), checked
+        when read: a density ``f(x) -> (n_theta,)`` at an observed ``x`` or,
+        with ``x_labels``, a finite log source ``f(k) -> (n_theta, *k.shape)``
+        at an integer index array ``k``.
     psi_map : numpy.ndarray
         Integer index of the marginal parameter value for each theta; must
         be surjective onto ``range(len(psi_labels))``.
@@ -323,7 +321,7 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
         col, tabs = model.x_index(x), sample_space_tables(model)
     else:
         at = x if model.x_labels is None else model.x_index(x)
-        col, tabs = 0, _build_sample_space_tables(model, model.likelihood, at)
+        col, tabs = 0, _build_sample_space_tables(model, at)[0]
     return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col])
 
 
@@ -348,46 +346,54 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
 
     The tables are built once per model and cached on it, so every sweep
     and every single-point query on the same model shares them; a finite log
-    source is asked for all its columns in one call.  Raises
-    :class:`InfiniteSampleSpace` for a density callback and
-    :class:`ZeroEvidence` if some ``x`` is impossible.
+    source is read in one call.  Raises :class:`InfiniteSampleSpace` for a
+    density callback and :class:`ZeroEvidence` if some ``x`` is impossible.
     """
-    return _cached(
-        model, "_sample_space_tables", lambda: _build_sample_space_tables(model, model.likelihood)
-    )
+    return _whole_sample_space(model)[0]
 
 
-def _build_sample_space_tables(model: FiniteModel, lik, at=None) -> SampleSpaceTables:
-    """Belief tables of every column of a matrix block or of a log-likelihood callback.
+def _whole_sample_space(model: FiniteModel) -> tuple[SampleSpaceTables, np.ndarray]:
+    """The cached tables of every column, and each theta's total likelihood."""
+    return _cached(model, "_sample_space_tables",
+                   lambda: _build_sample_space_tables(model, np.arange(model.n_x)))
 
-    A callback ``lik`` is read at the point ``at`` or, if ``at`` is None, at
-    every column of its finite sample space.  Each column is multiplied by
-    ``2**up`` first: a matrix column below one half by the exact power that
-    lifts it into ``[1/2, 1)``, a log column split into ``-up`` powers of two
-    and a remainder at most 0 before it is exponentiated.  The power cancels
-    in the posterior and the ratio; the evidence and marginal joint undo it.
+
+def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTables, np.ndarray]:
+    """Belief tables of a block of columns, and each theta's likelihood summed over them.
+
+    A matrix is read whole, a callback at ``at``: a density's observed point
+    or a finite log source's column indices.  A matrix column below one half
+    is lifted by the power of two that brings its maximum into ``[1/2, 1)``;
+    a log column is exponentiated less its maximum ``top``.  The scale
+    cancels in the posterior and ratio; the evidence and marginal joint undo
+    it as ``2**e`` times a remainder, ``e`` clipped to a range past which
+    they read 0.0 or inf.
     """
-    if callable(lik):
-        shape = (model.n_theta,) if at is not None else (model.n_theta, model.n_x)
-        loglik = np.asarray(lik(np.arange(shape[-1]) if at is None else at), dtype=float)
+    density = not model.is_table and model.x_labels is None
+    if model.is_table:
+        e = np.minimum(np.frexp(model.likelihood.max(axis=0))[1], 0)
+        joint, rest, theta_sums = np.ldexp(model.likelihood, -e), 1.0, model.likelihood.sum(axis=1)
+    else:
+        shape = (model.n_theta,) + (() if density else np.shape(at))
+        loglik = np.asarray(model.likelihood(at), dtype=float)
         if loglik.shape != shape or np.any(np.isnan(loglik) | (loglik == np.inf)):
             raise InvariantViolation(
                 "a callback must return one log-likelihood per theta and point, none NaN or +inf"
             )
         loglik = loglik.reshape(model.n_theta, -1)
-        top = loglik.max(axis=0)  # an impossible column keeps up = 0 and has no evidence
-        up = -np.ceil(np.where(top > -np.inf, top, 0.0) / np.log(2.0)).astype(np.intp)
-        joint = np.exp(loglik + up * np.log(2.0))
-    else:
-        up = np.maximum(-np.frexp(lik.max(axis=0))[1], 0)
-        joint = np.ldexp(lik, up)
+        top = np.nan_to_num(loglik.max(axis=0), neginf=0.0)  # an impossible column stays 0
+        joint = np.exp(loglik - top)
+        e = np.clip(np.ceil(top / np.log(2.0)), -4096, 4096).astype(np.intp)
+        rest = np.exp(np.minimum(top - e * np.log(2.0), 0.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum fails every check
+            theta_sums = joint @ np.ldexp(rest, e)
     joint *= model.prior[:, None]  # in place: the scaled block is a fresh array
     n_psi, k = model.n_psi, joint.shape[1]
     # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
     # sum over theta does; a sum over axis 0 would round differently.
     evidence = np.ascontiguousarray(joint.T).sum(axis=1)
     if np.any(evidence <= 0.0):
-        bad = int(np.argmin(evidence)) if at is None else at
+        bad = at if density else int(np.ravel(at)[np.argmin(evidence)])
         raise ZeroEvidence(f"sample point {bad!r} has zero evidence")
     # One bincount over (psi, x) cells adds each fiber in theta order.
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
@@ -400,13 +406,8 @@ def _build_sample_space_tables(model: FiniteModel, lik, at=None) -> SampleSpaceT
     rb = marg_post / marg_prior[:, None]
     _check_identities(marg_prior, rb)
     with np.errstate(over="ignore"):
-        return SampleSpaceTables(
-            evidence=_frozen(np.ldexp(evidence, -up)),
-            marg_prior=marg_prior,
-            marg_joint=_frozen(np.ldexp(fiber_sums(joint), -up)),
-            marg_post=marg_post,
-            rb=_frozen(rb),
-        )
+        undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, fiber_sums(joint))]
+    return SampleSpaceTables(undone[0], marg_prior, undone[1], marg_post, _frozen(rb)), theta_sums
 
 
 def _check_identities(marg_prior: np.ndarray, rb: np.ndarray) -> None:

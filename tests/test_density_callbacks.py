@@ -1,11 +1,10 @@
 """Density callbacks: log-likelihoods through the one posterior kernel.
 
 A callback returns the log-likelihood over theta of one observed point, or of
-any columns of a finite sample space.  The kernel splits each column into a
-power of two and a remainder before exponentiating, so the tables stay
-accurate far out in the tails, where raw densities underflow to zero.  Run
-through the kernel, a callback must reproduce the columns of a table model it
-was read from.
+any columns of a finite sample space.  The kernel exponentiates each column
+less its maximum, so the tables stay accurate far out in the tails, where raw
+densities underflow to zero.  Run through the kernel, a callback must
+reproduce the columns of a table model it was read from.
 """
 
 import dataclasses
@@ -134,6 +133,23 @@ def test_density_far_above_one_keeps_its_tables_without_warning():
     np.testing.assert_allclose(tables.marg_post, [0.75, 0.25], rtol=RTOL, atol=0)
 
 
+@pytest.mark.parametrize("top", [-1e16, -4e18, -1e19, -1e300])
+def test_log_column_far_below_zero_keeps_its_tables(top):
+    # The two log-likelihoods are adjacent doubles, 2 apart at -1e16 and
+    # farther below; the tables must see that exact gap, and the evidence
+    # reads 0.0.
+    col = np.array([top, np.nextafter(top, -np.inf)])
+    gap = col[0] - col[1]
+    tables = belief_tables(two_point(lambda x: col), 0.0)
+    np.testing.assert_allclose(tables.marg_post, [1.0, np.exp(-gap)] / (1.0 + np.exp(-gap)),
+                               rtol=RTOL, atol=0)
+    source = dataclasses.replace(two_point(lambda k: np.stack([col[0] - k, col[1] - k])),
+                                 x_labels=("0", "1"))
+    tabs = sample_space_tables(source)
+    np.testing.assert_array_equal(tabs.evidence, [0.0, 0.0])
+    np.testing.assert_array_equal(tabs.marg_post[:, 0], tables.marg_post)
+
+
 @pytest.mark.parametrize(
     "values",
     [[0.0, np.nan], [0.0, np.inf], [0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],
@@ -161,9 +177,10 @@ def estimate(normal_file, tmp_path, x) -> int:
                 "--x", x, "--estimator", "lrse"])
 
 
-@pytest.mark.parametrize("x", ["38", "40", "400"])
+@pytest.mark.parametrize("x", ["38", "40", "400", "5e9"])
 def test_estimate_far_in_the_tail(normal_file, tmp_path, capsys, x):
-    # Raw densities underflow to 0 at x = 40 and beyond.
+    # Raw densities underflow to 0 at x = 40 and beyond; at x = 5e9 both
+    # log-likelihoods are near -1.25e19, below any power of two an int64 holds.
     assert estimate(normal_file, tmp_path, x) == 0
     assert capsys.readouterr().out.strip().splitlines()[-1] == "b"
 

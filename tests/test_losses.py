@@ -189,13 +189,16 @@ class TestPriorRisk:
         with pytest.raises(InfiniteSampleSpace):
             prior_risk(LossSpec.zero_one(), [0], model)
 
-    @pytest.mark.parametrize("form", ["matrix", "log source"])
+    @pytest.mark.parametrize("form", ["matrix", "log source", "overflowing log source"])
     def test_rows_that_are_not_distributions_are_rejected(self, form):
         from relbelief.losses import conditional_sampling_table
 
         # Theta b's row sums to 0.9, so it is no sampling distribution over x.
         table = np.array([[0.6, 0.4], [0.5, 0.4]])
         logs = np.log(table)
+        if form == "overflowing log source":
+            # Theta b's row sums to exp(5000), past the largest double.
+            logs[1] = [5000.0, -np.inf]
         model = FiniteModel(
             theta_labels=("a", "b"),
             prior=[0.5, 0.5],

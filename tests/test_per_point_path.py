@@ -214,7 +214,7 @@ def test_tables_are_built_once_and_read_only():
             arr[0] = 0.0
     assert not model.marginal_prior().flags.writeable
     fresh_model = small_model()
-    fresh = _build_sample_space_tables(fresh_model, fresh_model.likelihood)
+    fresh, _ = _build_sample_space_tables(fresh_model, np.arange(fresh_model.n_x))
     for field in dataclasses.fields(tabs):
         assert getattr(tabs, field.name).tobytes() == getattr(fresh, field.name).tobytes()
 
@@ -228,7 +228,7 @@ def test_replaced_model_gets_fresh_tables():
     assert other.marginal_prior() is not model.marginal_prior()
     np.testing.assert_array_equal(other.marginal_prior(), [0.8, 0.2])
     want_model = small_model([0.6, 0.2, 0.2])
-    want = _build_sample_space_tables(want_model, want_model.likelihood)
+    want, _ = _build_sample_space_tables(want_model, np.arange(want_model.n_x))
     np.testing.assert_array_equal(other_tabs.rb, want.rb)
     np.testing.assert_array_equal(sample_space_tables(model).rb, tabs.rb)
 
