@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--betas", default="1,14,32,100")
 
-    p = sub.add_parser("converge", help="grid refinement experiments")
-    p.add_argument("--testbed", choices=("normal-normal",), default="normal-normal")
+    p = sub.add_parser("converge", help="grid refinement on the normal-normal testbed")
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--x", type=float, default=1.0)

@@ -56,7 +56,6 @@ class BinomialClassifier:
             psi_map=np.array([0, 1]),
             psi_labels=("psi1", "psi2"),
             psi_coords=np.array([self.psi1, self.psi2]),
-            x_labels=("0", "1"),
         )
 
 
@@ -133,8 +132,6 @@ class GaussianRegression:
 
 @dataclass(frozen=True)
 class RegressionEstimates:
-    mu_post_beta: np.ndarray
-    sigma_post_beta: np.ndarray
     mle: np.ndarray
     psi_map: float
     psi_lrse: float
@@ -143,7 +140,7 @@ class RegressionEstimates:
 
 
 def regression_estimates(model: GaussianRegression) -> RegressionEstimates:
-    """Posterior moments of beta and the closed-form estimators of ``w' beta``.
+    """Closed-form estimators and variances of the linear functional ``w' beta``.
 
     The MAP estimate of the linear functional is its posterior mean; the
     LRSE inflates it by ``1 / (1 - post_var / prior_var)``, which pushes it
@@ -164,8 +161,6 @@ def regression_estimates(model: GaussianRegression) -> RegressionEstimates:
     mu_psi = float(w @ mu_post)
     shrink = 1.0 - post_var / prior_var
     return RegressionEstimates(
-        mu_post_beta=mu_post,
-        sigma_post_beta=sigma_post,
         mle=mle,
         psi_map=mu_psi,
         psi_lrse=mu_psi / shrink,
@@ -178,8 +173,6 @@ def regression_estimates(model: GaussianRegression) -> RegressionEstimates:
 class RegressionPrediction:
     z_map: float
     z_lrse: float
-    z_prior_var: float
-    z_post_var: float
 
 
 def regression_predict(model: GaussianRegression) -> RegressionPrediction:
@@ -199,9 +192,7 @@ def regression_predict(model: GaussianRegression) -> RegressionPrediction:
         z_lrse, scale * est.psi_lrse, rel_tol=1e-10
     ):
         raise InvariantViolation("prediction and estimation LRSEs violate the scale identity")
-    return RegressionPrediction(
-        z_map=mu, z_lrse=z_lrse, z_prior_var=prior_var, z_post_var=post_var
-    )
+    return RegressionPrediction(z_map=mu, z_lrse=z_lrse)
 
 
 # -- Beta-Bernoulli class prediction ------------------------------------------
@@ -276,16 +267,16 @@ class NormalNormalTestbed:
 
     Prior ``theta ~ N(0, tau^2)``, observation ``x ~ N(theta, sigma^2)``.
     The LRSE of the full parameter is the observation itself (the maximum
-    likelihood value); the MAP is the shrunk posterior mean.
+    likelihood value); the MAP is the shrunk posterior mean.  The working
+    interval runs eight prior standard deviations either side of zero.
     """
 
     tau: float = 1.0
     sigma: float = 1.0
-    half_width_sds: float = 8.0
 
     def __post_init__(self):
-        if not (self.tau > 0 and self.sigma > 0 and self.half_width_sds >= 6):
-            raise InvariantViolation("need positive scales and a wide enough interval")
+        if not (self.tau > 0 and self.sigma > 0):
+            raise InvariantViolation("need positive scales")
 
     def continuous_model(self) -> ContinuousModel1D:
         from .discretize import ContinuousModel1D
@@ -303,7 +294,7 @@ class NormalNormalTestbed:
             z = (x - np.asarray(t)) / sigma
             return -0.5 * z * z - log_norm
 
-        half = self.half_width_sds * tau
+        half = 8.0 * tau
         return ContinuousModel1D(
             prior_density=prior_density, likelihood=likelihood, support=(-half, half)
         )

@@ -97,8 +97,8 @@ def build_grid(
     reproduces the exact bin posterior masses: its likelihood column is the
     bin-averaged shifted likelihood under the prior conditioned on the
     bin.  Bin ``i`` is labelled ``bin{i}`` as both theta and psi; its
-    representative, the bin midpoint, is in ``theta_coords`` and
-    ``psi_coords``.
+    representative, the bin midpoint, is in ``psi_coords``.  The model has
+    one sample-space column, index 0, for the observed ``x``.
 
     Raises
     ------
@@ -149,9 +149,7 @@ def build_grid(
         likelihood=(joint_mass / prior_mass)[:, None],
         psi_map=np.arange(n_bins),
         psi_labels=labels,
-        theta_coords=reps,
         psi_coords=reps,
-        x_labels=(str(x),),
     )
     return model, grid
 
@@ -294,14 +292,10 @@ def _difference_mass(post: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return math.fsum(post[a ^ b])
 
 
-def _region_rows(
-    grids: _Grids, gamma: float, lambdas, etas, ref_lambda: float | None = None
-) -> list[RegionConvergenceRow]:
+def _region_rows(grids: _Grids, gamma: float, lambdas, etas) -> list[RegionConvergenceRow]:
     lams = _check_schedule(lambdas, "lambda")
     etas = _check_schedule(etas, "eta")
-    if ref_lambda is None:
-        ref_lambda = float(lams.min()) / 4.0
-    ref_tables, ref_grid = grids[float(ref_lambda)]
+    ref_tables, ref_grid = grids[float(lams.min()) / 4.0]
     ref_mask = np.isin(np.arange(ref_grid.n_bins), rs_region(ref_tables, gamma).members)
 
     def distance(owner: np.ndarray, region: CredibleRegion) -> float:
@@ -325,23 +319,17 @@ def _region_rows(
 
 
 def region_refinement(
-    cmodel: ContinuousModel1D,
-    x,
-    gamma: float,
-    lambdas,
-    etas,
-    *,
-    ref_lambda: float | None = None,
+    cmodel: ContinuousModel1D, x, gamma: float, lambdas, etas
 ) -> list[RegionConvergenceRow]:
     """Distance of grid regions to a fine-grid reference under refinement.
 
     For each bin width, the belief-ratio region and the capped-loss regions
     (one per eta) are undiscretized into unions of bins and compared with
-    the belief-ratio region of a reference grid (four times finer than the
-    smallest tested width unless overridden).  The distance is the reference
-    posterior mass of the symmetric difference.
+    the belief-ratio region of a reference grid four times finer than the
+    smallest tested width.  The distance is the reference posterior mass of
+    the symmetric difference.
     """
-    return _region_rows(_Grids(cmodel, x), gamma, lambdas, etas, ref_lambda)
+    return _region_rows(_Grids(cmodel, x), gamma, lambdas, etas)
 
 
 def refinement_experiments(
@@ -350,8 +338,8 @@ def refinement_experiments(
     """The capped-rule, grid-LRSE and region experiments on shared grids.
 
     Returns what ``capped_rule_refinement``, ``grid_lrse_refinement`` and
-    ``region_refinement`` (default reference width) return, in that order,
-    with every bin width, the reference included, discretized once.
+    ``region_refinement`` return, in that order, with every bin width, the
+    reference included, discretized once.
     """
     grids = _Grids(cmodel, x)
     return (

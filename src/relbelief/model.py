@@ -217,7 +217,10 @@ class FiniteModel:
                 return self.x_labels.index(x)
             except ValueError:
                 raise InvariantViolation(f"unknown sample-space label {x!r}") from None
-        idx = int(x)
+        try:
+            idx = int(x)
+        except (TypeError, ValueError):
+            raise InvariantViolation(f"sample point {x!r} is not a sample-space index") from None
         if not 0 <= idx < self.n_x:
             raise InvariantViolation(f"sample-space index {idx} out of range")
         return idx

@@ -11,7 +11,7 @@ attained mass equals the request exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,27 +139,16 @@ class EtaSweepRow:
 class EtaSweepReport:
     """Inclusion report for capped-loss regions along a shrinking eta grid.
 
-    ``rs`` is the belief-ratio region at the requested gamma and
-    ``next_region`` the one at the next exactly-attainable credibility above
-    it (full support when none exists).  The final row, at the smallest eta,
-    is the finite proxy for the limit: once eta falls below the smallest
-    marginal prior weight the cap is inactive and the capped region equals
-    the belief-ratio region outright.
+    ``next_gamma`` is the next exactly-attainable credibility above the
+    requested gamma (one when none exists).  The final row, at the smallest
+    eta, is the finite proxy for the limit: once eta falls below the
+    smallest marginal prior weight the cap is inactive and the capped region
+    equals the belief-ratio region outright.
     """
 
     gamma: float
-    rs: CredibleRegion
     next_gamma: float
-    next_region: CredibleRegion
-    rows: tuple[EtaSweepRow, ...] = field(default_factory=tuple)
-
-    @property
-    def final_contains_rs(self) -> bool:
-        return self.rows[-1].contains_rs
-
-    @property
-    def final_within_next(self) -> bool:
-        return self.rows[-1].within_next
+    rows: tuple[EtaSweepRow, ...]
 
     @property
     def final_equals_rs(self) -> bool:
@@ -186,13 +175,11 @@ def eta_sweep(tables: BeliefTables, gamma: float, etas) -> EtaSweepReport:
     belief-ratio region at the next exactly-attainable credibility.
     """
     etas = _check_schedule(etas, "eta")
-    rs = rs_region(tables, gamma)
+    rs_set = set(rs_region(tables, gamma).members)
     levels = attainable_gammas(tables, "rs")
     above = levels[levels > gamma + GAMMA_TOL]
     next_gamma = float(above[0]) if above.size else 1.0
-    next_region = rs_region(tables, next_gamma)
-    rs_set = set(rs.members)
-    next_set = set(next_region.members)
+    next_set = set(rs_region(tables, next_gamma).members)
 
     rows = []
     for eta in etas:
@@ -207,10 +194,4 @@ def eta_sweep(tables: BeliefTables, gamma: float, etas) -> EtaSweepReport:
                 equals_rs=got == rs_set,
             )
         )
-    return EtaSweepReport(
-        gamma=float(gamma),
-        rs=rs,
-        next_gamma=next_gamma,
-        next_region=next_region,
-        rows=tuple(rows),
-    )
+    return EtaSweepReport(gamma=float(gamma), next_gamma=next_gamma, rows=tuple(rows))

@@ -37,19 +37,16 @@ from .losses import RiskReport
 BLOCK = 65536  # fixed logical block size; independent of worker count
 _CHUNK = 16384  # rows per chunk of a block; bounds the block's working set
 
-METHODS = ("map", "lrse")
+METHODS = ("map", "lrse")  # every scenario computes both
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation scenario.
 
-    ``couple_training`` selects the law of the training sample given the
-    conditioned class: when False (default) the mixing rate and training
-    labels are drawn from the prior independently of the class, which is the
-    protocol reproducing the published risk table; when True the rate is
-    drawn from its exact conditional given the class (the prior updated by
-    one pseudo-observation).
+    The mixing rate and training labels are drawn from the prior
+    independently of the conditioned class, the protocol that reproduces the
+    published risk table.
     """
 
     alpha: float = 1.0
@@ -58,8 +55,6 @@ class SimConfig:
     n: int = 10
     reps: int = 1_000_000
     seed: int = 0
-    methods: tuple[str, ...] = METHODS
-    couple_training: bool = False
     threads: int = 1
 
     def __post_init__(self):
@@ -84,13 +79,15 @@ class SimConfig:
             raise InvariantViolation("Beta parameters must be positive")
         if self.n < 0:
             raise InvariantViolation("training sample size cannot be negative")
-        if any(m not in METHODS for m in self.methods):
-            raise InvariantViolation(f"methods must be among {METHODS}")
 
 
 def _cell_key(cfg: SimConfig, c: int) -> list[int]:
-    """Stable 128-bit stream key for one (scenario, class) cell."""
-    tag = f"{cfg.seed}|{cfg.alpha!r}|{cfg.beta!r}|{cfg.mu!r}|{cfg.n}|{int(cfg.couple_training)}|{c}"
+    """Stable 128-bit stream key for one (scenario, class) cell.
+
+    The tag's text is fixed, its constant ``0`` field included: changing any
+    character moves every draw.
+    """
+    tag = f"{cfg.seed}|{cfg.alpha!r}|{cfg.beta!r}|{cfg.mu!r}|{cfg.n}|0|{c}"
     digest = hashlib.sha256(tag.encode()).digest()
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
 
@@ -126,11 +123,6 @@ def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float)
         return rng.multinomial(rows, pmf / pmf.sum())
 
 
-def _training_law(alpha: float, beta: float, c: int, couple_training: bool):
-    """Beta parameters of the mixing rate given the conditioned class ``c``."""
-    return (alpha + c, beta + 1 - c) if couple_training else (alpha, beta)
-
-
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
     """Exact integer error counts of one block of replications.
 
@@ -145,12 +137,12 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
     """
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
     rng = Generator(Philox(stream))
-    a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
-    edges = np.concatenate(([0], np.cumsum(_draw_training_counts(rng, rows, cfg.n, a, b))))
+    counts = _draw_training_counts(rng, rows, cfg.n, cfg.alpha, cfg.beta)
+    edges = np.concatenate(([0], np.cumsum(counts)))
     ks = np.arange(cfg.n + 1)
-    stats = {m: decision_statistic(m, cfg.alpha, cfg.beta, cfg.n, ks) for m in cfg.methods}
+    stats = {m: decision_statistic(m, cfg.alpha, cfg.beta, cfg.n, ks) for m in METHODS}
 
-    hits = dict.fromkeys(cfg.methods, 0)  # rows that predict class 1
+    hits = dict.fromkeys(METHODS, 0)  # rows that predict class 1
     for lo in range(0, rows, _CHUNK):
         hi = min(lo + _CHUNK, rows)
         x = c * cfg.mu + rng.standard_normal(hi - lo)
@@ -162,7 +154,7 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
 
 
 def exact_conditional_risk(
-    alpha: float, beta: float, mu: float, n: int, method: str, couple_training: bool = False
+    alpha: float, beta: float, mu: float, n: int, method: str
 ) -> tuple[float, float]:
     """Exact conditional misclassification risks ``(M0, M1)`` of one method.
 
@@ -175,8 +167,9 @@ def exact_conditional_risk(
     Each risk is the beta-binomial mixture over ``k`` of these error
     probabilities.
     """
-    SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, methods=(method,))  # validates the scenario
+    SimConfig(alpha=alpha, beta=beta, mu=mu, n=n)  # validates the scenario
     stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
+    pmf = beta_binomial_pmf(n, alpha, beta)
     risks = []
     for c in (0, 1):
         if mu == 0.0:
@@ -187,7 +180,6 @@ def exact_conditional_risk(
             margin = ((0.5 - c) * mu * mu - np.log(stat)) / (abs(mu) * math.sqrt(2.0))
             sign = 1.0 if c == 0 else -1.0
             errors = [0.5 * math.erfc(sign * m) for m in margin]
-        pmf = beta_binomial_pmf(n, *_training_law(alpha, beta, c, couple_training))
         risks.append(math.fsum(pmf * errors))
     return risks[0], risks[1]
 
@@ -195,7 +187,7 @@ def exact_conditional_risk(
 def _cell_error_counts(cfg: SimConfig, c: int) -> dict[str, int]:
     n_blocks = (cfg.reps + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, cfg.reps - i * BLOCK) for i in range(n_blocks)]
-    totals = {m: 0 for m in cfg.methods}
+    totals = dict.fromkeys(METHODS, 0)
     if cfg.threads > 1 and n_blocks > 1:
         # Imported here: only a multi-threaded run pays for concurrent.futures.
         from concurrent.futures import ThreadPoolExecutor
@@ -228,16 +220,16 @@ def conditional_risk_mc(cfg: SimConfig) -> dict[str, RiskReport]:
     predictive class weights, and the prior risk under the prediction loss
     equals the plain sum of the two conditional errors.
     """
-    per_class_counts = {m: [] for m in cfg.methods}
+    per_class_counts = {m: [] for m in METHODS}
     for c in (0, 1):
         counts = _cell_error_counts(cfg, c)
-        for m in cfg.methods:
+        for m in METHODS:
             per_class_counts[m].append(counts[m])
 
     q1 = cfg.alpha / (cfg.alpha + cfg.beta)
     class_prior = np.array([1.0 - q1, q1])
     out = {}
-    for m in cfg.methods:
+    for m in METHODS:
         errs = np.array(per_class_counts[m], dtype=float) / cfg.reps
         ses = np.array([_smoothed_se(k, cfg.reps) for k in per_class_counts[m]])
         out[m] = RiskReport(
@@ -273,7 +265,6 @@ def risk_table(
     alpha: float = 1.0,
     betas=(1.0, 14.0, 32.0, 100.0),
     threads: int = 1,
-    couple_training: bool = False,
 ) -> list[RiskTableRow]:
     """Conditional misclassification risks across a grid of Beta parameters.
 
@@ -284,23 +275,12 @@ def risk_table(
     """
     rows = []
     for beta in betas:
-        cfg = SimConfig(
-            alpha=alpha,
-            beta=beta,
-            mu=mu,
-            n=n,
-            reps=reps,
-            seed=seed,
-            threads=threads,
-            couple_training=couple_training,
-        )
+        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, reps=reps, seed=seed, threads=threads)
         reports = conditional_risk_mc(cfg)
-        for method in cfg.methods:
+        for method in METHODS:
             rep = reports[method]
             se = float(np.sqrt(np.sum(rep.std_err**2)))
-            exact = exact_conditional_risk(
-                cfg.alpha, cfg.beta, cfg.mu, cfg.n, method, cfg.couple_training
-            )
+            exact = exact_conditional_risk(cfg.alpha, cfg.beta, cfg.mu, cfg.n, method)
             z = (rep.per_class_error - exact) / rep.std_err
             rows.append(
                 RiskTableRow(

@@ -333,10 +333,3 @@ class TestRegionRefinement:
         for row in rows:
             assert row.rs_distance == 0.0
             assert all(d == 0.0 for _, d in row.capped_distances)
-
-    def test_reference_equal_to_test_gives_zero(self):
-        tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
-        rows = region_refinement(
-            tb.continuous_model(), 1.0, 0.9, [0.1], [0.0001], ref_lambda=0.1
-        )
-        assert rows[0].rs_distance == 0.0

@@ -564,6 +564,10 @@ class TestCli:
           "--w", "1,1"], "'x'"),
         (["predict", "--kind", "regression", "--design", "1,2;3", "--y", "1,2",
           "--w", "1,1"], "'1,2;3'"),
+        # A later --x overrides the model's "--x 0"; the file has no x labels.
+        (["estimate", "--x", "abc", "--estimator", "lrse"], "'abc'"),
+        (["estimate", "--x", "1.5", "--estimator", "lrse"], "'1.5'"),
+        (["region", "--x", "1e0", "--family", "rs", "--gamma", "0.5"], "'1e0'"),
     ])
     def test_malformed_number_exits_two(self, three_point_file, tmp_path, capsys, argv, bad):
         (tmp_path / "h.txt").write_text("1.0\noops\n2.0\n")

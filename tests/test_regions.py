@@ -214,7 +214,7 @@ class TestEtaSweep:
             tiny = float(tables.marg_prior.min()) / 2
             report = eta_sweep(tables, gamma, [tiny * 4, tiny])
             assert report.final_equals_rs
-            assert report.final_contains_rs and report.final_within_next
+            assert report.rows[-1].contains_rs and report.rows[-1].within_next
 
     def test_uniform_prior_any_eta_matches_hpd(self):
         tables = make_tables([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
@@ -229,7 +229,7 @@ class TestEtaSweep:
         tables = make_tables([0.01, 0.49, 0.50], [0.02, 0.49, 0.49])
         gamma = 0.02  # exactly attainable: the rb ranking puts p0 first
         report = eta_sweep(tables, gamma, [0.1, 0.005])
-        assert report.rs.members == (0,)
+        assert rs_region(tables, gamma).members == (0,)
         first, last = report.rows
         assert first.eta == 0.1 and not first.contains_rs
         assert last.eta == 0.005 and last.contains_rs and last.equals_rs
@@ -247,7 +247,7 @@ class TestEtaSweep:
         for gamma in picks:
             report = eta_sweep(tables, float(gamma), [1e-2, floor * 0.9])
             assert report.final_equals_rs
-            assert report.final_contains_rs and report.final_within_next
+            assert report.rows[-1].contains_rs and report.rows[-1].within_next
 
 
 class TestMinimalPriorSize:

@@ -25,13 +25,12 @@ from relbelief.simulate import (
     _cell_error_counts,
     _cell_key,
     _draw_training_counts,
-    _training_law,
     beta_binomial_pmf,
 )
 from conftest import fresh_python
 
 
-def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
+def enumerated_risks(alpha, beta, mu, n, method):
     """Independent exact oracle: enumerate the training class count.
 
     Conditionally on the true class, the count of class-1 training cases is
@@ -40,9 +39,8 @@ def enumerated_risks(alpha, beta, mu, n, method, couple_training=False):
     """
     out = {}
     for c in (0, 1):
-        a, b = (alpha + c, beta + 1 - c) if couple_training else (alpha, beta)
         k = np.arange(n + 1)
-        pmf = betabinom.pmf(k, n, a, b)
+        pmf = betabinom.pmf(k, n, alpha, beta)
         if method == "map":
             stat = (alpha + k) / (beta + n - k)
         else:
@@ -83,21 +81,19 @@ def rowwise_block_errors(cfg, c, block_index, rows):
     statistic.
     """
     rng = Generator(Philox(SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))))
-    a, b = _training_law(cfg.alpha, cfg.beta, c, cfg.couple_training)
-    k = np.repeat(np.arange(cfg.n + 1), _draw_training_counts(rng, rows, cfg.n, a, b))
+    per_k = _draw_training_counts(rng, rows, cfg.n, cfg.alpha, cfg.beta)
+    k = np.repeat(np.arange(cfg.n + 1), per_k)
     x = c * cfg.mu + rng.standard_normal(rows)
     f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
     return {m: int(np.count_nonzero(predicts_one(m, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
                                     != bool(c)))
-            for m in cfg.methods}
+            for m in METHODS}
 
 
 sampler_laws = dict(
     n=st.integers(0, 30),
     alpha=st.floats(0.05, 200.0),
     beta=st.floats(0.05, 200.0),
-    c=st.sampled_from((0, 1)),
-    couple_training=st.booleans(),
 )
 
 
@@ -106,15 +102,14 @@ class TestTrainingCountSampler:
 
     @settings(max_examples=60, deadline=None)
     @given(**sampler_laws, rows=st.integers(1, 5000))
-    def test_counts_stay_in_range(self, n, alpha, beta, c, couple_training, rows):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        per_k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, a, b)
+    def test_counts_stay_in_range(self, n, alpha, beta, rows):
+        per_k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, alpha, beta)
         assert per_k.shape == (n + 1,)  # one entry per count k = 0..n, no row outside them
         assert per_k.dtype.kind == "i" and per_k.min() >= 0
         assert per_k.sum() == rows  # every row gets exactly one count
         # The oracle stays in range at both ends of the uniforms.
         u = np.array([0.0, np.nextafter(1.0, 0.0)])
-        lo, hi = searchsorted_training_counts(u, n, a, b).tolist()
+        lo, hi = searchsorted_training_counts(u, n, alpha, beta).tolist()
         assert lo == 0 and 0 <= hi <= n
 
     def test_last_count_absorbs_cdf_rounding(self):
@@ -134,11 +129,10 @@ class TestTrainingCountSampler:
     # a run must not depend on which parameters Hypothesis happens to draw.
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**sampler_laws)
-    def test_frequencies_match_beta_binomial(self, n, alpha, beta, c, couple_training):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        rng = np.random.default_rng([n, c, int(couple_training)])
-        freq = _draw_training_counts(rng, self.DRAWS, n, a, b) / self.DRAWS
-        p = betabinom.pmf(np.arange(n + 1), n, a, b)
+    def test_frequencies_match_beta_binomial(self, n, alpha, beta):
+        rng = np.random.default_rng([n])
+        freq = _draw_training_counts(rng, self.DRAWS, n, alpha, beta) / self.DRAWS
+        p = betabinom.pmf(np.arange(n + 1), n, alpha, beta)
         # Five standard errors, plus one count of slack where p * DRAWS is tiny.
         bound = 5.0 * (np.sqrt(p * (1.0 - p) / self.DRAWS) + 1.0 / self.DRAWS)
         assert np.all(np.abs(freq - p) <= bound)
@@ -152,21 +146,20 @@ class TestTrainingCountSampler:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**sampler_laws)
-    def test_agrees_with_counting_oracle(self, n, alpha, beta, c, couple_training):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        rng = np.random.default_rng([n, c, int(couple_training), 1])
-        new = _draw_training_counts(rng, self.DRAWS, n, a, b)
-        old = np.bincount(counted_training_counts(rng.random((self.DRAWS, n + 1)), n, a, b),
-                          minlength=n + 1)
+    def test_agrees_with_counting_oracle(self, n, alpha, beta):
+        rng = np.random.default_rng([n, 1])
+        new = _draw_training_counts(rng, self.DRAWS, n, alpha, beta)
+        old = np.bincount(
+            counted_training_counts(rng.random((self.DRAWS, n + 1)), n, alpha, beta),
+            minlength=n + 1)
         self._assert_same_law(new, old)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(**sampler_laws)
-    def test_agrees_with_searchsorted_oracle(self, n, alpha, beta, c, couple_training):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        rng = np.random.default_rng([n, c, int(couple_training), 2])
-        new = _draw_training_counts(rng, self.DRAWS, n, a, b)
-        old = np.bincount(searchsorted_training_counts(rng.random(self.DRAWS), n, a, b),
+    def test_agrees_with_searchsorted_oracle(self, n, alpha, beta):
+        rng = np.random.default_rng([n, 2])
+        new = _draw_training_counts(rng, self.DRAWS, n, alpha, beta)
+        old = np.bincount(searchsorted_training_counts(rng.random(self.DRAWS), n, alpha, beta),
                           minlength=n + 1)
         self._assert_same_law(new, old)
 
@@ -187,11 +180,9 @@ class TestTrainingCountSampler:
 
     @settings(max_examples=60, deadline=None)
     @given(**sampler_laws, rows=st.integers(1, 5000), seed=st.integers(0, 2**32))
-    def test_accepted_pmf_draws_are_unchanged(self, n, alpha, beta, c, couple_training, rows,
-                                              seed):
-        a, b = _training_law(alpha, beta, c, couple_training)
-        want = Generator(Philox(seed)).multinomial(rows, beta_binomial_pmf(n, a, b))
-        got = _draw_training_counts(Generator(Philox(seed)), rows, n, a, b)
+    def test_accepted_pmf_draws_are_unchanged(self, n, alpha, beta, rows, seed):
+        want = Generator(Philox(seed)).multinomial(rows, beta_binomial_pmf(n, alpha, beta))
+        got = _draw_training_counts(Generator(Philox(seed)), rows, n, alpha, beta)
         assert got.tolist() == want.tolist()
 
 
@@ -203,7 +194,6 @@ OVERFULL = (10_000, 31.953975047133053, 59.18095764700197)
 block_rows = st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, BLOCK]),
                        st.integers(1, BLOCK))
 block_shifts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
-block_methods = st.sampled_from([("map",), ("lrse",), METHODS])
 
 
 class TestChunkedBlock:
@@ -211,23 +201,21 @@ class TestChunkedBlock:
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(0, 300), alpha=st.floats(0.05, 200.0), beta=st.floats(0.05, 200.0),
-           mu=block_shifts, c=st.sampled_from((0, 1)), couple_training=st.booleans(),
-           methods=block_methods, rows=block_rows, seed=st.integers(0, 2**32),
-           block_index=st.integers(0, 20))
-    def test_counts_equal_rowwise_oracle(self, n, alpha, beta, mu, c, couple_training, methods,
-                                         rows, seed, block_index):
-        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed, methods=methods,
-                        couple_training=couple_training)
+           mu=block_shifts, c=st.sampled_from((0, 1)), rows=block_rows,
+           seed=st.integers(0, 2**32), block_index=st.integers(0, 20))
+    def test_counts_equal_rowwise_oracle(self, n, alpha, beta, mu, c, rows, seed, block_index):
+        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed)
         got = _block_errors(cfg, c, block_index, rows)
         assert got == rowwise_block_errors(cfg, c, block_index, rows)
-        assert list(got) == list(methods)
+        assert list(got) == list(METHODS)
 
-    @pytest.mark.parametrize("couple_training", [False, True])
+    @pytest.mark.parametrize("overfull", [False, True])
     @pytest.mark.parametrize("c", [0, 1])
     @pytest.mark.parametrize("mu", [0.0, -0.7, 1.0])
-    def test_counts_equal_rowwise_oracle_at_ten_thousand(self, mu, c, couple_training):
-        cfg = SimConfig(alpha=1.0, beta=14.0, mu=mu, n=10_000, seed=99,
-                        couple_training=couple_training)
+    def test_counts_equal_rowwise_oracle_at_ten_thousand(self, mu, c, overfull):
+        # numpy rejects OVERFULL's pmf, so the block and the oracle draw it rescaled.
+        n, alpha, beta = OVERFULL if overfull else (10_000, 1.0, 14.0)
+        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=99)
         for rows in (_CHUNK + 1, BLOCK):
             assert _block_errors(cfg, c, 3, rows) == rowwise_block_errors(cfg, c, 3, rows)
 
@@ -256,11 +244,13 @@ class TestChunkedBlock:
 
     # Error counts of the row-wise block, recorded before the block ran in
     # chunks, so a change to the draws shows even if the oracle follows it.
+    # The second case was recorded while the key's ``0`` field still chose
+    # between two training laws, so it shows that the key kept its text.
     @pytest.mark.parametrize("kwargs,want", [
         (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345),
          [{"map": 514, "lrse": 56314}, {"map": 191843, "lrse": 74345}]),
-        (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7, couple_training=True),
-         [{"map": 2041, "lrse": 10285}, {"map": 29269, "lrse": 9292}]),
+        (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7),
+         [{"map": 3026, "lrse": 13240}, {"map": 48107, "lrse": 29235}]),
         (dict(beta=1.0, mu=0.0, n=0, reps=20_001, seed=2),
          [{"map": 20001, "lrse": 20001}, {"map": 0, "lrse": 0}]),
     ])
@@ -291,14 +281,19 @@ class TestScenarioTypes:
 
 
 class TestExactRisk:
-    @pytest.mark.parametrize("couple_training", [False, True])
+    @pytest.mark.parametrize("from_table", [False, True])
     @pytest.mark.parametrize("method", ["map", "lrse"])
     @pytest.mark.parametrize("mu", [1.0, 0.0, 2.5, 0.3])
     @pytest.mark.parametrize("alpha,beta,n", [(1.0, 1.0, 10), (1.0, 14.0, 10), (1.0, 100.0, 10),
                                               (0.05, 200.0, 30), (3.0, 0.5, 0), (200.0, 0.05, 1)])
-    def test_matches_enumeration(self, alpha, beta, n, mu, method, couple_training):
-        got = exact_conditional_risk(alpha, beta, mu, n, method, couple_training)
-        want = enumerated_risks(alpha, beta, mu, n, method, couple_training)
+    def test_matches_enumeration(self, alpha, beta, n, mu, method, from_table):
+        if from_table:  # the exact columns of a risk-table row
+            rows = risk_table(reps=1, seed=0, mu=mu, n=n, alpha=alpha, betas=(beta,))
+            (row,) = [r for r in rows if r.method == method]
+            got = (row.exact_m0, row.exact_m1)
+        else:
+            got = exact_conditional_risk(alpha, beta, mu, n, method)
+        want = enumerated_risks(alpha, beta, mu, n, method)
         assert got == pytest.approx(want, abs=1e-12, rel=0)
 
     @pytest.mark.parametrize("mu", [0.3, 1.0, 2.5])
@@ -387,17 +382,6 @@ class TestConditionalLawOracle:
             sq = kept**2
             se2 = sq.std(ddof=1) / np.sqrt(kept.size)
             assert abs(sq.mean() - target_second) <= 3 * se2
-
-    def test_tilted_mc_matches_tilted_enumeration(self):
-        cfg = SimConfig(alpha=1.0, beta=3.0, mu=1.0, n=6, reps=120_000, seed=5,
-                        couple_training=True)
-        reports = conditional_risk_mc(cfg)
-        for method in ("map", "lrse"):
-            m0, m1 = enumerated_risks(1.0, 3.0, 1.0, 6, method, couple_training=True)
-            got = reports[method].per_class_error
-            ses = reports[method].std_err
-            assert abs(got[0] - m0) <= 4 * ses[0]
-            assert abs(got[1] - m1) <= 4 * ses[1]
 
 
 class TestAgainstEnumeration:
