@@ -301,11 +301,3 @@ class NormalNormalTestbed:
 
     def psi_lrse(self, x: float) -> float:
         return float(x)
-
-    def psi_map(self, x: float) -> float:
-        t2, s2 = self.tau**2, self.sigma**2
-        return t2 * x / (t2 + s2)
-
-    def posterior_moments(self, x: float) -> tuple[float, float]:
-        t2, s2 = self.tau**2, self.sigma**2
-        return t2 * x / (t2 + s2), t2 * s2 / (t2 + s2)

@@ -114,7 +114,6 @@ def build_grid(
     if not 0 < lam <= (b - a) / 4:
         raise InvariantViolation("bin width must be positive and at most a quarter span")
     n_bins = int(round((b - a) / lam))
-    n_bins = max(n_bins, 4)
     eff_lam = (b - a) / n_bins
     edges = a + eff_lam * np.arange(n_bins + 1)
     reps = 0.5 * (edges[:-1] + edges[1:])
@@ -202,21 +201,16 @@ def check_peak_separation(tables: BeliefTables):
 # -- refinement experiments --------------------------------------------------
 
 
-class _Grids(dict):
+_GridMap = Callable[[float], tuple[BeliefTables, RegularGrid]]
+
+
+def _grids(cmodel: ContinuousModel1D, x) -> _GridMap:
     """Belief tables and grid of one problem per bin width, built on first use.
 
-    The refinement experiments of one run share this map, so each width is
+    The refinement experiments of one call share this map, so each width is
     discretized once however many experiments visit it.
     """
-
-    def __init__(self, cmodel: ContinuousModel1D, x):
-        super().__init__()
-        self.cmodel = cmodel
-        self.x = x
-
-    def __missing__(self, lam: float) -> tuple[BeliefTables, RegularGrid]:
-        self[lam] = built = grid_tables(self.cmodel, self.x, lam)
-        return built
+    return functools.cache(functools.partial(grid_tables, cmodel, x))
 
 
 @dataclass(frozen=True)
@@ -228,36 +222,32 @@ class RuleConvergenceRow:
     within_lambda: bool
 
 
-def _convergence_rows(
-    grids: _Grids, lambdas, target: float, *, capped: bool
-) -> list[RuleConvergenceRow]:
+def _rule_rows(
+    grids: _GridMap, lambdas, target: float
+) -> tuple[list[RuleConvergenceRow], list[RuleConvergenceRow]]:
+    """Capped-Bayes rows and grid-LRSE rows, in one pass over the widths."""
     lams = _check_schedule(lambdas, "lambda")
-    finest_tables, _ = grids[float(lams.min())]
-    check_peak_separation(finest_tables)
+    check_peak_separation(grids(float(lams.min()))[0])
 
-    rows = []
-    for lam in lams:
-        tables, grid = grids[float(lam)]
-        if capped:
-            lrse_bin = lrse(tables).psi_index
-            eta = eta_schedule(grid, lrse_bin)
-            loss = LossSpec.capped(eta)
-            chosen = bayes_rule(loss, tables).psi_index
-        else:
-            eta = None
-            chosen = lrse(tables).psi_index
+    def row(grid: RegularGrid, chosen: int, eta: float | None) -> RuleConvergenceRow:
         estimate = float(grid.representatives[chosen])
         error = abs(estimate - target)
-        rows.append(
-            RuleConvergenceRow(
-                lam=grid.lam,
-                eta=eta,
-                estimate=estimate,
-                error=error,
-                within_lambda=error <= grid.lam + 1e-12,
-            )
+        return RuleConvergenceRow(
+            lam=grid.lam,
+            eta=eta,
+            estimate=estimate,
+            error=error,
+            within_lambda=error <= grid.lam + 1e-12,
         )
-    return rows
+
+    capped_rows, lrse_rows = [], []
+    for lam in lams:
+        tables, grid = grids(float(lam))
+        lrse_bin = lrse(tables).psi_index
+        eta = eta_schedule(grid, lrse_bin)
+        capped_rows.append(row(grid, bayes_rule(LossSpec.capped(eta), tables).psi_index, eta))
+        lrse_rows.append(row(grid, lrse_bin, None))
+    return capped_rows, lrse_rows
 
 
 def capped_rule_refinement(
@@ -270,14 +260,14 @@ def capped_rule_refinement(
     continuous-problem target.  Under the separation hypothesis the error
     eventually drops below the bin width.
     """
-    return _convergence_rows(_Grids(cmodel, x), lambdas, target, capped=True)
+    return _rule_rows(_grids(cmodel, x), lambdas, target)[0]
 
 
 def grid_lrse_refinement(
     cmodel: ContinuousModel1D, x, lambdas, target: float
 ) -> list[RuleConvergenceRow]:
     """Discretized-problem LRSE along a refining grid schedule."""
-    return _convergence_rows(_Grids(cmodel, x), lambdas, target, capped=False)
+    return _rule_rows(_grids(cmodel, x), lambdas, target)[1]
 
 
 @dataclass(frozen=True)
@@ -287,25 +277,20 @@ class RegionConvergenceRow:
     capped_distances: tuple[tuple[float, float], ...]  # (eta, distance) pairs
 
 
-def _difference_mass(post: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Posterior mass of the symmetric difference of two boolean member masks."""
-    return math.fsum(post[a ^ b])
-
-
-def _region_rows(grids: _Grids, gamma: float, lambdas, etas) -> list[RegionConvergenceRow]:
+def _region_rows(grids: _GridMap, gamma: float, lambdas, etas) -> list[RegionConvergenceRow]:
     lams = _check_schedule(lambdas, "lambda")
     etas = _check_schedule(etas, "eta")
-    ref_tables, ref_grid = grids[float(lams.min()) / 4.0]
+    ref_tables, ref_grid = grids(float(lams.min()) / 4.0)
     ref_mask = np.isin(np.arange(ref_grid.n_bins), rs_region(ref_tables, gamma).members)
 
     def distance(owner: np.ndarray, region: CredibleRegion) -> float:
         # Reference posterior mass of the symmetric difference between the
         # reference region and the reference bins the region's members cover.
-        return _difference_mass(ref_tables.marg_post, ref_mask, np.isin(owner, region.members))
+        return math.fsum(ref_tables.marg_post[ref_mask ^ np.isin(owner, region.members)])
 
     rows = []
     for lam in lams:
-        tables, grid = grids[float(lam)]
+        tables, grid = grids(float(lam))
         owner = grid.bin_index_of(ref_grid.representatives)
         d_rs = distance(owner, rs_region(tables, gamma))
         capped = tuple(
@@ -329,7 +314,7 @@ def region_refinement(
     smallest tested width.  The distance is the reference posterior mass of
     the symmetric difference.
     """
-    return _region_rows(_Grids(cmodel, x), gamma, lambdas, etas)
+    return _region_rows(_grids(cmodel, x), gamma, lambdas, etas)
 
 
 def refinement_experiments(
@@ -341,9 +326,6 @@ def refinement_experiments(
     ``region_refinement`` return, in that order, with every bin width, the
     reference included, discretized once.
     """
-    grids = _Grids(cmodel, x)
-    return (
-        _convergence_rows(grids, lambdas, target, capped=True),
-        _convergence_rows(grids, lambdas, target, capped=False),
-        _region_rows(grids, gamma, lambdas, etas),
-    )
+    grids = _grids(cmodel, x)
+    capped_rows, lrse_rows = _rule_rows(grids, lambdas, target)
+    return capped_rows, lrse_rows, _region_rows(grids, gamma, lambdas, etas)

@@ -211,16 +211,26 @@ class FiniteModel:
         return self.likelihood.shape[1] if self.x_labels is None else len(self.x_labels)
 
     def x_index(self, x) -> int:
-        """Resolve an observed value to a sample-space column index."""
+        """Resolve an observed value to a sample-space column index.
+
+        Text is looked up among the labels when the model has them.  Any other
+        value must be an integer (not a bool) or, without labels, that
+        integer's decimal text, so ``1.9``, ``True``, ``"+1"`` and ``"01"``
+        are rejected rather than truncated or parsed.
+        """
         if self.x_labels is not None and isinstance(x, str):
             try:
                 return self.x_labels.index(x)
             except ValueError:
                 raise InvariantViolation(f"unknown sample-space label {x!r}") from None
-        try:
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
             idx = int(x)
-        except (TypeError, ValueError):
-            raise InvariantViolation(f"sample point {x!r} is not a sample-space index") from None
+        # Text longer than n_x's is out of range, and int() never sees a long one.
+        elif (isinstance(x, str) and x.isascii() and x.isdigit()
+              and len(x) <= len(str(self.n_x)) and x == str(int(x))):
+            idx = int(x)
+        else:
+            raise InvariantViolation(f"sample point {x!r} is not a sample-space index")
         if not 0 <= idx < self.n_x:
             raise InvariantViolation(f"sample-space index {idx} out of range")
         return idx

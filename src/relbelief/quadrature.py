@@ -20,7 +20,7 @@ from .errors import QuadratureFailure
 _ORDER = 10
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 
-DEFAULT_REL_TOL = 1e-10
+_REL_TOL = 1e-10  # relative error target, panel against bisected panels
 _ABS_FLOOR = 1e-300  # guards the relative test when the integral underflows
 # Intervals refined per integrand call.  Bounds the memory of a pass, and
 # keeps an integrand that never converges (noise) from doubling its live
@@ -50,17 +50,11 @@ def _require_finite(panels: np.ndarray, live: np.ndarray, lo, hi) -> None:
         raise QuadratureFailure(f"non-finite integrand on [{lo[i]}, {hi[i]}]")
 
 
-def integrate_bins(
-    f,
-    edges,
-    rel_tol: float = DEFAULT_REL_TOL,
-    *,
-    max_depth: int = 48,
-) -> np.ndarray:
+def integrate_bins(f, edges, *, max_depth: int = 48) -> np.ndarray:
     """Integrate ``f`` over each bin ``[edges[i], edges[i + 1]]``.
 
     Each bin keeps its own error control: an interval is accepted when its
-    two half panels sum to within ``rel_tol`` (relative) of its whole panel,
+    two half panels sum to within 1e-10 (relative) of its whole panel,
     and is bisected otherwise.  A stacked integrand's columns are judged
     apart: a column stops at the interval where its own test passes and
     its later values there are ignored, so each column takes the same
@@ -76,8 +70,6 @@ def integrate_bins(
         values, or to a stacked ``(k, m)`` array of ``k`` columns.
     edges : array_like
         Strictly increasing bin edges.
-    rel_tol : float
-        Relative error target, judged panel against bisected panels.
     max_depth : int
         Bisection depth limit before giving up.
 
@@ -121,7 +113,7 @@ def integrate_bins(
         _require_finite(halves, np.hstack([live, live]), halves_lo, halves_hi)
         left, right = np.hsplit(halves, 2)
         refined = left + right
-        passed = np.abs(refined - whole) <= rel_tol * np.abs(refined) + _ABS_FLOOR
+        passed = np.abs(refined - whole) <= _REL_TOL * np.abs(refined) + _ABS_FLOOR
         done = live & passed
         for column, accepted in enumerate(done):
             totals[column] += np.bincount(

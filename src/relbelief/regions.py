@@ -146,7 +146,6 @@ class EtaSweepReport:
     equals the belief-ratio region outright.
     """
 
-    gamma: float
     next_gamma: float
     rows: tuple[EtaSweepRow, ...]
 
@@ -194,4 +193,4 @@ def eta_sweep(tables: BeliefTables, gamma: float, etas) -> EtaSweepReport:
                 equals_rs=got == rs_set,
             )
         )
-    return EtaSweepReport(gamma=float(gamma), next_gamma=next_gamma, rows=tuple(rows))
+    return EtaSweepReport(next_gamma=next_gamma, rows=tuple(rows))

@@ -5,6 +5,9 @@
 multiplies raw likelihoods, so a callback's log-likelihood is exponentiated
 here without the kernel's power-of-two scaling: far out in the tails it
 underflows and raises ``ZeroEvidence``, which the library no longer does.
+
+``normal_posterior`` is the conjugate normal posterior of the grid testbed,
+in closed form.
 """
 
 import numpy as np
@@ -47,3 +50,12 @@ def marginalize(posterior, model: FiniteModel) -> BeliefTables:
         psi_labels=model.psi_labels,
         psi_coords=model.psi_coords,
     )
+
+
+def normal_posterior(testbed, x: float) -> tuple[float, float]:
+    """Mean and variance of theta given x for an untruncated ``NormalNormalTestbed``.
+
+    The mean is also the posterior mode, the MAP estimate of theta.
+    """
+    t2, s2 = testbed.tau**2, testbed.sigma**2
+    return t2 * x / (t2 + s2), t2 * s2 / (t2 + s2)

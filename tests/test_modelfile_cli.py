@@ -568,6 +568,11 @@ class TestCli:
         (["estimate", "--x", "abc", "--estimator", "lrse"], "'abc'"),
         (["estimate", "--x", "1.5", "--estimator", "lrse"], "'1.5'"),
         (["region", "--x", "1e0", "--family", "rs", "--gamma", "0.5"], "'1e0'"),
+        # Each of these read as index 0 by int() before.
+        (["estimate", "--x", "+0", "--estimator", "lrse"], "'+0'"),
+        (["estimate", "--x", " 0", "--estimator", "lrse"], "' 0'"),
+        (["estimate", "--x", "00", "--estimator", "lrse"], "'00'"),
+        (["region", "--x", "0_0", "--family", "rs", "--gamma", "0.5"], "'0_0'"),
     ])
     def test_malformed_number_exits_two(self, three_point_file, tmp_path, capsys, argv, bad):
         (tmp_path / "h.txt").write_text("1.0\noops\n2.0\n")
