@@ -13,6 +13,7 @@ from relbelief import (
     ContinuousModel1D,
     HypothesisViolated,
     InvariantViolation,
+    LossSpec,
     NormalNormalTestbed,
     QuadratureFailure,
     ZeroBinMass,
@@ -27,7 +28,7 @@ from relbelief.estimators import lrse, map_estimate
 from relbelief.cli import run
 from relbelief.discretize import check_peak_separation
 from relbelief.quadrature import integrate_bins
-from relbelief.regions import rs_region
+from relbelief.regions import lpl_region, rs_region
 from posterior_oracle import normal_posterior
 
 
@@ -325,6 +326,26 @@ class TestRegionRefinement:
         smallest_eta_final = rows[-1].capped_distances[-1][1]
         assert smallest_eta_final <= 0.01
         assert rows[-1].rs_distance <= rows[0].rs_distance
+
+    def test_distances_are_reference_mass_of_symmetric_difference(self):
+        tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
+        cm, gamma, lambdas, etas = tb.continuous_model(), 0.9, [0.2, 0.1], [0.01, 0.0001]
+        ref_tables, ref_grid = grid_tables(cm, 1.0, 0.1 / 4)
+        ref = set(rs_region(ref_tables, gamma).members)
+
+        def distance(grid, region):
+            owner = grid.bin_index_of(ref_grid.representatives)
+            covered = {i for i in range(ref_grid.n_bins) if owner[i] in region.members}
+            return math.fsum(ref_tables.marg_post[sorted(ref ^ covered)])
+
+        rows = region_refinement(cm, 1.0, gamma, lambdas, etas)
+        for row, lam in zip(rows, lambdas):
+            tables, grid = grid_tables(cm, 1.0, lam)
+            assert row.rs_distance == distance(grid, rs_region(tables, gamma))
+            assert row.capped_distances == tuple(
+                (eta, distance(grid, lpl_region(LossSpec.capped(eta), tables, gamma)))
+                for eta in etas
+            )
 
     def test_full_credibility_distance_zero(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)

@@ -1,7 +1,5 @@
 """Region construction, tail probabilities, sweeps, and brute-force checks."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +18,7 @@ from relbelief import (
     rs_region,
     tail_probability,
 )
+from relbelief.discretize import RegularGrid, _region_rows
 from relbelief.estimators import TIE_RTOL, lrse
 from relbelief.regions import CredibleRegion
 from region_oracle import TooLargeForBruteForce, minimal_prior_size_check
@@ -180,29 +179,54 @@ class TestLplRegion:
 
 
 class TestRegionDistance:
-    """The posterior mass between two regions, as the refinement experiments measure it."""
+    """The posterior mass between two regions, as the refinement experiments measure it.
 
-    @staticmethod
-    def distance(a, b, tables):
-        # The set form of what the experiments compute on boolean member masks.
-        return math.fsum(tables.marg_post[sorted(set(a.members) ^ set(b.members))])
+    ``_region_rows`` is driven by a stub grid map: the reference grid and the
+    tested grid share one three-bin partition, so reference bin ``i`` lies in
+    tested bin ``i`` and the tested tables alone decide the region compared.
+    """
+
+    PARTITION = RegularGrid(
+        lam=1.0,
+        edges=np.array([0.0, 1.0, 2.0, 3.0]),
+        representatives=np.array([0.5, 1.5, 2.5]),
+        bin_prior=np.full(3, 1 / 3),
+    )
+
+    def row(self, ref_tables, tables, gamma):
+        # Width 1.0 is tested against the reference width 1.0 / 4.
+        grids = {0.25: (ref_tables, self.PARTITION), 1.0: (tables, self.PARTITION)}
+        (row,) = _region_rows(grids.__getitem__, gamma, [1.0], [0.5, 0.01])
+        return row
+
+    def assert_distance(self, row, expected):
+        assert row.rs_distance == pytest.approx(expected, abs=1e-15)
+        # A uniform prior makes every capped region the belief-ratio region.
+        assert [eta for eta, _ in row.capped_distances] == [0.5, 0.01]
+        for _, d in row.capped_distances:
+            assert d == pytest.approx(expected, abs=1e-15)
 
     def test_identical_regions_at_zero(self):
-        tables = make_tables([0.25] * 4, [0.4, 0.3, 0.2, 0.1])
-        a = rs_region(tables, 0.6)
-        assert self.distance(a, a, tables) == 0.0
+        tables = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
+        row = self.row(tables, tables, 0.75)
+        assert row.lam == 1.0
+        self.assert_distance(row, 0.0)
 
     def test_overlapping_sets(self):
-        tables = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
-        a = CredibleRegion(gamma=0.0, members=(0, 1), threshold=0.0, attained_mass=0.8)
-        b = CredibleRegion(gamma=0.0, members=(1, 2), threshold=0.0, attained_mass=0.5)
-        assert self.distance(a, b, tables) == pytest.approx(0.7)
+        # Reference region {0, 1}, tested region {1, 2}: the mass of bins 0 and 2.
+        ref = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
+        tested = make_tables([1 / 3] * 3, [0.1, 0.5, 0.4])
+        assert rs_region(ref, 0.75).members == (0, 1)
+        assert rs_region(tested, 0.75).members == (1, 2)
+        self.assert_distance(self.row(ref, tested, 0.75), 0.7)
 
     def test_subset_distance_is_complement_mass(self):
-        tables = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
-        a = CredibleRegion(gamma=0.0, members=(0,), threshold=0.0, attained_mass=0.5)
-        b = CredibleRegion(gamma=0.0, members=(0, 1, 2), threshold=0.0, attained_mass=1.0)
-        assert self.distance(a, b, tables) == pytest.approx(0.5)
+        # Reference region {0}, tested region the whole support (all tied).
+        ref = make_tables([1 / 3] * 3, [0.5, 0.3, 0.2])
+        tested = make_tables([1 / 3] * 3, [1 / 3] * 3)
+        assert rs_region(ref, 0.45).members == (0,)
+        assert rs_region(tested, 0.45).members == (0, 1, 2)
+        self.assert_distance(self.row(ref, tested, 0.45), 0.5)
 
 
 class TestEtaSweep:
