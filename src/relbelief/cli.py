@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,7 @@ from .losses import parse_loss, parse_number
 from .model import belief_tables
 from .modelfile import load_model
 from .regions import eta_sweep, hpd_region, lpl_region, rs_region
-from .reporting import RunManifest, write_report
+from .reporting import write_report
 
 
 def _float_list(text: str) -> list[float]:
@@ -310,27 +312,32 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        subcommand=args.subcommand,
-        config={k: v for k, v in vars(args).items() if k != "subcommand"},
-        seed=args.seed,
-        version=__version__,
-    )
+    started = time.perf_counter()
+    manifest = {
+        "subcommand": args.subcommand,
+        "config": {k: v for k, v in vars(args).items() if k != "subcommand"},
+        "seed": args.seed,
+        "version": __version__,
+        "artifacts": [],
+        "status": "running",
+        "error": None,
+        "wall_time_s": None,
+    }
     try:
-        artifacts = _RUNNERS[args.subcommand](args, outdir)
-        manifest.add_artifacts(artifacts)
-        manifest.finish("ok")
+        manifest["artifacts"] = [str(p) for p in _RUNNERS[args.subcommand](args, outdir)]
+        manifest["status"] = "ok"
         return 0
     except _VALIDATION_ERRORS as exc:
-        manifest.finish("validation-error", str(exc))
+        manifest.update(status="validation-error", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RelBeliefError, OSError, ValueError) as exc:
-        manifest.finish("error", str(exc))
+        manifest.update(status="error", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        manifest.write(outdir)
+        manifest["wall_time_s"] = time.perf_counter() - started
+        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
 
 
 def main() -> None:

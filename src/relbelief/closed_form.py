@@ -83,18 +83,16 @@ def classify(model: BinomialClassifier, x: int, method: str) -> EstimateResult:
     )
 
 
-def classifier_risks(
-    model: BinomialClassifier, method: str, loss: LossSpec | None = None
-) -> RiskReport:
+def classifier_risks(model: BinomialClassifier, method: str) -> RiskReport:
     """Exact per-class misclassification probabilities of a decision method.
 
     The rule is tabulated from the closed-form decisions and evaluated by
-    exact enumeration over the two-point sample space.  The default loss is
-    the prior-based one, under which the prior risk equals the plain sum of
-    the two conditional error probabilities.
+    exact enumeration over the two-point sample space under the prior-based
+    loss, whose prior risk equals the plain sum of the two conditional error
+    probabilities.
     """
     rule = [classify(model, x, method).psi_index for x in (0, 1)]
-    return prior_risk(loss or LossSpec.prior_based(), rule, model.to_finite_model())
+    return prior_risk(LossSpec.prior_based(), rule, model.to_finite_model())
 
 
 # -- conjugate Gaussian linear regression ------------------------------------
@@ -121,6 +119,10 @@ class GaussianRegression:
         w = np.asarray(self.w, dtype=float).reshape(-1)
         if X.shape[0] != y.size or X.shape[1] != w.size:
             raise InvariantViolation("X, y, w dimensions are inconsistent")
+        for name, value in (("X", X), ("y", y), ("w", w), ("sigma2", self.sigma2),
+                            ("tau2", self.tau2)):
+            if not np.all(np.isfinite(value)):
+                raise InvariantViolation(f"{name} contains non-finite entries")
         if not (self.sigma2 > 0 and self.tau2 > 0):
             raise InvariantViolation("variances must be positive")
         if np.linalg.matrix_rank(X) < X.shape[1]:
@@ -199,8 +201,14 @@ def regression_predict(model: GaussianRegression) -> RegressionPrediction:
 
 
 def gaussian_likelihood_ratio(mu: float, x_next: float) -> float:
-    """Density ratio of N(mu, 1) to N(0, 1) at the new observation."""
-    return math.exp(mu * x_next - mu * mu / 2.0)
+    """Density ratio of N(mu, 1) to N(0, 1) at the new observation.
+
+    A ratio too large for a float reads ``inf``, as one too small reads 0.
+    """
+    try:
+        return math.exp(mu * x_next - mu * mu / 2.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -220,12 +228,14 @@ class BetaBernoulliPredictor:
     f_ratio: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InvariantViolation("alpha and beta must be finite")
         if not (self.alpha > 0 and self.beta > 0):
             raise InvariantViolation("Beta parameters must be positive")
         if self.n < 0 or not 0.0 <= self.cbar <= 1.0:
             raise InvariantViolation("need n >= 0 and class mean in [0, 1]")
-        if not self.f_ratio > 0:
-            raise InvariantViolation("likelihood ratio must be positive")
+        if not self.f_ratio >= 0:
+            raise InvariantViolation("likelihood ratio must lie in [0, inf]")
 
 
 def decision_statistic(method: str, alpha: float, beta: float, n: int, k):

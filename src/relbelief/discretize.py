@@ -107,8 +107,9 @@ def build_grid(
         regular).
     InvariantViolation
         If the interval's prior mass is more than ``TRUNCATION_TOL`` from
-        one, or the log-likelihood is ``-inf`` at every node of the first
-        pass (the observed data are impossible on the support).
+        one, or the log-likelihood is NaN at some node of the first pass
+        (``x`` is not a number, say) or ``-inf`` at every node of it (the
+        observed data are impossible on the support).
     """
     a, b = cmodel.support
     if not 0 < lam <= (b - a) / 4:
@@ -126,6 +127,8 @@ def build_grid(
         log_lik = np.asarray(cmodel.likelihood(t, x), dtype=float)
         if shift is None:
             shift = np.max(log_lik)
+            if np.isnan(shift):
+                raise InvariantViolation(f"observation {x!r} gives a NaN log-likelihood")
             if shift == -np.inf:
                 raise InvariantViolation("observed data has zero evidence on the support")
         return np.stack([p, p * np.exp(log_lik - shift)])

@@ -121,8 +121,10 @@ class FiniteModel:
     psi_labels : tuple of str
         Labels for the marginal parameter support.
     theta_coords, psi_coords : numpy.ndarray, optional
-        Real coordinates for the supports; required only by geometry-aware
-        operations (ball losses, refinement experiments).
+        Real coordinates for the supports.  ``psi_coords`` is required only
+        by geometry-aware operations (ball losses, refinement experiments);
+        ``theta_coords`` is kept so a model file's coordinates survive the
+        ``load_model``/``save_model`` round trip.
     x_labels : tuple of str, optional
         Labels for the sample-space columns; required by a finite log source.
     family_spec : dict, optional

@@ -1,4 +1,4 @@
-"""CSV reports with mirrored JSON documents, and run manifests.
+"""CSV reports with mirrored JSON documents.
 
 CSV is the canonical report format: a header row, '.' decimal separator,
 12 significant digits.  Every report is also mirrored as a JSON document
@@ -8,8 +8,6 @@ with the same columns and rows for programmatic use.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -44,41 +42,3 @@ def write_report(base: str | Path, columns: list[str], rows: list[list]) -> list
     }
     json_path.write_text(json.dumps(mirror, indent=2) + "\n")
     return [csv_path, json_path]
-
-
-@dataclass
-class RunManifest:
-    """Record of one command-line run; written even when the run fails."""
-
-    subcommand: str
-    config: dict
-    seed: int | None
-    version: str
-    artifacts: list[str] = field(default_factory=list)
-    status: str = "running"
-    error: str | None = None
-    wall_time_s: float | None = None
-    _started: float = field(default_factory=time.perf_counter, repr=False)
-
-    def add_artifacts(self, paths) -> None:
-        self.artifacts.extend(str(p) for p in paths)
-
-    def finish(self, status: str, error: str | None = None) -> None:
-        self.status = status
-        self.error = error
-        self.wall_time_s = time.perf_counter() - self._started
-
-    def write(self, directory: str | Path) -> Path:
-        path = Path(directory) / "manifest.json"
-        doc = {
-            "subcommand": self.subcommand,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "artifacts": self.artifacts,
-            "status": self.status,
-            "error": self.error,
-            "wall_time_s": self.wall_time_s,
-        }
-        path.write_text(json.dumps(doc, indent=2, default=str) + "\n")
-        return path

@@ -273,6 +273,8 @@ def risk_table(
     :func:`exact_conditional_risk`, and each estimate's z-score against its
     exact value in units of its own (smoothed) standard error.
     """
+    if len(betas) == 0:
+        raise InvariantViolation("the risk table needs at least one beta")
     rows = []
     for beta in betas:
         cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, reps=reps, seed=seed, threads=threads)

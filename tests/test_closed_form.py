@@ -114,6 +114,21 @@ class TestRegressionEstimates:
                 sigma2=1.0, tau2=1.0,
             )
 
+    @pytest.mark.parametrize("field,bad", [
+        ("X", [[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]),
+        ("y", [np.nan, 2.0, 3.0]),
+        ("w", [np.nan, 1.0]),
+        ("sigma2", np.inf),
+        ("tau2", np.inf),
+        ("tau2", np.nan),
+    ])
+    def test_non_finite_input_is_named(self, field, bad):
+        kwargs = dict(X=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], y=[1.0, 2.0, 3.0],
+                      w=[1.0, 1.0], sigma2=1.0, tau2=1.0)
+        kwargs[field] = bad
+        with pytest.raises(InvariantViolation, match=f"^{field} contains non-finite"):
+            GaussianRegression(**kwargs)
+
     def test_posterior_variance_always_shrinks(self):
         rng = np.random.default_rng(23)
         for _ in range(30):
@@ -256,6 +271,24 @@ class TestClassPrediction:
     def test_gaussian_ratio_helper(self):
         assert gaussian_likelihood_ratio(1.0, 0.5) == pytest.approx(1.0)
         assert gaussian_likelihood_ratio(0.0, 3.2) == 1.0
+
+    @pytest.mark.parametrize("method", ["map", "lrse"])
+    def test_far_observation_saturates_the_ratio(self, method):
+        far, near = gaussian_likelihood_ratio(1.0, 1000.0), gaussian_likelihood_ratio(1.0, -1000.0)
+        assert (far, near) == (np.inf, 0.0)
+        for f_ratio, expected in ((far, 1), (near, 0)):
+            model = BetaBernoulliPredictor(alpha=1.0, beta=14.0, n=5, cbar=0.2, f_ratio=f_ratio)
+            assert predict_class(model, method) == expected
+        for f_ratio in (np.nan, -1.0, -np.inf):
+            with pytest.raises(InvariantViolation, match="likelihood ratio"):
+                BetaBernoulliPredictor(alpha=1.0, beta=14.0, n=5, cbar=0.2, f_ratio=f_ratio)
+
+    @pytest.mark.parametrize("field,bad", [("alpha", np.inf), ("beta", np.inf), ("alpha", np.nan)])
+    def test_non_finite_beta_parameters_rejected(self, field, bad):
+        kwargs = dict(alpha=1.0, beta=14.0, n=5, cbar=0.2, f_ratio=1.0)
+        kwargs[field] = bad
+        with pytest.raises(InvariantViolation, match="alpha and beta must be finite"):
+            BetaBernoulliPredictor(**kwargs)
 
 
 class TestNormalNormalTestbed:

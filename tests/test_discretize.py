@@ -240,6 +240,11 @@ class TestLogLikelihoodProtocol:
         with pytest.raises(InvariantViolation, match="zero evidence"):
             build_grid(cmodel, 0.0, 0.5)
 
+    def test_nan_observation_is_named(self):
+        cmodel = NormalNormalTestbed().continuous_model()
+        with pytest.raises(InvariantViolation, match="observation nan gives a NaN"):
+            build_grid(cmodel, math.nan, 0.5)
+
 
 # Smooth monotone maps g of theta, with the inverse and its derivative.
 MAPS = {

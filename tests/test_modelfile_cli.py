@@ -532,6 +532,56 @@ class TestCli:
         assert code == 0
         assert "z_lrse=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("x_next,expected", [("1000", "1"), ("-1000", "0")])
+    def test_predict_class_far_observation(self, tmp_path, capsys, x_next, expected):
+        out = tmp_path / "r"
+        code = run(
+            ["--output-dir", str(out), "predict", "--kind", "class", "--alpha", "1",
+             "--beta", "14", "--n", "5", "--cbar", "0.2", "--mu", "1", "--x-next", x_next]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.strip() == expected
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--y", "nan,2,3"], "y"),
+        (["--w", "nan,1"], "w"),
+        (["--sigma2", "inf"], "sigma2"),
+        (["--tau2", "inf"], "tau2"),
+        (["--design", "1,nan;0,1;1,1"], "X"),
+    ])
+    def test_predict_regression_rejects_non_finite_input(self, tmp_path, capsys, argv, field):
+        base = ["--design", "1,0;0,1;1,1", "--y", "1,2,3", "--w", "1,1"]
+        out = tmp_path / "r"
+        assert run(["--output-dir", str(out), "predict", "--kind", "regression",
+                    *base, *argv]) == 2
+        assert f"{field} contains non-finite" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
+
+    def test_predict_class_rejects_infinite_alpha(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["--output-dir", str(tmp_path / "r"), "predict", "--kind", "class",
+                        "--alpha", "inf", "--beta", "14", "--n", "5", "--cbar", "0.2",
+                        "--mu", "1", "--x-next", "1"])
+        assert code == 2
+        assert "alpha and beta must be finite" in capsys.readouterr().err
+
+    def test_converge_rejects_nan_observation(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run(["--output-dir", str(out), "converge", "--x", "nan",
+                    "--lambdas", "0.2,0.1"]) == 2
+        assert "observation nan" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
+
+    @pytest.mark.parametrize("betas", ["", ","])
+    def test_risk_table_rejects_empty_betas(self, tmp_path, capsys, betas):
+        out = tmp_path / "r"
+        assert run(["--output-dir", str(out), "risk-table", "--reps", "100",
+                    "--betas", betas]) == 2
+        assert "at least one beta" in capsys.readouterr().err
+        assert not (out / "risk_table.csv").exists()
+
     def test_risk_table_csv(self, tmp_path):
         out = tmp_path / "run"
         code = run(

@@ -453,6 +453,10 @@ class TestReproducibility:
             a["lrse"].per_class_error, b["lrse"].per_class_error
         )
 
+    def test_empty_beta_list_rejected(self):
+        with pytest.raises(InvariantViolation, match="at least one beta"):
+            risk_table(reps=100, seed=0, betas=())
+
     def test_single_replication_smoke(self):
         rows = risk_table(reps=1, seed=0, betas=(14.0,))
         for row in rows:
