@@ -10,6 +10,7 @@ Beta-Bernoulli class predictor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -125,11 +126,14 @@ class GaussianRegression:
                 raise InvariantViolation(f"{name} contains non-finite entries")
         if not (self.sigma2 > 0 and self.tau2 > 0):
             raise InvariantViolation("variances must be positive")
-        if np.linalg.matrix_rank(X) < X.shape[1]:
-            raise SingularDesign("design matrix must have full column rank")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "w", w)
+        if not np.any(w):
+            raise InvariantViolation("w must have a nonzero entry")
+        s = float(np.abs(X).max(initial=0.0)) or 1.0
+        U, S, Vt = np.linalg.svd(X / s, full_matrices=False)  # read by every estimate
+        if S.size < w.size or S[-1] <= S[0] * max(X.shape) * np.finfo(float).eps:
+            raise SingularDesign("design matrix must have full column rank")  # numpy's tolerance
+        for name, value in (("X", X), ("y", y), ("w", w), ("_svd", (s, U, S, Vt))):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -141,34 +145,36 @@ class RegressionEstimates:
     psi_post_var: float
 
 
+def _posterior(model: GaussianRegression) -> tuple[RegressionEstimates, float]:
+    """The estimates of ``psi = w' beta`` and the LRSE of a future response.
+
+    Direction ``i`` of ``c = V' w / t``, ``t = max |w_j|``, shrinks by ``S_i^2 /
+    (g^2 + S_i^2)`` with each square taken over ``max(g, S_i)^2``; an LRSE ``mean *
+    prior_var / gap`` sums the gap directly, relative to its largest shrinkage.
+    """
+    s, U, S, Vt = model._svd
+    t = float(np.abs(model.w).max())
+    c, u, ww = Vt @ (model.w / t), U.T @ model.y, float(np.sum((model.w / t) ** 2))
+    q = math.sqrt(model.sigma2) / math.sqrt(model.tau2)  # g * s; sigma2 / tau2 may overflow
+    m = np.maximum(q / s, S)
+    S2, g2 = (S / m) ** 2, np.minimum(q / s / S, 1.0) ** 2  # (g / m)^2, also at g = inf
+    rel = (S2 + g2 * (S / S[0]) ** 2) / (g2 + S2)  # shrinkage over the largest one
+    unit = float(c * u / S @ rel) / s / float(c * c @ rel)  # psi_lrse / (t * ww)
+    return RegressionEstimates(
+        mle=Vt.T @ (u / S) / s, psi_map=t * float(c * u * (S / m) / (s * m) @ (1 / (g2 + S2))),
+        psi_lrse=t * unit * ww, psi_prior_var=model.tau2 * ww * t * t,
+        psi_post_var=model.tau2 * float(c * c @ (g2 / (g2 + S2))) * t * t,
+    ), unit * (q / t * q + t * ww)
+
+
 def regression_estimates(model: GaussianRegression) -> RegressionEstimates:
     """Closed-form estimators and variances of the linear functional ``w' beta``.
 
-    The MAP estimate of the linear functional is its posterior mean; the
-    LRSE inflates it by ``1 / (1 - post_var / prior_var)``, which pushes it
-    toward the plug-in estimate from the least-squares fit and reaches it
-    exactly as the prior variance grows.
+    The MAP estimate of the linear functional is its posterior mean; the LRSE
+    inflates it by ``1 / (1 - post_var / prior_var)``, toward the least-squares
+    plug-in estimate, which it reaches exactly as the prior variance grows.
     """
-    X, y, w = model.X, model.y, model.w
-    xtx = X.T @ X
-    precision = np.eye(X.shape[1]) / model.tau2 + xtx / model.sigma2
-    sigma_post = np.linalg.inv(precision)
-    mle = np.linalg.solve(xtx, X.T @ y)
-    mu_post = sigma_post @ (xtx @ mle) / model.sigma2
-
-    prior_var = model.tau2 * float(w @ w)
-    post_var = float(w @ sigma_post @ w)
-    if not post_var < prior_var:
-        raise InvariantViolation("posterior variance must shrink below the prior variance")
-    mu_psi = float(w @ mu_post)
-    shrink = 1.0 - post_var / prior_var
-    return RegressionEstimates(
-        mle=mle,
-        psi_map=mu_psi,
-        psi_lrse=mu_psi / shrink,
-        psi_prior_var=prior_var,
-        psi_post_var=post_var,
-    )
+    return _posterior(model)[0]
 
 
 @dataclass(frozen=True)
@@ -182,22 +188,30 @@ def regression_predict(model: GaussianRegression) -> RegressionPrediction:
 
     The prediction target adds the observation noise to the linear
     functional, so its LRSE is the estimation LRSE scaled up by the ratio
-    of prior variances; the identity is asserted on every call.
+    of prior variances; it is asserted wherever both sides are normal floats.
     """
-    est = regression_estimates(model)
-    prior_var = model.sigma2 + est.psi_prior_var
-    post_var = model.sigma2 + est.psi_post_var
-    mu = est.psi_map
-    z_lrse = mu / (1.0 - post_var / prior_var)
-    scale = 1.0 + model.sigma2 / (model.tau2 * float(model.w @ model.w))
-    if est.psi_lrse != 0.0 and not math.isclose(
-        z_lrse, scale * est.psi_lrse, rel_tol=1e-10
-    ):
+    est, z_lrse = _posterior(model)
+    v, zv = est.psi_prior_var, z_lrse * est.psi_prior_var
+    if v >= sys.float_info.min and math.isfinite(zv) and not math.isclose(
+            zv, (model.sigma2 + v) * est.psi_lrse, rel_tol=1e-10):
         raise InvariantViolation("prediction and estimation LRSEs violate the scale identity")
-    return RegressionPrediction(z_map=mu, z_lrse=z_lrse)
+    return RegressionPrediction(z_map=est.psi_map, z_lrse=z_lrse)
 
 
 # -- Beta-Bernoulli class prediction ------------------------------------------
+
+_LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def gaussian_log_ratio(mu: float, x):
+    """Log density ratio of N(mu, 1) to N(0, 1) at ``x``, vectorized in ``x``.
+
+    Where ``mu * mu`` overflows, the factored form keeps the sign of the log
+    ratio, which then reads ``inf`` or ``-inf``.
+    """
+    if math.isinf(mu * mu):
+        return mu * (x - mu / 2.0)
+    return mu * x - mu * mu / 2.0
 
 
 def gaussian_likelihood_ratio(mu: float, x_next: float) -> float:
@@ -206,7 +220,7 @@ def gaussian_likelihood_ratio(mu: float, x_next: float) -> float:
     A ratio too large for a float reads ``inf``, as one too small reads 0.
     """
     try:
-        return math.exp(mu * x_next - mu * mu / 2.0)
+        return math.exp(gaussian_log_ratio(mu, x_next))
     except OverflowError:
         return math.inf
 
@@ -234,6 +248,9 @@ class BetaBernoulliPredictor:
             raise InvariantViolation("Beta parameters must be positive")
         if self.n < 0 or not 0.0 <= self.cbar <= 1.0:
             raise InvariantViolation("need n >= 0 and class mean in [0, 1]")
+        k = self.n * self.cbar  # the class-1 count, up to the rounding of cbar = k / n
+        if abs(k - round(k)) > 4 * math.ulp(self.n):
+            raise InvariantViolation(f"cbar must be a count over n, but n * cbar = {k!r}")
         if not self.f_ratio >= 0:
             raise InvariantViolation("likelihood ratio must lie in [0, inf]")
 
@@ -243,15 +260,28 @@ def decision_statistic(method: str, alpha: float, beta: float, n: int, k):
 
     ``k`` is the number of class-1 training cases.  The decision is class 1
     when ``f_ratio * statistic >= 1``.  The LRSE statistic carries the extra
-    ``beta / alpha`` factor that cancels the prior odds of the classes.
+    ``beta / alpha`` factor that cancels the prior odds of the classes.  The
+    statistic is a positive normal float, so its product with any ratio in
+    ``[0, inf]`` is a number.
     """
+    if method not in ("map", "lrse"):
+        raise InvariantViolation(f"unknown method {method!r}")
     k = np.asarray(k, dtype=float)
-    if method == "map":
-        return (alpha + k) / (beta + n - k)
-    if method == "lrse":
+    if 2.0**-20 <= min(alpha, beta) and max(alpha, beta) <= 2.0**20:
+        if method == "map":
+            return (alpha + k) / (beta + n - k)
         # single fraction, so exact-threshold inputs stay exact
         return (beta * (alpha + k)) / (alpha * (beta + n - k))
-    raise InvariantViolation(f"unknown method {method!r}")
+    # Farther out a product in the fraction can leave the float range, and
+    # beta + n - k can lose beta to rounding, so the ratio is summed in logs.
+    log_alpha, log_beta = math.log(alpha), math.log(beta)
+    with np.errstate(divide="ignore"):  # log 0 = -inf at k = 0 and k = n
+        log_k, log_rest = np.log(k), np.log(n - k)
+    if method == "map":
+        log_stat = np.logaddexp(log_alpha, log_k) - np.logaddexp(log_beta, log_rest)
+    else:  # log(1 + k / alpha) - log(1 + (n - k) / beta), with nothing cancelled
+        log_stat = np.logaddexp(0.0, log_k - log_alpha) - np.logaddexp(0.0, log_rest - log_beta)
+    return np.exp(np.clip(log_stat, *_LOG_NORMAL))
 
 
 def predicts_one(method: str, alpha: float, beta: float, n: int, k, f_ratio):

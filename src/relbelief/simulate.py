@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .closed_form import decision_statistic
+from .closed_form import decision_statistic, gaussian_log_ratio
 from .errors import InvariantViolation
 from .losses import RiskReport
 
@@ -98,11 +98,17 @@ def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     Built in log space from ``P(0) = B(a, n + b) / B(a, b)`` and the ratio
     ``P(k + 1) / P(k) = (n - k)(a + k) / ((k + 1)(b + n - k - 1))``, so no
     gamma function is evaluated at large arguments and nothing underflows
-    before the last step.
+    before the last step.  For ``a`` and ``b`` in ``[2**-20, 2**20]`` each
+    ratio is one fraction; farther out a product in it can leave the float
+    range, or ``b`` can round away in ``b + n``, so each factor's log is taken.
     """
     j = np.arange(n)
-    log_p0 = np.sum(np.log((b + j) / (a + b + j)))
-    steps = np.log((n - j) * (a + j) / ((j + 1) * (b + n - j - 1)))
+    if 2.0**-20 <= min(a, b) and max(a, b) <= 2.0**20:
+        log_p0 = np.sum(np.log((b + j) / (a + b + j)))
+        steps = np.log((n - j) * (a + j) / ((j + 1) * (b + n - j - 1)))
+    else:
+        log_p0 = np.sum(np.log(b + j) - np.log(a + b + j))
+        steps = np.log(n - j) + np.log(a + j) - np.log(j + 1) - np.log(b + (n - 1 - j))
     return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
 
 
@@ -146,7 +152,8 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
     for lo in range(0, rows, _CHUNK):
         hi = min(lo + _CHUNK, rows)
         x = c * cfg.mu + rng.standard_normal(hi - lo)
-        f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
+        with np.errstate(over="ignore"):  # a ratio past the float range reads inf
+            f_ratio = np.exp(gaussian_log_ratio(cfg.mu, x))
         rows_per_k = np.diff(np.clip(edges, lo, hi))
         for method, stat in stats.items():
             hits[method] += int(np.count_nonzero(f_ratio * np.repeat(stat, rows_per_k) >= 1.0))
@@ -177,7 +184,8 @@ def exact_conditional_risk(
         else:
             # Class 1 is predicted when Z >= sqrt(2) * m, which has probability
             # erfc(m) / 2; class 1 is missed with probability erfc(-m) / 2.
-            margin = ((0.5 - c) * mu * mu - np.log(stat)) / (abs(mu) * math.sqrt(2.0))
+            with np.errstate(over="ignore"):  # a margin past the floats reads +-inf
+                margin = ((0.5 - c) * mu * mu - np.log(stat)) / (abs(mu) * math.sqrt(2.0))
             sign = 1.0 if c == 0 else -1.0
             errors = [0.5 * math.erfc(sign * m) for m in margin]
         risks.append(math.fsum(pmf * errors))

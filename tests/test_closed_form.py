@@ -1,7 +1,12 @@
 """Closed-form families against the generic pipeline."""
 
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from relbelief import (
@@ -19,12 +24,13 @@ from relbelief import (
     regression_estimates,
     regression_predict,
 )
-from relbelief.closed_form import NormalNormalTestbed
+from relbelief.closed_form import NormalNormalTestbed, decision_statistic
 from relbelief.discretize import grid_tables
 from relbelief.estimators import lrse, map_estimate
 from relbelief.quadrature import integrate_bins
 from posterior_oracle import normal_posterior
 from predictive_oracle import predict_lrse, predictive_tables_for
+from regression_oracle import exact_regression
 
 
 class TestClassifier:
@@ -213,6 +219,114 @@ class TestRegressionPrediction:
         assert abs(grid.representatives[best.psi_index] - est.psi_lrse) <= grid.lam
 
 
+@st.composite
+def regression_problems(draw):
+    """A random design scaled by 10**-150 to 10**150, with data and variances.
+
+    Some designs have two near-collinear rows or columns, equal up to a
+    relative perturbation ``delta``.  A direction the data fix only to
+    ``delta`` costs any floating-point answer digits in proportion to a power
+    of ``1 / delta`` (4e-11 relative at 1e-3, 1e-9 at 1e-5, on 2,000 designs
+    each), so ``delta`` stays at or above 1e-3.
+    """
+    n = draw(st.integers(1, 6))
+    p = draw(st.integers(1, min(n, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p))
+    delta = 10.0 ** draw(st.floats(-3, -1))
+    collinear = draw(st.sampled_from(["none", "rows", "columns"]))
+    if collinear == "rows" and n >= 2:
+        X[1] = X[0] * rng.uniform(0.5, 2.0) + delta * rng.normal(size=p)
+    if collinear == "columns" and p >= 2:
+        X[:, -1] = X[:, 0] + delta * rng.normal(size=n)
+    X *= 10.0 ** draw(st.integers(-150, 150))
+    y = rng.normal(size=n) * 10.0 ** draw(st.integers(-5, 5))
+    return dict(X=X, y=y, w=rng.normal(size=p), sigma2=draw(st.floats(0.1, 10.0)),
+                tau2=draw(st.floats(0.1, 10.0)))
+
+
+def assert_matches_exact(got, exact, size):
+    """``got`` lies within ``1e-10 * size`` of the exact rational ``exact``."""
+    assert abs(Fraction(got) - exact) <= Fraction(1e-10) * size, (got, float(exact))
+
+
+class TestRegressionOracle:
+    """The one-SVD regression against exact rational arithmetic."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(problem=regression_problems())
+    def test_matches_the_rational_oracle(self, problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = GaussianRegression(**problem)
+            est, pred = regression_estimates(model), regression_predict(model)
+        exact = exact_regression(**problem)
+        # A mean summed from terms of mixed sign is judged against the size
+        # of those terms, so a cancelling sum is not asked for digits it lacks.
+        gap = exact["psi_prior_var"] - exact["psi_post_var"]
+        assert_matches_exact(est.psi_map, exact["psi_map"], exact["scale"])
+        assert_matches_exact(est.psi_post_var, exact["psi_post_var"], exact["psi_post_var"])
+        assert_matches_exact(est.psi_lrse, exact["psi_lrse"],
+                             exact["scale"] * exact["psi_prior_var"] / gap)
+        z_prior_var = Fraction(problem["sigma2"]) + exact["psi_prior_var"]
+        assert_matches_exact(pred.z_lrse, exact["z_lrse"], exact["scale"] * z_prior_var / gap)
+
+    @pytest.mark.parametrize("X,y,w", [
+        ([[1e160]], [1.0], [1.0]),
+        ([[1e-160]], [1.0], [1.0]),
+        ([[1.0, 1.0], [1.0, 1.000000001]], [1.0, 1.0], [1.0, 1.0]),
+        ([[1.0, 2.0], [3.0, -1.0], [1.0, 1.0]], [1.0, 2.0, 3.0], [1e-170, 2e-170]),
+        ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0], [1e200, 1.0]),
+    ])
+    def test_extreme_scales_answer_without_warnings(self, X, y, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = GaussianRegression(X=X, y=y, w=w, sigma2=1.0, tau2=1.0)
+            est, pred = regression_estimates(model), regression_predict(model)
+        exact = exact_regression(X, y, w, 1.0, 1.0)
+        for got, key in ((est.psi_map, "psi_map"), (est.psi_lrse, "psi_lrse"),
+                         (pred.z_lrse, "z_lrse")):
+            assert_matches_exact(got, exact[key], abs(exact[key]))
+
+    def test_one_svd_per_model_and_no_other_solver(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for name in ("inv", "solve", "matrix_rank", "lstsq", "pinv", "qr", "cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, None)
+        model = GaussianRegression(X=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], y=[1.0, 2.0, 3.0],
+                                   w=[1.0, 1.0], sigma2=1.0, tau2=1.0)
+        regression_estimates(model), regression_predict(model), regression_estimates(model)
+        assert len(calls) == 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 5), p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           spread=st.sampled_from([0.0, 1e-20, 1e-13, 1e-6]),
+           exponent=st.integers(-150, 150))
+    def test_refuses_what_matrix_rank_refuses(self, n, p, seed, spread, exponent):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, p))
+        if p >= 2:
+            X[:, -1] = X[:, 0] + spread * rng.normal(size=n)
+        X *= 10.0 ** exponent
+        kwargs = dict(X=X, y=rng.normal(size=n), w=np.ones(p), sigma2=1.0, tau2=1.0)
+        if np.linalg.matrix_rank(X) < p:
+            with pytest.raises(SingularDesign):
+                GaussianRegression(**kwargs)
+        else:
+            GaussianRegression(**kwargs)
+
+    def test_badly_scaled_columns_stay_refused(self):
+        with pytest.raises(SingularDesign):
+            GaussianRegression(X=[[1e200, 0.0], [0.0, 1.0]], y=[1.0, 2.0], w=[1.0, 0.0],
+                               sigma2=1.0, tau2=1.0)
+
+    def test_all_zero_w_is_refused_by_name(self):
+        with pytest.raises(InvariantViolation, match="^w must have a nonzero entry"):
+            GaussianRegression(X=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0], w=[0.0, -0.0],
+                               sigma2=1.0, tau2=1.0)
+
+
 class TestClassPrediction:
     def test_symmetric_prior_makes_methods_identical(self):
         rng = np.random.default_rng(3)
@@ -289,6 +403,62 @@ class TestClassPrediction:
         kwargs[field] = bad
         with pytest.raises(InvariantViolation, match="alpha and beta must be finite"):
             BetaBernoulliPredictor(**kwargs)
+
+
+def exact_statistic(method, alpha, beta, n, k):
+    """The decision statistic in rational arithmetic."""
+    a, b = Fraction(alpha), Fraction(beta)
+    stat = (a + k) / (b + n - k)
+    return stat * b / a if method == "lrse" else stat
+
+
+EXTREME_BETA_PARAMETERS = [5e-324, 1e-310, 1e-300, 1e-20, 2.0**-21, 0.5, 3.0, 2.0**21, 1e16, 1e308]
+
+
+class TestClassCountsAndExtremes:
+    @pytest.mark.parametrize("n,cbar", [(5, 0.3), (10, 0.25), (3, 0.333333)])
+    def test_cbar_must_be_a_count(self, n, cbar):
+        with pytest.raises(InvariantViolation, match="^cbar must be a count over n"):
+            BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=n, cbar=cbar, f_ratio=1.0)
+
+    def test_every_rounded_count_is_accepted(self):
+        BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=10, cbar=0.3, f_ratio=1.0)
+        for n in range(1, 300):
+            for j in range(n + 1):
+                BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=n, cbar=j / n, f_ratio=1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(2.0**-20, 2.0**20), beta=st.floats(2.0**-20, 2.0**20),
+           n=st.integers(0, 60), method=st.sampled_from(["map", "lrse"]))
+    def test_moderate_parameters_keep_the_single_fraction(self, alpha, beta, n, method):
+        k = np.arange(n + 1, dtype=float)
+        if method == "map":
+            want = (alpha + k) / (beta + n - k)
+        else:
+            want = (beta * (alpha + k)) / (alpha * (beta + n - k))
+        assert decision_statistic(method, alpha, beta, n, k).tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=st.sampled_from(EXTREME_BETA_PARAMETERS),
+           beta=st.sampled_from(EXTREME_BETA_PARAMETERS), n=st.integers(0, 30),
+           method=st.sampled_from(["map", "lrse"]))
+    def test_extreme_parameters_give_the_nearest_normal_float(self, alpha, beta, n, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
+        tiny, huge = Fraction(np.finfo(float).tiny), Fraction(np.finfo(float).max)
+        for k, got in enumerate(stat):
+            want = min(max(exact_statistic(method, alpha, beta, n, k), tiny), huge)
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-12) * want
+
+    @pytest.mark.parametrize("cbar,f_ratio,expected", [(0.0, 20.0, 1), (0.2, 0.5, 1),
+                                                      (0.0, 10.0, 0)])
+    def test_tiny_alpha_decisions(self, cbar, f_ratio, expected):
+        # At k = 0 the exact statistic is beta / (beta + n) = 1 / 11.
+        model = BetaBernoulliPredictor(alpha=5e-324, beta=0.5, n=5, cbar=cbar, f_ratio=f_ratio)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert predict_class(model, "lrse") == expected
 
 
 class TestNormalNormalTestbed:

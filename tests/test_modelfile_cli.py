@@ -31,6 +31,7 @@ from relbelief import (
 )
 from relbelief.cli import build_parser, run
 from relbelief.modelfile import _binomial_log_pmf
+from regression_oracle import exact_regression
 
 
 def write_json(path, doc):
@@ -531,6 +532,42 @@ class TestCli:
         )
         assert code == 0
         assert "z_lrse=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("design,y,w,printed", [
+        ("1e160", "1", "1", "psi_map=1e-160 psi_lrse=1e-160 z_map=1e-160 z_lrse=2e-160"),
+        ("1e-160", "1", "1", "psi_map=1e-160 psi_lrse=1e+160 z_map=1e-160 z_lrse=2e+160"),
+        ("1,1;1,1.000000001", "1,1", "1,1", None),
+    ])
+    def test_predict_regression_at_extreme_scales(self, tmp_path, capsys, design, y, w, printed):
+        out = tmp_path / "r"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(out), "predict", "--kind", "regression",
+                        "--design", design, "--y", y, "--w", w]) == 0
+        if printed:
+            assert capsys.readouterr().out.strip() == printed
+        (row,) = json.loads((out / "predict.json").read_text())["rows"]
+        X = [[float(v) for v in r.split(",")] for r in design.split(";")]
+        exact = exact_regression(X, y.split(","), w.split(","), 1.0, 1.0)
+        for cell in ("psi_map", "psi_lrse", "z_lrse"):
+            error = abs(Fraction(float(row[cell])) - exact[cell])
+            assert error <= Fraction(1e-9) * abs(exact[cell])
+
+    def test_predict_class_needs_a_count(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert run(["--output-dir", str(out), "predict", "--kind", "class", "--n", "5",
+                    "--cbar", "0.3", "--f-ratio", "1"]) == 2
+        assert "cbar must be a count over n" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
+
+    @pytest.mark.parametrize("cbar,f_ratio", [("0", "20"), ("0.2", "0.5")])
+    def test_predict_class_with_a_subnormal_alpha(self, tmp_path, capsys, cbar, f_ratio):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path / "r"), "predict", "--kind", "class",
+                        "--alpha", "5e-324", "--beta", "0.5", "--n", "5", "--cbar", cbar,
+                        "--f-ratio", f_ratio]) == 0
+        assert capsys.readouterr().out.strip() == "1"
 
     @pytest.mark.parametrize("x_next,expected", [("1000", "1"), ("-1000", "0")])
     def test_predict_class_far_observation(self, tmp_path, capsys, x_next, expected):

@@ -3,6 +3,8 @@
 import json
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -325,6 +327,58 @@ class TestExactRisk:
             np.testing.assert_allclose([row.z_m0, row.z_m1],
                                        (rep.per_class_error - exact) / rep.std_err, rtol=1e-15)
             assert abs(row.z_m0) <= 4 and abs(row.z_m1) <= 4
+
+
+def exact_beta_binomial_pmf(n, a, b):
+    """``P(k) = C(n, k) (a)_k (b)_(n-k) / (a + b)_n`` in rational arithmetic."""
+    a, b = Fraction(a), Fraction(b)
+
+    def rising(x, m):
+        return math.prod((x + i for i in range(m)), start=Fraction(1))
+
+    return [math.comb(n, k) * rising(a, k) * rising(b, n - k) / rising(a + b, n)
+            for k in range(n + 1)]
+
+
+EXTREME_PMF_PARAMETERS = [5e-324, 1e-300, 1e-20, 2.0**-21, 0.7, 14.0, 2.0**21, 1e16, 1e300]
+
+
+class TestBetaBinomialPmf:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 40), a=st.floats(2.0**-20, 2.0**20), b=st.floats(2.0**-20, 2.0**20))
+    def test_moderate_parameters_keep_their_bits(self, n, a, b):
+        j = np.arange(n)
+        log_p0 = np.sum(np.log((b + j) / (a + b + j)))
+        steps = np.log((n - j) * (a + j) / ((j + 1) * (b + n - j - 1)))
+        want = np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
+        assert beta_binomial_pmf(n, a, b).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), a=st.sampled_from(EXTREME_PMF_PARAMETERS),
+           b=st.sampled_from(EXTREME_PMF_PARAMETERS))
+    def test_extreme_parameters_match_the_rational_pmf(self, n, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pmf = beta_binomial_pmf(n, a, b)
+        for got, want in zip(pmf.tolist(), exact_beta_binomial_pmf(n, a, b)):
+            assert abs(Fraction(got) - want) <= Fraction(1e-11) * want + Fraction(1e-300)
+
+    @pytest.mark.parametrize("argv", [
+        ["--mu", "1e-300", "--n", "10", "--alpha", "1e16", "--betas", "1e-300,1"],
+        ["--mu", "1e308", "--n", "0", "--alpha", "3", "--betas", "0.5,1e308"],
+        ["--mu", "40", "--betas", "1"],
+    ])
+    def test_extreme_scenarios_run_without_warnings(self, tmp_path, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "risk-table", "--reps", "50", *argv]) == 0
+        rows = json.loads((tmp_path / "risk_table.json").read_text())["rows"]
+        for row in rows:
+            for cell in ("M0", "M1", "exact_M0", "exact_M1", "z_M0", "z_M1"):
+                assert math.isfinite(float(row[cell]))
+            # The observation carries almost no signal or a perfect one, and
+            # every statistic lies on one side of 1, so no rule errs both ways.
+            assert abs(float(row["z_M0"])) < 1e-9 and abs(float(row["z_M1"])) < 1e-9
 
 
 class TestRiskTableCli:
