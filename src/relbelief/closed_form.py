@@ -203,24 +203,15 @@ def regression_predict(model: GaussianRegression) -> RegressionPrediction:
 _LOG_NORMAL = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 
 
-def gaussian_log_ratio(mu: float, x):
-    """Log density ratio of N(mu, 1) to N(0, 1) at ``x``, vectorized in ``x``.
-
-    Where ``mu * mu`` overflows, the factored form keeps the sign of the log
-    ratio, which then reads ``inf`` or ``-inf``.
-    """
-    if math.isinf(mu * mu):
-        return mu * (x - mu / 2.0)
-    return mu * x - mu * mu / 2.0
-
-
 def gaussian_likelihood_ratio(mu: float, x_next: float) -> float:
     """Density ratio of N(mu, 1) to N(0, 1) at the new observation.
 
-    A ratio too large for a float reads ``inf``, as one too small reads 0.
+    A ratio too large for a float reads ``inf``, as one too small reads 0;
+    where ``mu * mu`` overflows, the factored log ratio keeps its sign.
     """
+    log_ratio = mu * (x_next - mu / 2.0) if math.isinf(mu * mu) else mu * x_next - mu * mu / 2.0
     try:
-        return math.exp(gaussian_log_ratio(mu, x_next))
+        return math.exp(log_ratio)
     except OverflowError:
         return math.inf
 

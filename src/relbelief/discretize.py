@@ -5,7 +5,9 @@ truncated interval) is binned into an equal-width grid.  Each bin gets its
 exact prior mass by adaptive quadrature and an integrated likelihood, so the
 resulting finite model reproduces the exact bin posterior masses.  The
 refinement experiments then track how the grid estimators and regions
-approach their continuous counterparts as the bin width shrinks.
+approach their continuous counterparts as the bin width shrinks.  One run
+integrates the union of its widths' bin edges once and sums each width's
+bins from those pieces; a single grid is the one-width case.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .quadrature import integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
 TRUNCATION_TOL = 1e-6
+# Most bins a grid, or the union of one refinement run's grids, may have.
+MAX_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -106,18 +110,56 @@ def build_grid(
         If some bin carries no prior mass (the discretization would not be
         regular).
     InvariantViolation
-        If the interval's prior mass is more than ``TRUNCATION_TOL`` from
-        one, or the log-likelihood is NaN at some node of the first pass
-        (``x`` is not a number, say) or ``-inf`` at every node of it (the
-        observed data are impossible on the support).
+        If the grid would have more than ``MAX_BINS`` bins (refused before
+        anything is allocated), the interval's prior mass is more than
+        ``TRUNCATION_TOL`` from one, or the log-likelihood is NaN at some
+        node of the first pass (``x`` is not a number, say) or ``-inf`` at
+        every node of it (the observed data are impossible on the support).
+    """
+    return _build_grids(cmodel, x, [lam])[0]
+
+
+def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, RegularGrid]]:
+    """:func:`build_grid` at several widths, from one quadrature of their union.
+
+    Edge ``j`` of an ``n``-bin grid is the rational ``j / n`` of the
+    interval, so the union of the widths' edges is formed on exact integers,
+    and each union edge takes its value from the finest grid that holds it:
+    one width integrates exactly its own edges.  Each bin's masses are the
+    sums of the union's pieces it covers, and each width keeps its own checks.
     """
     a, b = cmodel.support
-    if not 0 < lam <= (b - a) / 4:
-        raise InvariantViolation("bin width must be positive and at most a quarter span")
-    n_bins = int(round((b - a) / lam))
-    eff_lam = (b - a) / n_bins
-    edges = a + eff_lam * np.arange(n_bins + 1)
-    reps = 0.5 * (edges[:-1] + edges[1:])
+    counts = []
+    for lam in map(float, lams):  # a Python float overflows to inf without a warning
+        if not 0 < lam <= (b - a) / 4:
+            raise InvariantViolation("bin width must be positive and at most a quarter span")
+        count = (b - a) / lam
+        if count >= MAX_BINS + 0.5:
+            raise InvariantViolation(f"bin width {lam!r} on [{a!r}, {b!r}] needs {count:.6g} "
+                                     f"bins, more than {MAX_BINS}")
+        counts.append(int(round(count)))
+    # Edge j of the n-bin grid is left to a finer count m that holds it, where
+    # j * m / n is an integer.  Every product is at most MAX_BINS**2, far
+    # inside int64.
+    sizes = sorted(set(counts), reverse=True)
+    kept = []
+    for k, n in enumerate(sizes):
+        j = np.arange(n + 1)
+        kept.append(np.ones(n + 1, dtype=bool))
+        for m in sizes[:k]:
+            kept[k] &= j * m % n != 0
+    n_union = sum(int(keep.sum()) for keep in kept) - 1
+    if n_union > MAX_BINS:
+        raise InvariantViolation(f"bin widths {list(map(float, lams))} on [{a!r}, {b!r}] need "
+                                 f"{n_union} bins together, more than {MAX_BINS}")
+    # The union index of edge j of the n-bin grid counts the edges each grid
+    # m keeps below j / n: those below index ceil(j * m / n).
+    below = [(m, np.concatenate(([0], np.cumsum(keep)))) for m, keep in zip(sizes, kept)]
+    position = {n: sum(cum[-(-np.arange(n + 1) * m // n)] for m, cum in below if cum[-1])
+                for n in sizes}
+    union = np.empty(n_union + 1)
+    for n, keep in zip(sizes, kept):
+        union[position[n][keep]] = a + ((b - a) / n) * np.flatnonzero(keep)
 
     shift = None  # the first pass's largest log-likelihood
 
@@ -133,27 +175,36 @@ def build_grid(
                 raise InvariantViolation("observed data has zero evidence on the support")
         return np.stack([p, p * np.exp(log_lik - shift)])
 
-    prior_mass, joint_mass = integrate_bins(prior_and_joint, edges)
-    if np.any(prior_mass <= 0.0):
-        bad = int(np.argmin(prior_mass))
-        raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
-    total_prior = float(prior_mass.sum())
-    if not (1.0 - TRUNCATION_TOL <= total_prior <= 1.0 + 1e-9):
-        raise InvariantViolation(
-            f"grid prior mass {total_prior!r} outside the truncation budget"
+    pieces = integrate_bins(prior_and_joint, union)
+    grids = []
+    for n_bins in counts:
+        owner = np.repeat(np.arange(n_bins), np.diff(position[n_bins]))
+        prior_mass, joint_mass = (np.bincount(owner, col, n_bins) for col in pieces)
+        eff_lam = (b - a) / n_bins
+        edges = a + eff_lam * np.arange(n_bins + 1)
+        reps = 0.5 * (edges[:-1] + edges[1:])
+        if np.any(prior_mass <= 0.0):
+            bad = int(np.argmin(prior_mass))
+            raise ZeroBinMass(f"bin {bad} around {reps[bad]!r} has no prior mass")
+        total_prior = float(prior_mass.sum())
+        if not (1.0 - TRUNCATION_TOL <= total_prior <= 1.0 + 1e-9):
+            raise InvariantViolation(
+                f"grid prior mass {total_prior!r} outside the truncation budget"
+            )
+        grid = RegularGrid(
+            lam=float(eff_lam), edges=edges, representatives=reps, bin_prior=prior_mass
         )
-
-    grid = RegularGrid(lam=float(eff_lam), edges=edges, representatives=reps, bin_prior=prior_mass)
-    labels = _bin_labels(n_bins)
-    model = FiniteModel(
-        theta_labels=labels,
-        prior=prior_mass,
-        likelihood=(joint_mass / prior_mass)[:, None],
-        psi_map=np.arange(n_bins),
-        psi_labels=labels,
-        psi_coords=reps,
-    )
-    return model, grid
+        labels = _bin_labels(n_bins)
+        model = FiniteModel(
+            theta_labels=labels,
+            prior=prior_mass,
+            likelihood=(joint_mass / prior_mass)[:, None],
+            psi_map=np.arange(n_bins),
+            psi_labels=labels,
+            psi_coords=reps,
+        )
+        grids.append((model, grid))
+    return grids
 
 
 def grid_tables(cmodel: ContinuousModel1D, x, lam: float) -> tuple[BeliefTables, RegularGrid]:
@@ -204,16 +255,9 @@ def check_peak_separation(tables: BeliefTables):
 # -- refinement experiments --------------------------------------------------
 
 
-_GridMap = Callable[[float], tuple[BeliefTables, RegularGrid]]
-
-
-def _grids(cmodel: ContinuousModel1D, x) -> _GridMap:
-    """Belief tables and grid of one problem per bin width, built on first use.
-
-    The refinement experiments of one call share this map, so each width is
-    discretized once however many experiments visit it.
-    """
-    return functools.cache(functools.partial(grid_tables, cmodel, x))
+def _tables(cmodel: ContinuousModel1D, x, lams) -> list[tuple[BeliefTables, RegularGrid]]:
+    """Belief tables and grid of one problem per bin width, from one quadrature."""
+    return [(belief_tables(model, 0), grid) for model, grid in _build_grids(cmodel, x, lams)]
 
 
 @dataclass(frozen=True)
@@ -226,11 +270,10 @@ class RuleConvergenceRow:
 
 
 def _rule_rows(
-    grids: _GridMap, lambdas, target: float
+    widths: list[tuple[BeliefTables, RegularGrid]], target: float
 ) -> tuple[list[RuleConvergenceRow], list[RuleConvergenceRow]]:
-    """Capped-Bayes rows and grid-LRSE rows, in one pass over the widths."""
-    lams = _check_schedule(lambdas, "lambda")
-    check_peak_separation(grids(float(lams.min()))[0])
+    """Capped-Bayes rows and grid-LRSE rows, in one pass over the widths (coarsest first)."""
+    check_peak_separation(widths[-1][0])
 
     def row(grid: RegularGrid, chosen: int, eta: float | None) -> RuleConvergenceRow:
         estimate = float(grid.representatives[chosen])
@@ -244,8 +287,7 @@ def _rule_rows(
         )
 
     capped_rows, lrse_rows = [], []
-    for lam in lams:
-        tables, grid = grids(float(lam))
+    for tables, grid in widths:
         lrse_bin = lrse(tables).psi_index
         eta = eta_schedule(grid, lrse_bin)
         capped_rows.append(row(grid, bayes_rule(LossSpec.capped(eta), tables).psi_index, eta))
@@ -263,14 +305,14 @@ def capped_rule_refinement(
     continuous-problem target.  Under the separation hypothesis the error
     eventually drops below the bin width.
     """
-    return _rule_rows(_grids(cmodel, x), lambdas, target)[0]
+    return _rule_rows(_tables(cmodel, x, _check_schedule(lambdas, "lambda")), target)[0]
 
 
 def grid_lrse_refinement(
     cmodel: ContinuousModel1D, x, lambdas, target: float
 ) -> list[RuleConvergenceRow]:
     """Discretized-problem LRSE along a refining grid schedule."""
-    return _rule_rows(_grids(cmodel, x), lambdas, target)[1]
+    return _rule_rows(_tables(cmodel, x, _check_schedule(lambdas, "lambda")), target)[1]
 
 
 @dataclass(frozen=True)
@@ -280,30 +322,48 @@ class RegionConvergenceRow:
     capped_distances: tuple[tuple[float, float], ...]  # (eta, distance) pairs
 
 
-def _region_rows(grids: _GridMap, gamma: float, lambdas, etas) -> list[RegionConvergenceRow]:
-    lams = _check_schedule(lambdas, "lambda")
-    etas = _check_schedule(etas, "eta")
-    ref_tables, ref_grid = grids(float(lams.min()) / 4.0)
-    ref_mask = np.isin(np.arange(ref_grid.n_bins), rs_region(ref_tables, gamma).members)
+def _mask(size: int, members) -> np.ndarray:
+    mask = np.zeros(size, dtype=bool)
+    mask[list(members)] = True
+    return mask
 
-    def distance(owner: np.ndarray, region: CredibleRegion) -> float:
+
+def _region_rows(
+    widths: list[tuple[BeliefTables, RegularGrid]],
+    reference: tuple[BeliefTables, RegularGrid],
+    gamma: float,
+    etas,
+) -> list[RegionConvergenceRow]:
+    ref_tables, ref_grid = reference
+    ref_mask = _mask(ref_grid.n_bins, rs_region(ref_tables, gamma).members)
+
+    def distance(owner: np.ndarray, n_bins: int, region: CredibleRegion) -> float:
         # Reference posterior mass of the symmetric difference between the
         # reference region and the reference bins the region's members cover.
-        return math.fsum(ref_tables.marg_post[ref_mask ^ np.isin(owner, region.members)])
+        covered = _mask(n_bins, region.members)[owner]
+        return math.fsum(ref_tables.marg_post[ref_mask ^ covered])
 
     rows = []
-    for lam in lams:
-        tables, grid = grids(float(lam))
+    for tables, grid in widths:
         owner = grid.bin_index_of(ref_grid.representatives)
-        d_rs = distance(owner, rs_region(tables, gamma))
+        d_rs = distance(owner, grid.n_bins, rs_region(tables, gamma))
         capped = tuple(
-            (float(eta), distance(owner, lpl_region(LossSpec.capped(float(eta)), tables, gamma)))
+            (float(eta),
+             distance(owner, grid.n_bins, lpl_region(LossSpec.capped(float(eta)), tables, gamma)))
             for eta in etas
         )
         rows.append(
             RegionConvergenceRow(lam=grid.lam, rs_distance=d_rs, capped_distances=capped)
         )
     return rows
+
+
+def _schedules(cmodel: ContinuousModel1D, x, lambdas, etas):
+    """Checked schedules, then tables of each width and of the reference, from one quadrature."""
+    lams = _check_schedule(lambdas, "lambda")
+    etas = _check_schedule(etas, "eta")
+    *widths, reference = _tables(cmodel, x, [*lams, float(lams[-1]) / 4.0])
+    return widths, reference, etas
 
 
 def region_refinement(
@@ -317,7 +377,8 @@ def region_refinement(
     smallest tested width.  The distance is the reference posterior mass of
     the symmetric difference.
     """
-    return _region_rows(_grids(cmodel, x), gamma, lambdas, etas)
+    widths, reference, etas = _schedules(cmodel, x, lambdas, etas)
+    return _region_rows(widths, reference, gamma, etas)
 
 
 def refinement_experiments(
@@ -327,8 +388,8 @@ def refinement_experiments(
 
     Returns what ``capped_rule_refinement``, ``grid_lrse_refinement`` and
     ``region_refinement`` return, in that order, with every bin width, the
-    reference included, discretized once.
+    reference included, discretized by one quadrature.
     """
-    grids = _grids(cmodel, x)
-    capped_rows, lrse_rows = _rule_rows(grids, lambdas, target)
-    return capped_rows, lrse_rows, _region_rows(grids, gamma, lambdas, etas)
+    widths, reference, etas = _schedules(cmodel, x, lambdas, etas)
+    capped_rows, lrse_rows = _rule_rows(widths, target)
+    return capped_rows, lrse_rows, _region_rows(widths, reference, gamma, etas)

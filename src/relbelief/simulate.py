@@ -4,11 +4,12 @@ Given the conditioning class ``c``, the comparison between the class
 predictors depends on the training sample only through the count ``k`` of
 class-1 training cases, which is beta-binomial.  ``k`` takes only ``n + 1``
 values, so a block draws how many of its replications fall on each ``k`` as
-one multinomial over the beta-binomial pmf, and each method's decision
-statistic is computed once per ``k``.  The block then walks its replications
-in chunks of ``_CHUNK`` rows: each chunk draws one standard normal ``Z`` per
-row for the new observation ``x = c * mu + Z``, gives each row the statistic
-of its ``k``, and counts the rows that predict class 1.  So a block never
+one multinomial over the beta-binomial pmf, and each method's decision is a
+cutoff in ``x`` per ``k``, computed once per scenario with the pmf.  The
+block then walks its replications in chunks of ``_CHUNK`` rows: each chunk
+draws one standard normal ``Z`` per row for the new observation
+``x = c * mu + Z``, gives each row the cutoff of its ``k``, and counts the
+rows that predict class 1.  So a block never
 holds a temporary with one entry per replication, and its working set stays
 at a few chunk-sized arrays whatever ``BLOCK`` and ``n`` are.
 
@@ -23,6 +24,7 @@ beta-binomial mixture of normal tails.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .closed_form import decision_statistic, gaussian_log_ratio
+from .closed_form import decision_statistic
 from .errors import InvariantViolation
 from .losses import RiskReport
 
@@ -112,7 +114,7 @@ def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float) -> np.ndarray:
+def _draw_training_counts(rng: Generator, rows: int, pmf: np.ndarray) -> np.ndarray:
     """How many of ``rows`` replications have each training count ``k = 0..n``.
 
     One multinomial draw over the beta-binomial pmf.  numpy takes the last
@@ -122,11 +124,33 @@ def _draw_training_counts(rng: Generator, rows: int, n: int, a: float, b: float)
     ``n``) before it reads the stream, so only then is the draw repeated on
     the rescaled pmf, and every pmf numpy accepts keeps its draws.
     """
-    pmf = beta_binomial_pmf(n, a, b)
     try:
         return rng.multinomial(rows, pmf)
     except ValueError:
         return rng.multinomial(rows, pmf / pmf.sum())
+
+
+@functools.lru_cache(maxsize=8)
+def _scenario(cfg: SimConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The pmf of ``k`` and each method's cutoff per ``k``, read-only and shared.
+
+    Class 1 is predicted when ``f_ratio * stat >= 1``, that is when
+    ``mu * x >= mu**2 / 2 - log(stat)``: when ``sign(mu) * x`` is at least
+    ``sign(mu) * (mu / 2 - log(stat) / mu)``.  At ``mu == 0`` the cutoff is
+    ``-inf`` where ``stat >= 1`` and ``inf`` elsewhere.
+    """
+    out = {}
+    for method in METHODS:
+        stat = decision_statistic(method, cfg.alpha, cfg.beta, cfg.n, np.arange(cfg.n + 1))
+        if cfg.mu == 0.0:
+            out[method] = np.where(stat >= 1.0, -np.inf, np.inf)
+            continue
+        with np.errstate(over="ignore"):  # a cutoff past the floats reads +-inf
+            out[method] = math.copysign(1.0, cfg.mu) * (cfg.mu / 2.0 - np.log(stat) / cfg.mu)
+    pmf = beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta)
+    for arr in (pmf, *out.values()):
+        arr.setflags(write=False)
+    return pmf, out
 
 
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
@@ -137,26 +161,23 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
     replications are taken in order of ``k``: rows ``edges[k]`` to
     ``edges[k + 1]`` have count ``k``.  The normals are independent of the
     counts, so every row is still an independent replication.  Each chunk
-    draws its normals in stream order and gives each row the statistic of
-    its ``k``, so every row meets the comparison ``f_ratio * stat >= 1`` of
-    a single pass over the block, with the same operands.
+    draws its normals in stream order and gives each row the cutoff of its
+    ``k``, so every row meets the comparison of a single pass over the
+    block, with the same operands.
     """
+    pmf, cutoffs = _scenario(cfg)
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
     rng = Generator(Philox(stream))
-    counts = _draw_training_counts(rng, rows, cfg.n, cfg.alpha, cfg.beta)
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    ks = np.arange(cfg.n + 1)
-    stats = {m: decision_statistic(m, cfg.alpha, cfg.beta, cfg.n, ks) for m in METHODS}
+    edges = np.concatenate(([0], np.cumsum(_draw_training_counts(rng, rows, pmf))))
 
     hits = dict.fromkeys(METHODS, 0)  # rows that predict class 1
     for lo in range(0, rows, _CHUNK):
         hi = min(lo + _CHUNK, rows)
         x = c * cfg.mu + rng.standard_normal(hi - lo)
-        with np.errstate(over="ignore"):  # a ratio past the float range reads inf
-            f_ratio = np.exp(gaussian_log_ratio(cfg.mu, x))
+        signed = x if cfg.mu >= 0 else -x
         rows_per_k = np.diff(np.clip(edges, lo, hi))
-        for method, stat in stats.items():
-            hits[method] += int(np.count_nonzero(f_ratio * np.repeat(stat, rows_per_k) >= 1.0))
+        for method, cut in cutoffs.items():
+            hits[method] += int(np.count_nonzero(signed >= np.repeat(cut, rows_per_k)))
     return {m: rows - h if c else h for m, h in hits.items()}
 
 
@@ -166,29 +187,21 @@ def exact_conditional_risk(
     """Exact conditional misclassification risks ``(M0, M1)`` of one method.
 
     Given the class ``c`` and the training count ``k``, the rule predicts
-    class 1 when ``mu * x >= mu**2 / 2 - log(statistic(k))``, and ``mu * x``
-    is normal with mean ``c * mu**2`` and standard deviation ``|mu|``.
-    Standardising by ``|mu|`` keeps the inequality the right way round for
-    either sign of ``mu``.  At ``mu == 0`` the observation carries no signal
-    and the rule predicts class 1 exactly when the statistic is at least one.
-    Each risk is the beta-binomial mixture over ``k`` of these error
-    probabilities.
+    class 1 when ``sign(mu) * x`` reaches the cutoff of ``k`` that the
+    simulated blocks use, and ``sign(mu) * x`` is normal with mean
+    ``c * |mu|`` and unit variance.  Each risk is the beta-binomial mixture
+    over ``k`` of these normal tails.
     """
-    SimConfig(alpha=alpha, beta=beta, mu=mu, n=n)  # validates the scenario
-    stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
-    pmf = beta_binomial_pmf(n, alpha, beta)
+    pmf, cutoffs = _scenario(SimConfig(alpha=alpha, beta=beta, mu=mu, n=n))  # validates it
+    if method not in cutoffs:
+        raise InvariantViolation(f"unknown method {method!r}")
     risks = []
-    for c in (0, 1):
-        if mu == 0.0:
-            errors = (stat >= 1.0) != bool(c)
-        else:
-            # Class 1 is predicted when Z >= sqrt(2) * m, which has probability
-            # erfc(m) / 2; class 1 is missed with probability erfc(-m) / 2.
-            with np.errstate(over="ignore"):  # a margin past the floats reads +-inf
-                margin = ((0.5 - c) * mu * mu - np.log(stat)) / (abs(mu) * math.sqrt(2.0))
-            sign = 1.0 if c == 0 else -1.0
-            errors = [0.5 * math.erfc(sign * m) for m in margin]
-        risks.append(math.fsum(pmf * errors))
+    for c, side in ((0, 1.0), (1, -1.0)):
+        # sign(mu) * x - c * |mu| is standard normal, so class 1 is predicted
+        # with probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, and
+        # missed with erfc(-t / sqrt 2) / 2.
+        z = side * (cutoffs[method] - c * abs(mu)) / math.sqrt(2.0)
+        risks.append(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]))
     return risks[0], risks[1]
 
 

@@ -1,6 +1,7 @@
 """Quadrature, grid construction, and refinement experiments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from relbelief import (
     region_refinement,
 )
 from relbelief.estimators import lrse, map_estimate
+import relbelief.discretize as discretize
 from relbelief.cli import run
 from relbelief.discretize import check_peak_separation
 from relbelief.quadrature import integrate_bins
@@ -360,3 +362,94 @@ class TestRegionRefinement:
         for row in rows:
             assert row.rs_distance == 0.0
             assert all(d == 0.0 for _, d in row.capped_distances)
+
+
+# Bin counts on [-8 tau, 8 tau]: a chain of multiples, whose reference grid
+# (four times the finest count) holds every edge, or any increasing counts.
+nested_counts = st.builds(
+    lambda base, factors: [base * math.prod(factors[:i]) for i in range(len(factors) + 1)],
+    st.integers(4, 40), st.lists(st.sampled_from([2, 3]), max_size=2),
+)
+any_counts = st.lists(st.integers(4, 300), min_size=1, max_size=4, unique=True).map(sorted)
+
+
+class TestCommonRefinement:
+    """The widths of a refinement run, read from one quadrature of their union."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.one_of(nested_counts, any_counts), tau=st.floats(0.5, 2.0),
+           sigma=st.floats(0.3, 2.0), where=st.floats(-0.25, 0.25), gamma=st.floats(0.5, 0.95))
+    def test_each_width_matches_its_own_grid(self, counts, tau, sigma, where, gamma):
+        cmodel = NormalNormalTestbed(tau=tau, sigma=sigma).continuous_model()
+        lo, hi = cmodel.support
+        x = where * (hi - lo)
+        lams = [(hi - lo) / n for n in counts]
+        lams.append(lams[-1] / 4)
+        widths = discretize._tables(cmodel, x, lams)
+        for lam, (tables, grid) in zip(lams, widths):
+            own_tables, own_grid = grid_tables(cmodel, x, lam)
+            assert grid.lam == own_grid.lam
+            assert grid.representatives.tobytes() == own_grid.representatives.tobytes()
+            np.testing.assert_allclose(grid.bin_prior, own_grid.bin_prior, rtol=1e-12, atol=0)
+            # Each side shifts its likelihood by its own first pass, so masses
+            # near the underflow threshold may differ in more than rounding.
+            np.testing.assert_allclose(tables.marg_post, own_tables.marg_post,
+                                       rtol=1e-12, atol=1e-300)
+            assert rs_region(tables, gamma).members == rs_region(own_tables, gamma).members
+        finest = widths[-1][1].n_bins
+        if all(finest % n == 0 for n in counts):  # the reference holds every edge
+            tables, grid = widths[-1]
+            own_tables, own_grid = grid_tables(cmodel, x, lams[-1])
+            assert grid.bin_prior.tobytes() == own_grid.bin_prior.tobytes()
+            assert tables.marg_post.tobytes() == own_tables.marg_post.tobytes()
+
+    def test_one_quadrature_per_experiment(self, monkeypatch):
+        calls = []
+
+        def counted(f, edges):
+            calls.append(len(edges) - 1)
+            return integrate_bins(f, edges)
+
+        monkeypatch.setattr(discretize, "integrate_bins", counted)
+        cm = NormalNormalTestbed(tau=1.0, sigma=1.0).continuous_model()
+        # 16 / 0.3 and 16 / 0.07 round to 53 and 229 bins, the reference to
+        # 914; the three counts are pairwise coprime, so no inner edge is
+        # shared.  0.2 and 0.1 nest: 160 bins.
+        capped_rule_refinement(cm, 1.0, [0.3, 0.07], 1.0)
+        grid_lrse_refinement(cm, 1.0, [0.2, 0.1], 1.0)
+        region_refinement(cm, 1.0, 0.9, [0.3, 0.07], [0.01])
+        assert calls == [53 + 229 - 1, 160, 53 + 229 + 914 - 2]
+
+
+class TestGridSizeLimit:
+    """Grids above MAX_BINS bins are refused before anything is integrated."""
+
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def never(f, edges):
+            raise AssertionError("a refused grid was integrated")
+
+        monkeypatch.setattr(discretize, "integrate_bins", never)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lambdas", "1e-9"], "bin width 1e-09 on [-8.0, 8.0] needs 1.6e+10 bins"),
+        (["--tau", "1e4"], "bin width 0.1 on [-80000.0, 80000.0] needs 1.6e+06 bins"),
+        (["--lambdas", "5e-324"], "bin width 5e-324 on [-8.0, 8.0] needs inf bins"),
+        # 160,000, 177,778 and 711,111 bins, each allowed alone.
+        (["--lambdas", "0.0001,0.00009"], "need 1048886 bins together"),
+    ])
+    def test_converge_exits_2(self, tmp_path, capsys, no_quadrature, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "converge", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(discretize, "MAX_BINS", 100)
+        _, grid = build_grid(uniform_model(), 0.0, 0.01)
+        assert grid.n_bins == 100
+        monkeypatch.setattr(discretize, "integrate_bins", None)
+        with pytest.raises(InvariantViolation, match="needs 101 bins, more than 100$"):
+            build_grid(uniform_model(), 0.0, 1 / 101)
+        with pytest.raises(InvariantViolation, match="need 103 bins together, more than 100$"):
+            discretize._build_grids(uniform_model(), 0.0, [1 / 51, 1 / 53])

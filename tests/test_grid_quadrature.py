@@ -355,37 +355,37 @@ def test_edges_must_increase():
         integrate_bins(np.exp, [0.0, 1.0, 1.0])
 
 
-# -- one grid per width -------------------------------------------------------
+# -- one quadrature per refinement run ---------------------------------------
 
 
-def converge_csv(tmp_path, monkeypatch, name, *args, quadrature_fn=None):
+def converge_csv(tmp_path, monkeypatch, name, *args, quadrature_fn=integrate_bins):
+    """``converge.csv`` of one run, with the bin count of each quadrature call."""
     calls = []
-    build = discretize.build_grid
 
-    def counted(cmodel, x, lam):
-        calls.append(lam)
-        return build(cmodel, x, lam)
+    def counted(f, edges):
+        calls.append(len(edges) - 1)
+        return quadrature_fn(f, edges)
 
     with monkeypatch.context() as patch:
-        patch.setattr(discretize, "build_grid", counted)
-        if quadrature_fn is not None:
-            patch.setattr(discretize, "integrate_bins", quadrature_fn)
+        patch.setattr(discretize, "integrate_bins", counted)
         out = tmp_path / name
         assert run(["--output-dir", str(out), "converge", "--x", "0.37", *args]) == 0
     return calls, (out / "converge.csv").read_text()
 
 
 BENCHMARK_SCHEDULE = ["--lambdas", "0.2,0.1,0.05", "--gamma", "0.8"]
+# The reference grid, a quarter of the finest width, holds every other
+# width's edges: 1280 bins of 0.0125 and 2560 of 0.00625 on [-8, 8].
 SCHEDULES = pytest.mark.parametrize(
-    "args, builds", [(BENCHMARK_SCHEDULE, 4), ([], 5)],
+    "args, union_bins", [(BENCHMARK_SCHEDULE, 1280), ([], 2560)],
     ids=["benchmark-schedule", "default-schedule"],
 )
 
 
 @SCHEDULES
-def test_converge_builds_each_width_once(tmp_path, monkeypatch, capsys, args, builds):
+def test_converge_integrates_once_per_run(tmp_path, monkeypatch, capsys, args, union_bins):
     calls, csv = converge_csv(tmp_path, monkeypatch, "array", *args)
-    assert len(calls) == builds == len(set(calls))
+    assert calls == [union_bins]
     _, oracle_csv = converge_csv(
         tmp_path, monkeypatch, "oracle", *args,
         quadrature_fn=lambda f, edges: oracle_bins(f, edges),
@@ -401,7 +401,7 @@ def one_column_passes(f, edges):
 
 
 @SCHEDULES
-def test_one_pass_csv_equals_one_column_passes(tmp_path, monkeypatch, capsys, args, builds):
+def test_one_pass_csv_equals_one_column_passes(tmp_path, monkeypatch, capsys, args, union_bins):
     _, csv = converge_csv(tmp_path, monkeypatch, "one-pass", *args)
     _, separate = converge_csv(
         tmp_path, monkeypatch, "separate", *args, quadrature_fn=one_column_passes
@@ -432,8 +432,11 @@ def test_converge_evaluates_prior_with_likelihood(tmp_path, monkeypatch, capsys)
         )
 
     monkeypatch.setattr(NormalNormalTestbed, "continuous_model", traced)
-    converge_csv(tmp_path, monkeypatch, "counted", *BENCHMARK_SCHEDULE)
-    # Grids of 80, 160, 320 and 1280 bins, each accepted on its first
-    # bisection: one call for the whole panels and one for the halves, 30
-    # nodes per bin, shared by the prior and the joint.
-    assert counts["prior"] == counts["likelihood"] == [8, 30 * (80 + 160 + 320 + 1280)]
+    # One quadrature over the reference grid, which holds every other
+    # width's edges, each bin accepted on its first bisection: one call for
+    # the whole panels and one for the halves, 30 nodes per bin, shared by
+    # the prior and the joint.
+    for args, union_bins in [(BENCHMARK_SCHEDULE, 1280), ([], 2560)]:
+        converge_csv(tmp_path, monkeypatch, "counted", *args)
+        assert counts["prior"] == counts["likelihood"] == [2, 30 * union_bins]
+        counts.clear()

@@ -181,7 +181,7 @@ class TestLplRegion:
 class TestRegionDistance:
     """The posterior mass between two regions, as the refinement experiments measure it.
 
-    ``_region_rows`` is driven by a stub grid map: the reference grid and the
+    ``_region_rows`` is driven by stub grids: the reference grid and the
     tested grid share one three-bin partition, so reference bin ``i`` lies in
     tested bin ``i`` and the tested tables alone decide the region compared.
     """
@@ -194,9 +194,9 @@ class TestRegionDistance:
     )
 
     def row(self, ref_tables, tables, gamma):
-        # Width 1.0 is tested against the reference width 1.0 / 4.
-        grids = {0.25: (ref_tables, self.PARTITION), 1.0: (tables, self.PARTITION)}
-        (row,) = _region_rows(grids.__getitem__, gamma, [1.0], [0.5, 0.01])
+        (row,) = _region_rows(
+            [(tables, self.PARTITION)], (ref_tables, self.PARTITION), gamma, [0.5, 0.01]
+        )
         return row
 
     def assert_distance(self, row, expected):

@@ -83,7 +83,7 @@ def rowwise_block_errors(cfg, c, block_index, rows):
     statistic.
     """
     rng = Generator(Philox(SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))))
-    per_k = _draw_training_counts(rng, rows, cfg.n, cfg.alpha, cfg.beta)
+    per_k = _draw_training_counts(rng, rows, beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta))
     k = np.repeat(np.arange(cfg.n + 1), per_k)
     x = c * cfg.mu + rng.standard_normal(rows)
     f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
@@ -105,7 +105,8 @@ class TestTrainingCountSampler:
     @settings(max_examples=60, deadline=None)
     @given(**sampler_laws, rows=st.integers(1, 5000))
     def test_counts_stay_in_range(self, n, alpha, beta, rows):
-        per_k = _draw_training_counts(np.random.default_rng([n, rows]), rows, n, alpha, beta)
+        per_k = _draw_training_counts(np.random.default_rng([n, rows]), rows,
+                                      beta_binomial_pmf(n, alpha, beta))
         assert per_k.shape == (n + 1,)  # one entry per count k = 0..n, no row outside them
         assert per_k.dtype.kind == "i" and per_k.min() >= 0
         assert per_k.sum() == rows  # every row gets exactly one count
@@ -118,14 +119,16 @@ class TestTrainingCountSampler:
         # Here the pmf sums to 1 - 4.4e-16: numpy's multinomial gives the last
         # count the remainder, so every row still gets a count in 0..n.
         assert beta_binomial_pmf(1, 0.05, 0.05).sum() < 1.0
-        per_k = _draw_training_counts(np.random.default_rng(1), self.DRAWS, 1, 0.05, 0.05)
+        per_k = _draw_training_counts(np.random.default_rng(1), self.DRAWS,
+                                      beta_binomial_pmf(1, 0.05, 0.05))
         assert per_k.shape == (2,)
         assert per_k.sum() == self.DRAWS and per_k.min() > 0
         assert abs(per_k[1] / self.DRAWS - 0.5) <= 5 * np.sqrt(0.25 / self.DRAWS)
         assert searchsorted_training_counts(np.array([np.nextafter(1.0, 0.0)]), 1, 0.05,
                                             0.05).tolist() == [1]
         # With no training data every count is zero.
-        assert _draw_training_counts(np.random.default_rng(2), 7, 0, 1.0, 1.0).tolist() == [7]
+        no_data = _draw_training_counts(np.random.default_rng(2), 7, beta_binomial_pmf(0, 1.0, 1.0))
+        assert no_data.tolist() == [7]
 
     # Fixed examples: a statistical bound is checked on many bins at once, so
     # a run must not depend on which parameters Hypothesis happens to draw.
@@ -133,7 +136,8 @@ class TestTrainingCountSampler:
     @given(**sampler_laws)
     def test_frequencies_match_beta_binomial(self, n, alpha, beta):
         rng = np.random.default_rng([n])
-        freq = _draw_training_counts(rng, self.DRAWS, n, alpha, beta) / self.DRAWS
+        pmf = beta_binomial_pmf(n, alpha, beta)
+        freq = _draw_training_counts(rng, self.DRAWS, pmf) / self.DRAWS
         p = betabinom.pmf(np.arange(n + 1), n, alpha, beta)
         # Five standard errors, plus one count of slack where p * DRAWS is tiny.
         bound = 5.0 * (np.sqrt(p * (1.0 - p) / self.DRAWS) + 1.0 / self.DRAWS)
@@ -150,7 +154,7 @@ class TestTrainingCountSampler:
     @given(**sampler_laws)
     def test_agrees_with_counting_oracle(self, n, alpha, beta):
         rng = np.random.default_rng([n, 1])
-        new = _draw_training_counts(rng, self.DRAWS, n, alpha, beta)
+        new = _draw_training_counts(rng, self.DRAWS, beta_binomial_pmf(n, alpha, beta))
         old = np.bincount(
             counted_training_counts(rng.random((self.DRAWS, n + 1)), n, alpha, beta),
             minlength=n + 1)
@@ -160,7 +164,7 @@ class TestTrainingCountSampler:
     @given(**sampler_laws)
     def test_agrees_with_searchsorted_oracle(self, n, alpha, beta):
         rng = np.random.default_rng([n, 2])
-        new = _draw_training_counts(rng, self.DRAWS, n, alpha, beta)
+        new = _draw_training_counts(rng, self.DRAWS, beta_binomial_pmf(n, alpha, beta))
         old = np.bincount(searchsorted_training_counts(rng.random(self.DRAWS), n, alpha, beta),
                           minlength=n + 1)
         self._assert_same_law(new, old)
@@ -175,7 +179,7 @@ class TestTrainingCountSampler:
         # The rejected call read nothing from the stream...
         assert rng.random(8).tolist() == Generator(Philox(11)).random(8).tolist()
         # ...so the redraw is the draw on the rescaled pmf from the same state.
-        per_k = _draw_training_counts(Generator(Philox(11)), self.DRAWS, *OVERFULL)
+        per_k = _draw_training_counts(Generator(Philox(11)), self.DRAWS, pmf)
         want = Generator(Philox(11)).multinomial(self.DRAWS, pmf / pmf.sum())
         assert per_k.tolist() == want.tolist()
         assert per_k.sum() == self.DRAWS
@@ -183,8 +187,9 @@ class TestTrainingCountSampler:
     @settings(max_examples=60, deadline=None)
     @given(**sampler_laws, rows=st.integers(1, 5000), seed=st.integers(0, 2**32))
     def test_accepted_pmf_draws_are_unchanged(self, n, alpha, beta, rows, seed):
-        want = Generator(Philox(seed)).multinomial(rows, beta_binomial_pmf(n, alpha, beta))
-        got = _draw_training_counts(Generator(Philox(seed)), rows, n, alpha, beta)
+        pmf = beta_binomial_pmf(n, alpha, beta)
+        want = Generator(Philox(seed)).multinomial(rows, pmf)
+        got = _draw_training_counts(Generator(Philox(seed)), rows, pmf)
         assert got.tolist() == want.tolist()
 
 
@@ -309,6 +314,18 @@ class TestExactRisk:
         for method, rep in conditional_risk_mc(cfg).items():
             exact = exact_conditional_risk(1.0, 14.0, -mu, 10, method)
             assert np.all(np.abs(rep.per_class_error - exact) <= 4 * rep.std_err)
+
+    @pytest.mark.parametrize("mu", [1e-300, -1e-300, 5e-324])
+    def test_tiny_shift_splits_the_tie_as_the_exact_risk(self, mu):
+        # At alpha = beta = 1 the statistic of k = 5 of 10 is exactly 1, and
+        # a ratio exp(mu * x - mu**2 / 2) rounds to 1 on every draw: the
+        # simulated rule must still split that tie at x = mu / 2, as the
+        # exact risk does, instead of sending every such row to class 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = risk_table(reps=1000, seed=0, mu=mu, n=10, alpha=1.0, betas=(1.0,))
+        for row in rows:
+            assert abs(row.z_m0) <= 4 and abs(row.z_m1) <= 4
 
     @pytest.mark.parametrize("args", [(0.0, 1.0, 1.0, 10, "map"), (1.0, 1.0, 1.0, -1, "map"),
                                       (1.0, 1.0, 1.0, 10, "mode"), (1.0, 1.0, np.nan, 10, "map"),
