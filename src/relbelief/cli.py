@@ -301,8 +301,6 @@ _RUNNERS = {
     "validate": _run_validate,
 }
 
-_VALIDATION_ERRORS = (ModelSpecError, InvariantViolation, FileNotFoundError)
-
 
 def run(argv) -> int:
     parser = build_parser()
@@ -327,14 +325,11 @@ def run(argv) -> int:
         manifest["artifacts"] = [str(p) for p in _RUNNERS[args.subcommand](args, outdir)]
         manifest["status"] = "ok"
         return 0
-    except _VALIDATION_ERRORS as exc:
-        manifest.update(status="validation-error", error=str(exc))
+    except (RelBeliefError, OSError) as exc:
+        invalid = isinstance(exc, (ModelSpecError, InvariantViolation))
+        manifest.update(status="validation-error" if invalid else "error", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RelBeliefError, OSError, ValueError) as exc:
-        manifest.update(status="error", error=str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if invalid else 1
     finally:
         manifest["wall_time_s"] = time.perf_counter() - started
         (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")

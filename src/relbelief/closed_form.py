@@ -145,6 +145,7 @@ class RegressionEstimates:
     psi_post_var: float
 
 
+@np.errstate(over="ignore")  # a value past the largest double reads inf
 def _posterior(model: GaussianRegression) -> tuple[RegressionEstimates, float]:
     """The estimates of ``psi = w' beta`` and the LRSE of a future response.
 
@@ -159,12 +160,18 @@ def _posterior(model: GaussianRegression) -> tuple[RegressionEstimates, float]:
     m = np.maximum(q / s, S)
     S2, g2 = (S / m) ** 2, np.minimum(q / s / S, 1.0) ** 2  # (g / m)^2, also at g = inf
     rel = (S2 + g2 * (S / S[0]) ** 2) / (g2 + S2)  # shrinkage over the largest one
-    unit = float(c * u / S @ rel) / s / float(c * c @ rel)  # psi_lrse / (t * ww)
+    num, den = float(c * u / S @ rel), float(c * c @ rel)
+    unit = num / s / den  # psi_lrse / (t * ww)
+    z_lrse = unit * (q / t * q + t * ww)
+    if math.isnan(z_lrse):  # 0 * inf: unit underflowed where the bracket overflowed
+        logs = (math.log(model.sigma2) - math.log(model.tau2) - math.log(t), math.log(t * ww))
+        z_lrse = num and math.copysign(float(np.exp(
+            np.logaddexp(*logs) + math.log(abs(num)) - math.log(den) - math.log(s))), num)
     return RegressionEstimates(
         mle=Vt.T @ (u / S) / s, psi_map=t * float(c * u * (S / m) / (s * m) @ (1 / (g2 + S2))),
         psi_lrse=t * unit * ww, psi_prior_var=model.tau2 * ww * t * t,
         psi_post_var=model.tau2 * float(c * c @ (g2 / (g2 + S2))) * t * t,
-    ), unit * (q / t * q + t * ww)
+    ), z_lrse
 
 
 def regression_estimates(model: GaussianRegression) -> RegressionEstimates:

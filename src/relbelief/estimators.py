@@ -113,8 +113,7 @@ def unbiasedness_gap(loss: LossSpec, rule, model: FiniteModel) -> float:
     nonnegative gap means the rule's prior risk does not exceed its expected
     loss against an independently prior-drawn false value.
     """
-    rule_arr = check_rule(rule, model)
-    tabs = sample_space_tables(model)
+    rule_arr, tabs = check_rule(rule, model)
     h = h_vector(loss, tabs.marg_prior)
     chosen_post = tabs.marg_post[rule_arr, np.arange(model.n_x)]
     prior = tabs.marg_prior[rule_arr]
@@ -129,7 +128,6 @@ def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:
     uniformly Bayesian unbiased; the LRSE rule always passes because the
     maximal relative belief ratio is at least one.
     """
-    rule_arr = check_rule(rule, model)
-    tabs = sample_space_tables(model)
+    rule_arr, tabs = check_rule(rule, model)
     chosen_post = tabs.marg_post[rule_arr, np.arange(model.n_x)]
     return chosen_post >= tabs.marg_prior[rule_arr] * (1.0 - 1e-12)

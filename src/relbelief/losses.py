@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import BeliefTables, FiniteModel, _whole_sample_space, sample_space_tables
+from .model import BeliefTables, FiniteModel, SampleSpaceTables, _whole_sample_space
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -120,7 +120,7 @@ def parse_loss(text: str, base_dir: str | Path | None = None) -> LossSpec:
             path = Path(base_dir) / path
         try:
             return LossSpec.weighted(np.loadtxt(path, ndmin=1))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise InvariantViolation(f"weights file {str(path)!r}: {exc}") from None
     raise InvariantViolation(f"cannot parse loss spec {text!r}")
 
@@ -237,14 +237,15 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
 # -- prior risk over the whole sample space --------------------------------
 
 
-def check_rule(rule, model: FiniteModel) -> np.ndarray:
-    """A decision rule as one valid psi index per sample point."""
+def check_rule(rule, model: FiniteModel) -> tuple[np.ndarray, SampleSpaceTables]:
+    """A decision rule as one valid psi index per sample point, and the model's tables."""
+    tabs = _whole_sample_space(model)[0]  # InfiniteSampleSpace for a density
     arr = np.asarray(rule, dtype=np.intp)
     if arr.shape != (model.n_x,):
         raise InvariantViolation("decision rule must assign one psi per sample point")
     if arr.min() < 0 or arr.max() >= model.n_psi:
         raise UnknownPsi("decision rule points outside the psi support")
-    return arr
+    return arr, tabs
 
 
 def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
@@ -277,8 +278,7 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
         If the model carries a density callback, not a finite sample space.
     """
     sampling = conditional_sampling_table(model)
-    rule_arr = check_rule(rule, model)
-    tabs = sample_space_tables(model)
+    rule_arr, tabs = check_rule(rule, model)
 
     # Zeros in the right cells leave each fsum exact; plain floats from
     # tolist() are several times faster for fsum than numpy scalars.

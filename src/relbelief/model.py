@@ -110,11 +110,12 @@ class FiniteModel:
     prior : numpy.ndarray
         Strictly positive prior weights; renormalized at construction.
     likelihood : numpy.ndarray or callable
-        A matrix, an ``(n_theta, n_x)`` table of nonnegative sampling weights,
+        A matrix, an ``(n_theta, n_x)`` table of nonnegative sampling weights
+        (``n_x`` is then its column count),
         or a callback of log-likelihoods (``-inf`` where impossible), checked
         when read: a density ``f(x) -> (n_theta,)`` at an observed ``x`` or,
-        with ``x_labels``, a finite log source ``f(k) -> (n_theta, *k.shape)``
-        at an integer index array ``k``.
+        with ``n_x``, a finite log source ``f(k) -> (n_theta, *k.shape)`` at
+        an integer index array ``k``.
     psi_map : numpy.ndarray
         Integer index of the marginal parameter value for each theta; must
         be surjective onto ``range(len(psi_labels))``.
@@ -126,10 +127,12 @@ class FiniteModel:
         ``theta_coords`` is kept so a model file's coordinates survive the
         ``load_model``/``save_model`` round trip.
     x_labels : tuple of str, optional
-        Labels for the sample-space columns; required by a finite log source.
+        Names for the ``n_x`` sample points; point ``k`` is otherwise ``str(k)``.
     family_spec : dict, optional
         Serializable description of a named likelihood family, kept so a
         model loaded from a file can be written back field-for-field.
+    n_x : int, optional
+        Number of sample points, ``None`` for a density; ``dataclasses.replace`` carries it.
 
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
@@ -146,6 +149,7 @@ class FiniteModel:
     psi_coords: np.ndarray | None = None
     x_labels: tuple[str, ...] | None = None
     family_spec: dict | None = None
+    n_x: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "theta_labels", tuple(self.theta_labels))
@@ -171,8 +175,6 @@ class FiniteModel:
             raise InvariantViolation("psi_map must be surjective: every psi needs a preimage")
         object.__setattr__(self, "psi_map", _frozen(psi_map))
 
-        if self.x_labels is not None:
-            object.__setattr__(self, "x_labels", tuple(self.x_labels))
         if not callable(self.likelihood):
             lik = np.asarray(self.likelihood, dtype=float)
             if lik.ndim != 2 or lik.shape[0] != n_theta:
@@ -184,8 +186,13 @@ class FiniteModel:
                     "every sample-space column needs at least one positive likelihood"
                 )
             object.__setattr__(self, "likelihood", _frozen(lik))
-            if self.x_labels is not None and len(self.x_labels) != lik.shape[1]:
-                raise InvariantViolation("x_labels length does not match likelihood")
+            object.__setattr__(self, "n_x", lik.shape[1])
+        if self.n_x is not None and (type(self.n_x) is not int or self.n_x < 1):
+            raise InvariantViolation(f"n_x must be a positive integer, got {self.n_x!r}")
+        if self.x_labels is not None:
+            object.__setattr__(self, "x_labels", tuple(self.x_labels))
+            if len(self.x_labels) != self.n_x:
+                raise InvariantViolation("x_labels must name each of the n_x sample points")
 
         for name, size in (("theta_coords", n_theta), ("psi_coords", n_psi)):
             if getattr(self, name) is not None:
@@ -206,12 +213,6 @@ class FiniteModel:
         """True when the likelihood is a matrix rather than log-likelihood columns."""
         return not callable(self.likelihood)
 
-    @property
-    def n_x(self) -> int:
-        if self.x_labels is None and not self.is_table:
-            raise InfiniteSampleSpace("model has a density callback, not a finite sample space")
-        return self.likelihood.shape[1] if self.x_labels is None else len(self.x_labels)
-
     def x_index(self, x) -> int:
         """Resolve an observed value to a sample-space column index.
 
@@ -225,17 +226,13 @@ class FiniteModel:
                 return self.x_labels.index(x)
             except ValueError:
                 raise InvariantViolation(f"unknown sample-space label {x!r}") from None
-        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-            idx = int(x)
         # Text longer than n_x's is out of range, and int() never sees a long one.
-        elif (isinstance(x, str) and x.isascii() and x.isdigit()
-              and len(x) <= len(str(self.n_x)) and x == str(int(x))):
-            idx = int(x)
-        else:
-            raise InvariantViolation(f"sample point {x!r} is not a sample-space index")
-        if not 0 <= idx < self.n_x:
-            raise InvariantViolation(f"sample-space index {idx} out of range")
-        return idx
+        if (isinstance(x, str) and x.isascii() and x.isdigit()
+                and len(x) <= len(str(self.n_x)) and x == str(int(x))):
+            x = int(x)
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < self.n_x:
+            raise InvariantViolation(f"{x!r} is not a sample-space index (n_x = {self.n_x})")
+        return int(x)
 
     def marginal_prior(self) -> np.ndarray:
         """Prior weights pushed forward onto the psi support (read-only)."""
@@ -335,7 +332,7 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     if model.is_table:
         col, tabs = model.x_index(x), sample_space_tables(model)
     else:
-        at = x if model.x_labels is None else model.x_index(x)
+        at = x if model.n_x is None else model.x_index(x)
         col, tabs = 0, _build_sample_space_tables(model, at)[0]
     return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col])
 
@@ -369,6 +366,8 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
 
 def _whole_sample_space(model: FiniteModel) -> tuple[SampleSpaceTables, np.ndarray]:
     """The cached tables of every column, and each theta's total likelihood."""
+    if model.n_x is None:
+        raise InfiniteSampleSpace("model has a density callback, not a finite sample space")
     return _cached(model, "_sample_space_tables",
                    lambda: _build_sample_space_tables(model, np.arange(model.n_x)))
 
@@ -384,7 +383,7 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     it as ``2**e`` times a remainder, ``e`` clipped to a range past which
     they read 0.0 or inf.
     """
-    density = not model.is_table and model.x_labels is None
+    density = model.n_x is None
     if model.is_table:
         e = np.minimum(np.frexp(model.likelihood.max(axis=0))[1], 0)
         joint, rest, theta_sums = np.ldexp(model.likelihood, -e), 1.0, model.likelihood.sum(axis=1)

@@ -15,7 +15,7 @@ Schema (all keys at the top level of one JSON object):
     ``{"family": "binomial", "n": int, "p": [...]}`` for trial counts,
     ``{"family": "bernoulli", "p": [...]}`` for the binomial at ``n = 1``, or
     ``{"family": "normal", "mean": [...], "sd": [...]}`` for a continuous
-    observation.
+    observation.  A count family has ``n_x = n + 1`` points, named ``"0"`` to ``"n"``.
 ``psi_map``
     List of marginal-value labels, one per theta.
 ``psi`` (optional)
@@ -31,10 +31,11 @@ Any other key is ignored.
 Loading only turns JSON into typed values; :class:`FiniteModel` checks them.
 Every rejection is a validation error (exit 2 on the command line): either a
 :class:`ModelSpecError` whose ``field`` names the key (``file`` for the
-document) for bad JSON, a missing field, a label field that is not a list,
-text, nulls, ragged rows or booleans in a numeric field, a bad family or family
-parameter (``likelihood``, a count impossible under every ``p`` included),
-``psi_map`` labels missing from ``psi`` and, when strict, an off-sum prior; or
+document) for a file that is not readable UTF-8 JSON, a missing field, a label
+field that is not a list, text, nulls, ragged rows or booleans in a numeric
+field, a bad family or family parameter (``likelihood``, a count impossible
+under every ``p`` included), ``psi_map`` labels missing from ``psi`` and, when
+strict, an off-sum prior; or
 an :class:`InvariantViolation` from :class:`FiniteModel` naming the field: a
 wrong length, a non-finite or out-of-range weight or coordinate, an impossible
 matrix column or a ``psi`` value with no preimage.  A normal family rejects a
@@ -208,8 +209,8 @@ def _binomial_log_pmf(trials: int, p: np.ndarray, counts) -> np.ndarray:
     return table.reshape(p.shape + np.shape(counts))
 
 
-def _family_likelihood(spec: dict, n_theta: int):
-    """A named family's likelihood and labels; a bad parameter is a ``likelihood`` error."""
+def _family_likelihood(spec: dict, n_theta: int) -> dict:
+    """A named family's likelihood and ``n_x`` fields; a bad parameter is a ``likelihood`` error."""
     family = spec.get("family")
 
     def param(name: str) -> np.ndarray:
@@ -228,7 +229,7 @@ def _family_likelihood(spec: dict, n_theta: int):
         # With no table built, "every count is possible" is decided from p.
         if not (np.any(p < 1) and np.any(p > 0) and (trials == 1 or np.any((p > 0) & (p < 1)))):
             raise ModelSpecError("likelihood", "some count is impossible under every p")
-        return (lambda k: _binomial_log_pmf(trials, p, k)), tuple(map(str, range(trials + 1)))
+        return {"likelihood": lambda k: _binomial_log_pmf(trials, p, k), "n_x": trials + 1}
     if family == "normal":
         mean, sd = param("mean"), param("sd")
         if not np.all(np.isfinite(mean) & np.isfinite(sd) & (sd > 0)):
@@ -243,7 +244,7 @@ def _family_likelihood(spec: dict, n_theta: int):
             z = (value - mean) / sd
             return -0.5 * z * z - log_norm
 
-        return callback, None
+        return {"likelihood": callback}
     raise ModelSpecError("likelihood", f"unknown family {family!r}")
 
 
@@ -258,8 +259,8 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ModelSpecError("file", f"not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # missing, a directory, not UTF-8 or not JSON
+        raise ModelSpecError("file", f"not a readable JSON file: {exc}") from exc
     if not isinstance(raw, dict):
         raise ModelSpecError("file", "top level must be a JSON object")
     for key in ("theta", "prior", "likelihood", "psi_map"):
@@ -277,10 +278,10 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
     lik = raw["likelihood"]
     family_spec = dict(lik) if isinstance(lik, dict) else None
     if family_spec is not None:
-        likelihood, x_labels = _family_likelihood(lik, len(theta_labels))
+        sample_space = _family_likelihood(lik, len(theta_labels))
     else:
-        likelihood = _numbers(lik, "likelihood")
-        x_labels = tuple(str(v) for v in _list(raw, "x")) if "x" in raw else None
+        sample_space = {"likelihood": _numbers(lik, "likelihood"),
+                        "x_labels": tuple(map(str, _list(raw, "x"))) if "x" in raw else None}
 
     psi_map_labels = [str(v) for v in _list(raw, "psi_map")]
     if "psi" in raw:
@@ -295,13 +296,12 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
     return FiniteModel(
         theta_labels=tuple(theta_labels),
         prior=prior,
-        likelihood=likelihood,
         psi_map=np.array([index[label] for label in psi_map_labels], dtype=np.intp),
         psi_labels=tuple(psi_labels),
         theta_coords=theta_coords,
         psi_coords=_numbers(raw["psi_coords"], "psi_coords") if "psi_coords" in raw else None,
-        x_labels=x_labels,
         family_spec=family_spec,
+        **sample_space,
     )
 
 

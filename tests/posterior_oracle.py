@@ -21,7 +21,7 @@ def compute_posterior(model: FiniteModel, x) -> tuple[np.ndarray, float]:
     if model.is_table:
         lik = model.likelihood[:, model.x_index(x)]
     else:
-        at = x if model.x_labels is None else model.x_index(x)
+        at = x if model.n_x is None else model.x_index(x)
         lik = np.exp(np.asarray(model.likelihood(at), dtype=float))
     joint = model.prior * lik
     evidence = float(joint.sum())

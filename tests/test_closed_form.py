@@ -288,6 +288,29 @@ class TestRegressionOracle:
                          (pred.z_lrse, "z_lrse")):
             assert_matches_exact(got, exact[key], abs(exact[key]))
 
+    @pytest.mark.parametrize("problem", [
+        # The least-squares fit, 2e343, overflows.
+        dict(X=[[5e-324]], y=[1e20], w=[1.0], sigma2=1e-20, tau2=5e-324),
+        # The LRSE per unit of prior variance underflows to 0 where
+        # sigma2 / (tau2 t) overflows; their product is about 1.7e136.
+        dict(X=[[2.5], [0.0], [-5e-324]], y=[5e-324, 1e160, 0.3], w=[1e-160], sigma2=1.0,
+             tau2=1e-300),
+    ])
+    def test_results_past_the_double_range_read_inf_or_a_number(self, problem):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = GaussianRegression(**problem)
+            est, pred = regression_estimates(model), regression_predict(model)
+        values = [*est.mle, est.psi_map, est.psi_lrse, pred.z_map, pred.z_lrse]
+        assert not any(np.isnan(values))
+        exact = exact_regression(**problem)["z_lrse"]
+        if exact > Fraction(np.finfo(float).max):
+            assert pred.z_lrse == np.inf
+        else:
+            # The design's subnormal entry rounds away in the SVD, so only the
+            # magnitude is asked for.
+            assert 0.5 < pred.z_lrse / float(exact) < 2.0
+
     def test_one_svd_per_model_and_no_other_solver(self, monkeypatch):
         calls = []
         svd = np.linalg.svd

@@ -52,6 +52,11 @@ class TestLossSpec:
         spec = parse_loss(f"weighted:{weights}")
         np.testing.assert_allclose(spec.weights, [1.0, 2.0])
 
+    @pytest.mark.parametrize("name", ["missing.txt", "."])
+    def test_unreadable_weights_file_is_named(self, tmp_path, name):
+        with pytest.raises(InvariantViolation, match="^weights file "):
+            parse_loss(f"weighted:{tmp_path / name}")
+
 
 class TestLossValue:
     def setup_method(self):
@@ -206,6 +211,7 @@ class TestPriorRisk:
             psi_map=[0, 1],
             psi_labels=("a", "b"),
             x_labels=("x0", "x1"),
+            n_x=2,
         )
         with pytest.raises(InvariantViolation, match="row-stochastic"):
             conditional_sampling_table(model)

@@ -103,7 +103,7 @@ class TestModelFile:
         np.testing.assert_array_equal(loaded.psi_map, model.psi_map)
         np.testing.assert_array_equal(loaded.theta_coords, model.theta_coords)
         np.testing.assert_array_equal(loaded.psi_coords, model.psi_coords)
-        assert loaded.x_labels == model.x_labels
+        assert loaded.x_labels == model.x_labels and loaded.n_x == model.n_x == 2
 
     def test_unknown_keys_are_ignored(self, tmp_path):
         doc = {
@@ -133,7 +133,7 @@ class TestModelFile:
         )
         model = load_model(path)
         np.testing.assert_allclose(every_column(model), [[0.95, 0.05], [0.2, 0.8]])
-        assert model.x_labels == ("0", "1")
+        assert model.n_x == 2 and model.x_labels is None
 
     def test_binomial_family(self, tmp_path):
         path = write_json(
@@ -270,8 +270,8 @@ class TestModelFile:
             save_model(model, out)
             again = load_model(out)
             assert again.family_spec == model.family_spec
-            assert again.x_labels == model.x_labels
-            if model.x_labels is not None:
+            assert again.n_x == model.n_x and again.x_labels is model.x_labels is None
+            if model.n_x is not None:
                 for name in ("evidence", "marg_joint", "marg_post", "rb"):
                     np.testing.assert_array_equal(getattr(sample_space_tables(again), name),
                                                   getattr(sample_space_tables(model), name))
@@ -711,6 +711,22 @@ class TestCli:
         assert code in (1, 2)
         manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
         assert manifest["status"] != "ok"
+
+    @pytest.mark.parametrize("kind", ["not utf-8", "directory", "missing"])
+    def test_unreadable_model_file_is_a_validation_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "model.json"
+        if kind == "not utf-8":
+            path.write_bytes(b'{"theta": ["\xd0"]}')
+        elif kind == "directory":
+            path.mkdir()
+        with pytest.raises(ModelSpecError) as info:
+            load_model(path)
+        assert info.value.field == "file"
+        for argv in (["validate"], ["estimate", "--x", "0", "--estimator", "lrse"]):
+            out = tmp_path / argv[0]
+            assert run(["--output-dir", str(out), argv[0], "--model", str(path), *argv[1:]]) == 2
+            assert capsys.readouterr().err.startswith("error: file: not a readable JSON file: ")
+            assert json.loads((out / "manifest.json").read_text())["status"] == "validation-error"
 
     def test_subnormal_likelihood_column_estimates(self, tmp_path, capsys):
         path = write_json(

@@ -283,7 +283,7 @@ def test_valid_document_loads_and_round_trips(doc):
         save_model(model, copy_path)
         again = load_model(copy_path, strict=True)
         assert validate(path, Path(tmp) / "out") == 0
-    for name in ("theta_labels", "psi_labels", "x_labels", "family_spec"):
+    for name in ("theta_labels", "psi_labels", "x_labels", "family_spec", "n_x"):
         assert getattr(again, name) == getattr(model, name)
     for name in ("psi_map", "theta_coords", "psi_coords"):
         np.testing.assert_array_equal(getattr(again, name), getattr(model, name))
