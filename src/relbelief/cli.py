@@ -1,11 +1,11 @@
 """Command-line entry point wiring models, estimators, regions, and runs.
 
-Subcommands: estimate, region, classify, predict, risk-table, converge,
-validate.  Every run writes its reports as CSV plus a mirrored JSON document
-into the output directory, along with a manifest recording the resolved
-configuration, seed, artifact paths, and wall time; the manifest is written
-even when the run fails.  Exit codes: 0 success, 2 validation error,
-1 runtime error.
+Subcommands: estimate, region, classify, predict, risk-table (the exact
+risks; ``--reps`` adds a seeded Monte Carlo check), converge, validate.
+Every run writes its reports as CSV plus a mirrored JSON document into the
+output directory, with a manifest of the resolved configuration, seed,
+artifact paths and wall time, written even when the run fails.  Exit codes:
+0 success, 2 validation error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--tau2", type=float, default=1.0)
 
-    p = sub.add_parser("risk-table", help="Monte Carlo conditional risk table")
-    p.add_argument("--reps", type=int, required=True)
+    p = sub.add_parser("risk-table", help="exact conditional risk table")
+    p.add_argument("--reps", type=int, help="add a seeded Monte Carlo check, REPS draws per class")
     p.add_argument("--mu", type=float, default=1.0)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--alpha", type=float, default=1.0)
@@ -247,6 +247,13 @@ def _run_risk_table(args, outdir: Path) -> list[Path]:
         reps=args.reps, seed=args.seed, mu=args.mu, n=args.n,
         alpha=args.alpha, betas=_float_list(args.betas), threads=args.threads,
     )
+    if args.reps is None:
+        columns = ["beta", "method", "exact_M0", "exact_M1", "exact_sum"]
+        rows = [[r.beta, r.method, r.exact_m0, r.exact_m1, r.exact_m0 + r.exact_m1]
+                for r in rows_data]
+        for beta, method, m0, m1, total in rows:
+            print(f"beta={beta:g} {method}: exact {m0:.3f}+{m1:.3f}={total:.3f}")
+        return write_report(outdir / "risk_table", columns, rows)
     columns = ["beta", "method", "M0", "M1", "sum", "se", "exact_M0", "exact_M1", "z_M0", "z_M1"]
     rows = [[r.beta, r.method, r.m0, r.m1, r.risk_sum, r.se,
              r.exact_m0, r.exact_m1, r.z_m0, r.z_m1] for r in rows_data]

@@ -152,23 +152,30 @@ def _posterior(model: GaussianRegression) -> tuple[RegressionEstimates, float]:
     Direction ``i`` of ``c = V' w / t``, ``t = max |w_j|``, shrinks by ``S_i^2 /
     (g^2 + S_i^2)`` with each square taken over ``max(g, S_i)^2``; an LRSE ``mean *
     prior_var / gap`` sums the gap directly, relative to its largest shrinkage.
+    ``U'y`` enters scaled by ``2**-e``, and each result that reads it by ``2**e``:
+    ``e`` is 0 unless some ``|U'y| / S`` may reach ``2**999``, so ``u / S`` and
+    its sums stay finite and every result in range keeps its bits.
     """
     s, U, S, Vt = model._svd
     t = float(np.abs(model.w).max())
-    c, u, ww = Vt @ (model.w / t), U.T @ model.y, float(np.sum((model.w / t) ** 2))
+    u = U.T @ model.y
+    e = max(0, math.frexp(float(np.abs(u).max()))[1] - math.frexp(float(S[-1]))[1] - 998)
+    c, u, ww = Vt @ (model.w / t), u * 2.0**-e, float(np.sum((model.w / t) ** 2))
     q = math.sqrt(model.sigma2) / math.sqrt(model.tau2)  # g * s; sigma2 / tau2 may overflow
     m = np.maximum(q / s, S)
     S2, g2 = (S / m) ** 2, np.minimum(q / s / S, 1.0) ** 2  # (g / m)^2, also at g = inf
     rel = (S2 + g2 * (S / S[0]) ** 2) / (g2 + S2)  # shrinkage over the largest one
     num, den = float(c * u / S @ rel), float(c * c @ rel)
-    unit = num / s / den  # psi_lrse / (t * ww)
+    unit = num / s / den * 2.0**e  # psi_lrse / (t * ww)
     z_lrse = unit * (q / t * q + t * ww)
     if math.isnan(z_lrse):  # 0 * inf: unit underflowed where the bracket overflowed
         logs = (math.log(model.sigma2) - math.log(model.tau2) - math.log(t), math.log(t * ww))
         z_lrse = num and math.copysign(float(np.exp(
-            np.logaddexp(*logs) + math.log(abs(num)) - math.log(den) - math.log(s))), num)
+            np.logaddexp(*logs) + math.log(abs(num)) + e * math.log(2.0) - math.log(den)
+            - math.log(s))), num)
     return RegressionEstimates(
-        mle=Vt.T @ (u / S) / s, psi_map=t * float(c * u * (S / m) / (s * m) @ (1 / (g2 + S2))),
+        mle=Vt.T @ (u / S) / s * 2.0**e,
+        psi_map=t * float(c * u * (S / m) / (s * m) @ (1 / (g2 + S2))) * 2.0**e,
         psi_lrse=t * unit * ww, psi_prior_var=model.tau2 * ww * t * t,
         psi_post_var=model.tau2 * float(c * c @ (g2 / (g2 + S2))) * t * t,
     ), z_lrse

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from collections.abc import Callable
 
@@ -27,6 +28,7 @@ from .quadrature import integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
 TRUNCATION_TOL = 1e-6
+_LOG_MAX = math.log(sys.float_info.max)
 # Most bins a grid, or the union of one refinement run's grids, may have.
 MAX_BINS = 1_000_000
 
@@ -114,7 +116,9 @@ def build_grid(
         anything is allocated), the interval's prior mass is more than
         ``TRUNCATION_TOL`` from one, or the log-likelihood is NaN at some
         node of the first pass (``x`` is not a number, say) or ``-inf`` at
-        every node of it (the observed data are impossible on the support).
+        every node of it (the observed data are impossible on the support),
+        or a later pass's log-likelihood exceeds the first pass's largest by
+        more than the float range (a spike the first nodes missed).
     """
     return _build_grids(cmodel, x, [lam])[0]
 
@@ -173,6 +177,11 @@ def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, 
                 raise InvariantViolation(f"observation {x!r} gives a NaN log-likelihood")
             if shift == -np.inf:
                 raise InvariantViolation("observed data has zero evidence on the support")
+        elif np.max(log_lik) - shift > _LOG_MAX:  # exp would overflow
+            raise InvariantViolation(
+                f"the log-likelihood of x = {x!r} at theta = {float(t[np.argmax(log_lik)])!r} "
+                f"exceeds the first pass's largest by {float(np.max(log_lik) - shift):.6g}, past "
+                "the float range: a spike the grid's first nodes missed")
         return np.stack([p, p * np.exp(log_lik - shift)])
 
     pieces = integrate_bins(prior_and_joint, union)

@@ -1,25 +1,25 @@
-"""Seeded Monte Carlo estimation of conditional misclassification risks.
+"""Exact conditional misclassification risks, checked by seeded Monte Carlo.
 
 Given the conditioning class ``c``, the comparison between the class
 predictors depends on the training sample only through the count ``k`` of
-class-1 training cases, which is beta-binomial.  ``k`` takes only ``n + 1``
-values, so a block draws how many of its replications fall on each ``k`` as
-one multinomial over the beta-binomial pmf, and each method's decision is a
-cutoff in ``x`` per ``k``, computed once per scenario with the pmf.  The
-block then walks its replications in chunks of ``_CHUNK`` rows: each chunk
-draws one standard normal ``Z`` per row for the new observation
-``x = c * mu + Z``, gives each row the cutoff of its ``k``, and counts the
-rows that predict class 1.  So a block never
-holds a temporary with one entry per replication, and its working set stays
-at a few chunk-sized arrays whatever ``BLOCK`` and ``n`` are.
+class-1 training cases, which is beta-binomial, and each method's decision
+is a cutoff in ``x`` per ``k``.  One cached record per scenario ``(alpha,
+beta, mu, n)`` holds the pmf of ``k``, the cutoffs and the exact risks, each
+a beta-binomial mixture of normal tails (:func:`exact_conditional_risk`).
+
+The Monte Carlo check reads the same record.  A block draws how many of its
+replications fall on each ``k`` as one multinomial over the pmf, then walks
+its replications in chunks of ``_CHUNK`` rows: each chunk draws one standard
+normal ``Z`` per row for the new observation ``x = c * mu + Z``, gives each
+row the cutoff of its ``k``, and counts the rows that predict class 1.  So a
+block never holds a temporary with one entry per replication, and its
+working set stays at a few chunk-sized arrays whatever ``BLOCK`` and ``n`` are.
 
 Every block of ``BLOCK`` replications has its own counter-based stream keyed
 by (seed, scenario, class, block index), so a block's draws do not depend on
 which worker runs it or when: error counts are bit-identical for any thread
 count.  Drawing a block's normals chunk by chunk reads the stream in the same
 order as one draw, so the chunk size does not change the counts either.
-:func:`exact_conditional_risk` gives the same risks exactly, as a
-beta-binomial mixture of normal tails.
 """
 
 from __future__ import annotations
@@ -62,25 +62,34 @@ class SimConfig:
     def __post_init__(self):
         # The stream key hashes the fields' text, so ``alpha=1`` and
         # ``alpha=1.0`` must be one value before anything reads them.
-        for name in ("alpha", "beta", "mu"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n", "reps", "seed"):
-            value = getattr(self, name)
-            try:
-                as_int = int(value)
-            except (TypeError, ValueError, OverflowError):
-                as_int = None
-            if as_int is None or as_int != value:
-                raise InvariantViolation(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, as_int)
+        scenario = _checked_scenario(self.alpha, self.beta, self.mu, self.n)
+        for name, value in zip(("alpha", "beta", "mu", "n"), scenario):
+            object.__setattr__(self, name, value)
+        for name in ("reps", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.reps < 1:
             raise InvariantViolation("need at least one replication")
-        if not all(math.isfinite(v) for v in (self.alpha, self.beta, self.mu)):
-            raise InvariantViolation("alpha, beta and mu must be finite")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise InvariantViolation("Beta parameters must be positive")
-        if self.n < 0:
-            raise InvariantViolation("training sample size cannot be negative")
+
+
+def _integer(name: str, value) -> int:
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+
+
+def _checked_scenario(alpha, beta, mu, n) -> tuple[float, float, float, int]:
+    """The scenario ``(alpha, beta, mu, n)`` as three floats and an int, once checked."""
+    alpha, beta, mu, n = float(alpha), float(beta), float(mu), _integer("n", n)
+    if not all(math.isfinite(v) for v in (alpha, beta, mu)):
+        raise InvariantViolation("alpha, beta and mu must be finite")
+    if not (alpha > 0 and beta > 0):
+        raise InvariantViolation("Beta parameters must be positive")
+    if n < 0:
+        raise InvariantViolation("training sample size cannot be negative")
+    return alpha, beta, mu, n
 
 
 def _cell_key(cfg: SimConfig, c: int) -> list[int]:
@@ -131,26 +140,34 @@ def _draw_training_counts(rng: Generator, rows: int, pmf: np.ndarray) -> np.ndar
 
 
 @functools.lru_cache(maxsize=8)
-def _scenario(cfg: SimConfig) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The pmf of ``k`` and each method's cutoff per ``k``, read-only and shared.
+def _scenario(alpha: float, beta: float, mu: float, n: int):
+    """The pmf of ``k``, and each method's cutoff per ``k`` and exact ``(M0, M1)``.
 
-    Class 1 is predicted when ``f_ratio * stat >= 1``, that is when
-    ``mu * x >= mu**2 / 2 - log(stat)``: when ``sign(mu) * x`` is at least
-    ``sign(mu) * (mu / 2 - log(stat) / mu)``.  At ``mu == 0`` the cutoff is
-    ``-inf`` where ``stat >= 1`` and ``inf`` elsewhere.
+    One read-only record per checked scenario, shared by every seed's blocks
+    and by :func:`exact_conditional_risk`.  Class 1 is predicted when
+    ``f_ratio * stat >= 1``, that is when ``mu * x >= mu**2 / 2 - log(stat)``:
+    when ``sign(mu) * x`` is at least ``sign(mu) * (mu / 2 - log(stat) / mu)``.
+    At ``mu == 0`` the cutoff is ``-inf`` where ``stat >= 1`` and ``inf``
+    elsewhere.
     """
-    out = {}
+    pmf = beta_binomial_pmf(n, alpha, beta)
+    pmf.setflags(write=False)
+    cutoffs, exact = {}, {}
     for method in METHODS:
-        stat = decision_statistic(method, cfg.alpha, cfg.beta, cfg.n, np.arange(cfg.n + 1))
-        if cfg.mu == 0.0:
-            out[method] = np.where(stat >= 1.0, -np.inf, np.inf)
-            continue
-        with np.errstate(over="ignore"):  # a cutoff past the floats reads +-inf
-            out[method] = math.copysign(1.0, cfg.mu) * (cfg.mu / 2.0 - np.log(stat) / cfg.mu)
-    pmf = beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta)
-    for arr in (pmf, *out.values()):
-        arr.setflags(write=False)
-    return pmf, out
+        stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
+        if mu == 0.0:
+            cut = np.where(stat >= 1.0, -np.inf, np.inf)
+        else:
+            with np.errstate(over="ignore"):  # a cutoff past the floats reads +-inf
+                cut = math.copysign(1.0, mu) * (mu / 2.0 - np.log(stat) / mu)
+        cut.setflags(write=False)
+        cutoffs[method] = cut
+        # sign(mu) * x - c * |mu| is standard normal, so class 1 is predicted
+        # with probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, and
+        # missed with erfc(-t / sqrt 2) / 2.
+        tails = [side * (cut - c * abs(mu)) / math.sqrt(2.0) for c, side in ((0, 1.0), (1, -1.0))]
+        exact[method] = tuple(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]) for z in tails)
+    return pmf, cutoffs, exact
 
 
 def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
@@ -165,7 +182,7 @@ def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[s
     ``k``, so every row meets the comparison of a single pass over the
     block, with the same operands.
     """
-    pmf, cutoffs = _scenario(cfg)
+    pmf, cutoffs, _ = _scenario(cfg.alpha, cfg.beta, cfg.mu, cfg.n)
     stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
     rng = Generator(Philox(stream))
     edges = np.concatenate(([0], np.cumsum(_draw_training_counts(rng, rows, pmf))))
@@ -188,41 +205,28 @@ def exact_conditional_risk(
 
     Given the class ``c`` and the training count ``k``, the rule predicts
     class 1 when ``sign(mu) * x`` reaches the cutoff of ``k`` that the
-    simulated blocks use, and ``sign(mu) * x`` is normal with mean
-    ``c * |mu|`` and unit variance.  Each risk is the beta-binomial mixture
-    over ``k`` of these normal tails.
+    simulated blocks use; each risk mixes the normal tails past it over ``k``.
     """
-    pmf, cutoffs = _scenario(SimConfig(alpha=alpha, beta=beta, mu=mu, n=n))  # validates it
-    if method not in cutoffs:
+    _, _, exact = _scenario(*_checked_scenario(alpha, beta, mu, n))
+    if method not in exact:
         raise InvariantViolation(f"unknown method {method!r}")
-    risks = []
-    for c, side in ((0, 1.0), (1, -1.0)):
-        # sign(mu) * x - c * |mu| is standard normal, so class 1 is predicted
-        # with probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, and
-        # missed with erfc(-t / sqrt 2) / 2.
-        z = side * (cutoffs[method] - c * abs(mu)) / math.sqrt(2.0)
-        risks.append(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]))
-    return risks[0], risks[1]
+    return exact[method]
 
 
 def _cell_error_counts(cfg: SimConfig, c: int) -> dict[str, int]:
+    def block(i: int) -> dict[str, int]:
+        return _block_errors(cfg, c, i, min(BLOCK, cfg.reps - i * BLOCK))
+
     n_blocks = (cfg.reps + BLOCK - 1) // BLOCK
-    sizes = [min(BLOCK, cfg.reps - i * BLOCK) for i in range(n_blocks)]
-    totals = dict.fromkeys(METHODS, 0)
     if cfg.threads > 1 and n_blocks > 1:
         # Imported here: only a multi-threaded run pays for concurrent.futures.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(
-                pool.map(lambda i: _block_errors(cfg, c, i, sizes[i]), range(n_blocks))
-            )
+            results = list(pool.map(block, range(n_blocks)))
     else:
-        results = [_block_errors(cfg, c, i, sizes[i]) for i in range(n_blocks)]
-    for counts in results:
-        for m, v in counts.items():
-            totals[m] += v
-    return totals
+        results = [block(i) for i in range(n_blocks)]
+    return {m: sum(counts[m] for counts in results) for m in METHODS}
 
 
 def _smoothed_se(errors: int, reps: int) -> float:
@@ -241,18 +245,13 @@ def conditional_risk_mc(cfg: SimConfig) -> dict[str, RiskReport]:
     predictive class weights, and the prior risk under the prediction loss
     equals the plain sum of the two conditional errors.
     """
-    per_class_counts = {m: [] for m in METHODS}
-    for c in (0, 1):
-        counts = _cell_error_counts(cfg, c)
-        for m in METHODS:
-            per_class_counts[m].append(counts[m])
-
+    cells = [_cell_error_counts(cfg, c) for c in (0, 1)]
     q1 = cfg.alpha / (cfg.alpha + cfg.beta)
     class_prior = np.array([1.0 - q1, q1])
     out = {}
     for m in METHODS:
-        errs = np.array(per_class_counts[m], dtype=float) / cfg.reps
-        ses = np.array([_smoothed_se(k, cfg.reps) for k in per_class_counts[m]])
+        errs = np.array([cell[m] for cell in cells], dtype=float) / cfg.reps
+        ses = np.array([_smoothed_se(cell[m], cfg.reps) for cell in cells])
         out[m] = RiskReport(
             per_class_error=errs,
             unweighted_sum=float(errs.sum()),
@@ -267,18 +266,18 @@ def conditional_risk_mc(cfg: SimConfig) -> dict[str, RiskReport]:
 class RiskTableRow:
     beta: float
     method: str
-    m0: float
-    m1: float
-    risk_sum: float
-    se: float
     exact_m0: float
     exact_m1: float
-    z_m0: float
-    z_m1: float
+    m0: float | None = None
+    m1: float | None = None
+    risk_sum: float | None = None
+    se: float | None = None
+    z_m0: float | None = None
+    z_m1: float | None = None
 
 
 def risk_table(
-    reps: int,
+    reps: int | None,
     seed: int,
     *,
     mu: float = 1.0,
@@ -289,34 +288,28 @@ def risk_table(
 ) -> list[RiskTableRow]:
     """Conditional misclassification risks across a grid of Beta parameters.
 
-    One row per (beta, method) with the two conditional error estimates,
-    their sum, the standard error of the sum, the exact risks from
-    :func:`exact_conditional_risk`, and each estimate's z-score against its
-    exact value in units of its own (smoothed) standard error.
+    One row per (beta, method) with the exact risks from the scenario's
+    record.  With ``reps`` replications each row adds the two simulated
+    conditional errors, their sum, the standard error of the sum, and each
+    estimate's z-score against its exact value in units of its own
+    (smoothed) standard error; with ``reps=None`` nothing is drawn and those
+    fields stay ``None``.
     """
     if len(betas) == 0:
         raise InvariantViolation("the risk table needs at least one beta")
     rows = []
     for beta in betas:
-        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, reps=reps, seed=seed, threads=threads)
-        reports = conditional_risk_mc(cfg)
+        scenario = _checked_scenario(alpha, beta, mu, n)
+        _, _, exact = _scenario(*scenario)  # built here, before any worker reads it
+        if reps is not None:
+            reports = conditional_risk_mc(SimConfig(*scenario, reps, seed, threads))
         for method in METHODS:
-            rep = reports[method]
-            se = float(np.sqrt(np.sum(rep.std_err**2)))
-            exact = exact_conditional_risk(cfg.alpha, cfg.beta, cfg.mu, cfg.n, method)
-            z = (rep.per_class_error - exact) / rep.std_err
-            rows.append(
-                RiskTableRow(
-                    beta=cfg.beta,
-                    method=method,
-                    m0=float(rep.per_class_error[0]),
-                    m1=float(rep.per_class_error[1]),
-                    risk_sum=rep.unweighted_sum,
-                    se=se,
-                    exact_m0=exact[0],
-                    exact_m1=exact[1],
-                    z_m0=float(z[0]),
-                    z_m1=float(z[1]),
-                )
-            )
+            mc = {}
+            if reps is not None:
+                rep = reports[method]
+                z = (rep.per_class_error - exact[method]) / rep.std_err
+                mc = dict(m0=float(rep.per_class_error[0]), m1=float(rep.per_class_error[1]),
+                          risk_sum=rep.unweighted_sum, se=float(np.sqrt(np.sum(rep.std_err**2))),
+                          z_m0=float(z[0]), z_m1=float(z[1]))
+            rows.append(RiskTableRow(scenario[1], method, *exact[method], **mc))
     return rows

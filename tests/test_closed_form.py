@@ -295,6 +295,11 @@ class TestRegressionOracle:
         # sigma2 / (tau2 t) overflows; their product is about 1.7e136.
         dict(X=[[2.5], [0.0], [-5e-324]], y=[5e-324, 1e160, 0.3], w=[1e-160], sigma2=1.0,
              tau2=1e-300),
+        # U'y / S passes the largest double, next to exact zeros of V: the fit's
+        # terms of 1e310 cancel in psi, and the LRSE of 2.6e308 overflows.
+        dict(X=[[1.0, 0.0, 0.0], [0.0, 1e-10, 0.0], [0.0, 0.0, 1e-10]], y=[0.0, 1e300, -1e300],
+             w=[1.0, 1.0, 1.0], sigma2=1.0, tau2=1.0),
+        dict(X=[[1.0, 0.0], [0.0, 0.5]], y=[1e308, 1e308], w=[1.0, 1.0], sigma2=1.0, tau2=1.0),
     ])
     def test_results_past_the_double_range_read_inf_or_a_number(self, problem):
         with warnings.catch_warnings():
@@ -306,7 +311,7 @@ class TestRegressionOracle:
         exact = exact_regression(**problem)["z_lrse"]
         if exact > Fraction(np.finfo(float).max):
             assert pred.z_lrse == np.inf
-        else:
+        elif exact:
             # The design's subnormal entry rounds away in the SVD, so only the
             # magnitude is asked for.
             assert 0.5 < pred.z_lrse / float(exact) < 2.0

@@ -1,5 +1,6 @@
 """Quadrature, grid construction, and refinement experiments."""
 
+import json
 import math
 import warnings
 
@@ -241,6 +242,17 @@ class TestLogLikelihoodProtocol:
         )
         with pytest.raises(InvariantViolation, match="zero evidence"):
             build_grid(cmodel, 0.0, 0.5)
+
+    def test_spike_between_first_nodes_exits_2_naming_it(self, tmp_path, capsys):
+        # At sigma = 1e-6 the likelihood's peak at theta = x is narrower than
+        # the first pass's node spacing; a later node finds it e^2493 higher.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "converge", "--sigma", "1e-6"]) == 2
+            assert run(["--output-dir", str(tmp_path / "wider"), "converge", "--sigma", "1e-5"]) == 0
+        err = capsys.readouterr().err
+        assert "log-likelihood of x = 1.0 at theta = 1.00004" in err and "by 2493.42" in err
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "validation-error"
 
     def test_nan_observation_is_named(self):
         cmodel = NormalNormalTestbed().continuous_model()

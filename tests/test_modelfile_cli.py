@@ -333,7 +333,7 @@ REQUIRED_ARGS = {
     "classify": ["--psi1", "0.2", "--psi2", "0.7", "--epsilon", "0.1", "--x", "1",
                  "--method", "lrse"],
     "predict": ["--kind", "class"],
-    "risk-table": ["--reps", "10"],
+    "risk-table": [],
     "converge": [],
     "validate": ["--model", "m.json"],
 }

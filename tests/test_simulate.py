@@ -288,14 +288,15 @@ class TestScenarioTypes:
 
 
 class TestExactRisk:
-    @pytest.mark.parametrize("from_table", [False, True])
+    @pytest.mark.parametrize("from_table", [False, True, None])
     @pytest.mark.parametrize("method", ["map", "lrse"])
     @pytest.mark.parametrize("mu", [1.0, 0.0, 2.5, 0.3])
     @pytest.mark.parametrize("alpha,beta,n", [(1.0, 1.0, 10), (1.0, 14.0, 10), (1.0, 100.0, 10),
                                               (0.05, 200.0, 30), (3.0, 0.5, 0), (200.0, 0.05, 1)])
     def test_matches_enumeration(self, alpha, beta, n, mu, method, from_table):
-        if from_table:  # the exact columns of a risk-table row
-            rows = risk_table(reps=1, seed=0, mu=mu, n=n, alpha=alpha, betas=(beta,))
+        if from_table is not False:  # a risk-table row's exact columns, drawn (True) or not
+            rows = risk_table(reps=1 if from_table else None, seed=0, mu=mu, n=n, alpha=alpha,
+                              betas=(beta,))
             (row,) = [r for r in rows if r.method == method]
             got = (row.exact_m0, row.exact_m1)
         else:
@@ -334,6 +335,14 @@ class TestExactRisk:
     def test_rejects_an_invalid_scenario(self, args):
         with pytest.raises(InvariantViolation):
             exact_conditional_risk(*args)
+
+    @pytest.mark.parametrize("reps", [None, BLOCK + 1])
+    def test_risk_table_builds_each_scenario_once(self, reps):
+        # Two threads draw each class's two blocks; none of them builds the record again.
+        simulate._scenario.cache_clear()
+        rows = risk_table(reps=reps, seed=0, betas=(1.0, 14.0, 32.0, 100.0), threads=2)
+        assert simulate._scenario.cache_info().misses == 4
+        assert [(r.m0 is None, r.z_m1 is None) for r in rows] == [(reps is None,) * 2] * 8
 
     def test_risk_table_reports_exact_values_and_z_scores(self):
         reports = conditional_risk_mc(SimConfig(beta=14.0, reps=20_000, seed=3))
@@ -398,7 +407,32 @@ class TestBetaBinomialPmf:
             assert abs(float(row["z_M0"])) < 1e-9 and abs(float(row["z_M1"])) < 1e-9
 
 
+# Values at the float range's edges, and text that does not parse.
+EDGE_VALUES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e308", "-1e308", "inf",
+               "-inf", "nan", "1.5x"]
+
+
 class TestRiskTableCli:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(reps=st.one_of(st.none(), st.integers(-1, 50)), n=st.integers(-1, 50),
+           mu=st.sampled_from(EDGE_VALUES), alpha=st.sampled_from(EDGE_VALUES),
+           betas=st.lists(st.sampled_from(EDGE_VALUES + ["1", "14"]), min_size=1, max_size=3))
+    def test_edge_argvs_end_in_a_status_without_warnings(self, tmp_path_factory, reps, n, mu,
+                                                         alpha, betas):
+        out = tmp_path_factory.mktemp("edge")
+        argv = ["--output-dir", str(out), "risk-table", "--n", str(n), "--mu", mu,
+                "--alpha", alpha, "--betas", ",".join(betas)]
+        argv += [] if reps is None else ["--reps", str(reps)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if "1.5x" in (mu, alpha):  # argparse refuses the option before any run starts
+            assert code == 2 and not (out / "manifest.json").exists()
+            return
+        status = json.loads((out / "manifest.json").read_text())["status"]
+        assert (code, status) in {(0, "ok"), (2, "validation-error"), (1, "error")}
+
     def test_overfull_pmf_scenario_runs(self, tmp_path):
         n, alpha, beta = OVERFULL
         argv = ["--output-dir", str(tmp_path), "risk-table", "--reps", "1000", "--n", str(n),
@@ -411,6 +445,23 @@ class TestRiskTableCli:
             for cell, p in zip(("M0", "M1"), exact):
                 z = (float(row[cell]) - p) / math.sqrt(p * (1.0 - p) / 1000)
                 assert abs(z) < 5
+
+    def test_exact_table_draws_nothing(self, tmp_path, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("the exact table ran the simulator")
+
+        monkeypatch.setattr(simulate, "conditional_risk_mc", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "risk-table", "--betas", "1,14,32,100"]) == 0
+        rows = json.loads((tmp_path / "risk_table.json").read_text())["rows"]
+        assert [(r["beta"], r["method"]) for r in rows] == [
+            (b, m) for b in (1, 14, 32, 100) for m in METHODS]
+        for row in rows:
+            assert list(row) == ["beta", "method", "exact_M0", "exact_M1", "exact_sum"]
+            want = enumerated_risks(1.0, row["beta"], 1.0, 10, row["method"])
+            assert (row["exact_M0"], row["exact_M1"]) == pytest.approx(want, abs=1e-12, rel=0)
+            assert row["exact_sum"] == pytest.approx(sum(want), abs=1e-12, rel=0)
 
     def test_benchmark_csv_is_unchanged(self, tmp_path):
         # risk_table.csv of the benchmark's argv, recorded before the
