@@ -4,33 +4,30 @@ Given the conditioning class ``c``, the comparison between the class
 predictors depends on the training sample only through the count ``k`` of
 class-1 training cases, which is beta-binomial, and each method's decision
 is a cutoff in ``x`` per ``k``.  One cached record per scenario ``(alpha,
-beta, mu, n)`` holds the pmf of ``k``, the cutoffs and the exact risks, each
-a beta-binomial mixture of normal tails (:func:`exact_conditional_risk`).
+beta, mu, n)`` holds the pmf of ``k``, the cutoffs and, once read, the exact
+risks, each a beta-binomial mixture of normal tails.
 
-The Monte Carlo check reads the same record.  A block draws how many of its
-replications fall on each ``k`` as one multinomial over the pmf, then walks
-its replications in chunks of ``_CHUNK`` rows: each chunk draws one standard
-normal ``Z`` per row for the new observation ``x = c * mu + Z``, gives each
-row the cutoff of its ``k``, and counts the rows that predict class 1.  So a
-block never holds a temporary with one entry per replication, and its
-working set stays at a few chunk-sized arrays whatever ``BLOCK`` and ``n`` are.
+The Monte Carlo check walks the blocks of all of a table's betas at once.
+Per beta a block draws how many of its replications fall on each ``k`` as
+one multinomial over the pmf, then walks them in chunks of ``_CHUNK`` rows:
+each chunk draws one standard normal ``Z`` per row for the new observation
+``x = c * mu + Z`` and counts, per beta, the rows that reach the cutoff of
+their ``k``.  So a block's working set stays at a few chunk-sized arrays.
 
-Every block of ``BLOCK`` replications has its own counter-based stream keyed
-by (seed, scenario, class, block index), so a block's draws do not depend on
-which worker runs it or when: error counts are bit-identical for any thread
-count.  Drawing a block's normals chunk by chunk reads the stream in the same
-order as one draw, so the chunk size does not change the counts either.
+A block's training counts come from a counter-based stream keyed by (seed,
+scenario, class, block index), its normals from one keyed by (seed, alpha,
+mu, n, class, block index) that every beta reads.  So error counts are
+bit-identical for any thread count, each row equals its one-beta table, and
+drawing the normals chunk by chunk does not change them either.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 from .closed_form import decision_statistic
 from .errors import InvariantViolation
@@ -92,14 +89,16 @@ def _checked_scenario(alpha, beta, mu, n) -> tuple[float, float, float, int]:
     return alpha, beta, mu, n
 
 
-def _cell_key(cfg: SimConfig, c: int) -> list[int]:
+def _cell_key(cfg: SimConfig, c: int, normals: bool = False) -> list[int]:
     """Stable 128-bit stream key for one (scenario, class) cell.
 
     The tag's text is fixed, its constant ``0`` field included: changing any
-    character moves every draw.
+    character moves every draw.  The normals' tag drops ``beta`` and the ``0``.
     """
-    tag = f"{cfg.seed}|{cfg.alpha!r}|{cfg.beta!r}|{cfg.mu!r}|{cfg.n}|0|{c}"
-    digest = hashlib.sha256(tag.encode()).digest()
+    import hashlib  # loaded only by a run that draws
+    fields = (cfg.seed, cfg.alpha, cfg.mu, cfg.n, c) if normals else (
+        cfg.seed, cfg.alpha, cfg.beta, cfg.mu, cfg.n, 0, c)
+    digest = hashlib.sha256("|".join(map(str, fields)).encode()).digest()
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
 
 
@@ -123,7 +122,7 @@ def beta_binomial_pmf(n: int, a: float, b: float) -> np.ndarray:
     return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def _draw_training_counts(rng: Generator, rows: int, pmf: np.ndarray) -> np.ndarray:
+def _draw_training_counts(rng: np.random.Generator, rows: int, pmf: np.ndarray) -> np.ndarray:
     """How many of ``rows`` replications have each training count ``k = 0..n``.
 
     One multinomial draw over the beta-binomial pmf.  numpy takes the last
@@ -139,12 +138,12 @@ def _draw_training_counts(rng: Generator, rows: int, pmf: np.ndarray) -> np.ndar
         return rng.multinomial(rows, pmf / pmf.sum())
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=64)  # each block of a table reads every beta's record
 def _scenario(alpha: float, beta: float, mu: float, n: int):
-    """The pmf of ``k``, and each method's cutoff per ``k`` and exact ``(M0, M1)``.
+    """The pmf of ``k`` and each method's cutoff per ``k``.
 
-    One read-only record per checked scenario, shared by every seed's blocks
-    and by :func:`exact_conditional_risk`.  Class 1 is predicted when
+    One record per checked scenario, its arrays read-only, for every seed's
+    blocks and :func:`exact_conditional_risk`.  Class 1 is predicted when
     ``f_ratio * stat >= 1``, that is when ``mu * x >= mu**2 / 2 - log(stat)``:
     when ``sign(mu) * x`` is at least ``sign(mu) * (mu / 2 - log(stat) / mu)``.
     At ``mu == 0`` the cutoff is ``-inf`` where ``stat >= 1`` and ``inf``
@@ -152,7 +151,7 @@ def _scenario(alpha: float, beta: float, mu: float, n: int):
     """
     pmf = beta_binomial_pmf(n, alpha, beta)
     pmf.setflags(write=False)
-    cutoffs, exact = {}, {}
+    cutoffs, exact = {}, {}  # exact: each method's (M0, M1), filled when first read
     for method in METHODS:
         stat = decision_statistic(method, alpha, beta, n, np.arange(n + 1))
         if mu == 0.0:
@@ -162,40 +161,38 @@ def _scenario(alpha: float, beta: float, mu: float, n: int):
                 cut = math.copysign(1.0, mu) * (mu / 2.0 - np.log(stat) / mu)
         cut.setflags(write=False)
         cutoffs[method] = cut
-        # sign(mu) * x - c * |mu| is standard normal, so class 1 is predicted
-        # with probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, and
-        # missed with erfc(-t / sqrt 2) / 2.
-        tails = [side * (cut - c * abs(mu)) / math.sqrt(2.0) for c, side in ((0, 1.0), (1, -1.0))]
-        exact[method] = tuple(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]) for z in tails)
     return pmf, cutoffs, exact
 
 
-def _block_errors(cfg: SimConfig, c: int, block_index: int, rows: int) -> dict[str, int]:
-    """Exact integer error counts of one block of replications.
+def _block_errors(cfgs, c: int, block_index: int, rows: int) -> list[dict[str, int]]:
+    """Exact integer error counts of one block of replications, per scenario.
 
-    The per-k training counts, then the observations' normal draws, come from
-    the block's own keyed stream, so scheduling cannot change the draws.  The
-    replications are taken in order of ``k``: rows ``edges[k]`` to
-    ``edges[k + 1]`` have count ``k``.  The normals are independent of the
-    counts, so every row is still an independent replication.  Each chunk
-    draws its normals in stream order and gives each row the cutoff of its
-    ``k``, so every row meets the comparison of a single pass over the
-    block, with the same operands.
+    The scenarios differ only in ``beta``.  Each one's per-k training counts
+    come from its own keyed stream, the normals from one that they share, so
+    neither scheduling nor the other betas change a scenario's draws.  A
+    scenario's rows ``edges[k]`` to ``edges[k + 1]`` have count ``k``, and
+    the normals are independent of the counts.  Each chunk draws its normals
+    once, in stream order, and compares them with every scenario's cutoffs.
     """
-    pmf, cutoffs, _ = _scenario(cfg.alpha, cfg.beta, cfg.mu, cfg.n)
-    stream = SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))
-    rng = Generator(Philox(stream))
-    edges = np.concatenate(([0], np.cumsum(_draw_training_counts(rng, rows, pmf))))
+    from numpy.random import Generator, Philox, SeedSequence  # loaded only by a run that draws
 
-    hits = dict.fromkeys(METHODS, 0)  # rows that predict class 1
+    def stream(cfg: SimConfig, normals: bool = False) -> Generator:
+        return Generator(Philox(SeedSequence(_cell_key(cfg, c, normals), spawn_key=(block_index,))))
+    cells = []  # per scenario: count edges, cutoffs and the rows that predict class 1
+    for cfg in cfgs:
+        pmf, cutoffs, _ = _scenario(cfg.alpha, cfg.beta, cfg.mu, cfg.n)
+        edges = np.concatenate(([0], np.cumsum(_draw_training_counts(stream(cfg), rows, pmf))))
+        cells.append((edges, cutoffs, dict.fromkeys(METHODS, 0)))
+    normals, mu = stream(cfgs[0], normals=True), cfgs[0].mu
     for lo in range(0, rows, _CHUNK):
         hi = min(lo + _CHUNK, rows)
-        x = c * cfg.mu + rng.standard_normal(hi - lo)
-        signed = x if cfg.mu >= 0 else -x
-        rows_per_k = np.diff(np.clip(edges, lo, hi))
-        for method, cut in cutoffs.items():
-            hits[method] += int(np.count_nonzero(signed >= np.repeat(cut, rows_per_k)))
-    return {m: rows - h if c else h for m, h in hits.items()}
+        x = c * mu + normals.standard_normal(hi - lo)
+        signed = x if mu >= 0 else -x
+        for edges, cutoffs, hits in cells:
+            rows_per_k = np.diff(np.clip(edges, lo, hi))
+            for method, cut in cutoffs.items():
+                hits[method] += int(np.count_nonzero(signed >= np.repeat(cut, rows_per_k)))
+    return [{m: rows - h if c else h for m, h in hits.items()} for _, _, hits in cells]
 
 
 def exact_conditional_risk(
@@ -207,26 +204,32 @@ def exact_conditional_risk(
     class 1 when ``sign(mu) * x`` reaches the cutoff of ``k`` that the
     simulated blocks use; each risk mixes the normal tails past it over ``k``.
     """
-    _, _, exact = _scenario(*_checked_scenario(alpha, beta, mu, n))
-    if method not in exact:
+    pmf, cutoffs, exact = _scenario(*_checked_scenario(alpha, beta, mu, n))
+    if method not in cutoffs:
         raise InvariantViolation(f"unknown method {method!r}")
+    if method not in exact:
+        # sign(mu) * x - c * |mu| is standard normal: class 1 is predicted with
+        # probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, missed at -t.
+        tails = [side * (cutoffs[method] - c * abs(mu)) / math.sqrt(2.0)
+                 for c, side in ((0, 1.0), (1, -1.0))]
+        exact[method] = tuple(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]) for z in tails)
     return exact[method]
 
 
-def _cell_error_counts(cfg: SimConfig, c: int) -> dict[str, int]:
-    def block(i: int) -> dict[str, int]:
-        return _block_errors(cfg, c, i, min(BLOCK, cfg.reps - i * BLOCK))
+def _cell_error_counts(cfgs, c: int) -> list[dict[str, int]]:
+    def block(i: int) -> list[dict[str, int]]:  # the scenarios share reps, seed and threads
+        return _block_errors(cfgs, c, i, min(BLOCK, cfgs[0].reps - i * BLOCK))
 
-    n_blocks = (cfg.reps + BLOCK - 1) // BLOCK
-    if cfg.threads > 1 and n_blocks > 1:
+    n_blocks = (cfgs[0].reps + BLOCK - 1) // BLOCK
+    if cfgs[0].threads > 1 and n_blocks > 1:
         # Imported here: only a multi-threaded run pays for concurrent.futures.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfgs[0].threads) as pool:
             results = list(pool.map(block, range(n_blocks)))
     else:
         results = [block(i) for i in range(n_blocks)]
-    return {m: sum(counts[m] for counts in results) for m in METHODS}
+    return [{m: sum(counts[m] for counts in cell) for m in METHODS} for cell in zip(*results)]
 
 
 def _smoothed_se(errors: int, reps: int) -> float:
@@ -236,6 +239,20 @@ def _smoothed_se(errors: int, reps: int) -> float:
     return math.sqrt(p * (1.0 - p) / reps)
 
 
+def _mc_reports(cfgs):  # each scenario's reports, in order, from one walk over the blocks
+    for cfg, *cells in zip(cfgs, *(_cell_error_counts(cfgs, c) for c in (0, 1))):
+        q1 = cfg.alpha / (cfg.alpha + cfg.beta)
+        class_prior = np.array([1.0 - q1, q1])
+        reports = {}
+        for m in METHODS:
+            errs = np.array([cell[m] for cell in cells], dtype=float) / cfg.reps
+            ses = np.array([_smoothed_se(cell[m], cfg.reps) for cell in cells])
+            reports[m] = RiskReport(per_class_error=errs, unweighted_sum=float(errs.sum()),
+                                    prior_weighted_sum=float(errs @ class_prior),
+                                    prior_risk=float(errs.sum()), std_err=ses)
+        yield reports
+
+
 def conditional_risk_mc(cfg: SimConfig) -> dict[str, RiskReport]:
     """Monte Carlo conditional misclassification risks per method.
 
@@ -243,23 +260,10 @@ def conditional_risk_mc(cfg: SimConfig) -> dict[str, RiskReport]:
     probabilities of misclassifying class 0 and class 1 respectively, with
     matched standard errors.  The prior-weighted aggregate uses the prior
     predictive class weights, and the prior risk under the prediction loss
-    equals the plain sum of the two conditional errors.
+    equals the plain sum of the two conditional errors.  The estimates are
+    those of this beta's row in :func:`risk_table`.
     """
-    cells = [_cell_error_counts(cfg, c) for c in (0, 1)]
-    q1 = cfg.alpha / (cfg.alpha + cfg.beta)
-    class_prior = np.array([1.0 - q1, q1])
-    out = {}
-    for m in METHODS:
-        errs = np.array([cell[m] for cell in cells], dtype=float) / cfg.reps
-        ses = np.array([_smoothed_se(cell[m], cfg.reps) for cell in cells])
-        out[m] = RiskReport(
-            per_class_error=errs,
-            unweighted_sum=float(errs.sum()),
-            prior_weighted_sum=float(errs @ class_prior),
-            prior_risk=float(errs.sum()),
-            std_err=ses,
-        )
-    return out
+    return next(_mc_reports([cfg]))
 
 
 @dataclass(frozen=True)
@@ -293,23 +297,24 @@ def risk_table(
     conditional errors, their sum, the standard error of the sum, and each
     estimate's z-score against its exact value in units of its own
     (smoothed) standard error; with ``reps=None`` nothing is drawn and those
-    fields stay ``None``.
+    fields stay ``None``.  Rows share their normals, so their z-scores correlate.
     """
     if len(betas) == 0:
         raise InvariantViolation("the risk table needs at least one beta")
+    scenarios = [_checked_scenario(alpha, beta, mu, n) for beta in betas]
+    # Every record is built here, before any worker reads it.
+    exact = [[exact_conditional_risk(*s, m) for m in METHODS] for s in scenarios]
+    reports = [None] * len(scenarios) if reps is None else _mc_reports(
+        [SimConfig(*s, reps, seed, threads) for s in scenarios])
     rows = []
-    for beta in betas:
-        scenario = _checked_scenario(alpha, beta, mu, n)
-        _, _, exact = _scenario(*scenario)  # built here, before any worker reads it
-        if reps is not None:
-            reports = conditional_risk_mc(SimConfig(*scenario, reps, seed, threads))
-        for method in METHODS:
+    for scenario, risks, report in zip(scenarios, exact, reports):
+        for method, exact_risks in zip(METHODS, risks):
             mc = {}
-            if reps is not None:
-                rep = reports[method]
-                z = (rep.per_class_error - exact[method]) / rep.std_err
+            if report is not None:
+                rep = report[method]
+                z = (rep.per_class_error - exact_risks) / rep.std_err
                 mc = dict(m0=float(rep.per_class_error[0]), m1=float(rep.per_class_error[1]),
                           risk_sum=rep.unweighted_sum, se=float(np.sqrt(np.sum(rep.std_err**2))),
                           z_m0=float(z[0]), z_m1=float(z[1]))
-            rows.append(RiskTableRow(scenario[1], method, *exact[method], **mc))
+            rows.append(RiskTableRow(scenario[1], method, *exact_risks, **mc))
     return rows

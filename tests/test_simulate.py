@@ -1,5 +1,6 @@
 """Simulation protocol oracles, reproducibility, and trend checks."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -77,19 +78,32 @@ def counted_training_counts(u, n, a, b):
     return (u[:, 1 : n + 1] < eps[:, None]).sum(axis=1)
 
 
-def rowwise_block_errors(cfg, c, block_index, rows):
-    """Oracle block in one pass: every row's training count, observation and
-    ``predicts_one`` decision held at once, with no chunks and no per-count
-    statistic.
+def normals_key(cfg, c):
+    """The normals' stream key, from its tag ``seed|alpha|mu|n|c`` written out."""
+    digest = hashlib.sha256(f"{cfg.seed}|{cfg.alpha!r}|{cfg.mu!r}|{cfg.n}|{c}".encode()).digest()
+    return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+
+
+def rowwise_block_errors(cfgs, c, block_index, rows):
+    """Oracle block in one pass per scenario: every row's training count,
+    observation and ``predicts_one`` decision held at once, with no chunks and
+    no per-count statistic.  Each scenario's counts come from its own stream;
+    one draw of normals, from the stream keyed without beta, serves them all.
     """
-    rng = Generator(Philox(SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))))
-    per_k = _draw_training_counts(rng, rows, beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta))
-    k = np.repeat(np.arange(cfg.n + 1), per_k)
-    x = c * cfg.mu + rng.standard_normal(rows)
-    f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
-    return {m: int(np.count_nonzero(predicts_one(m, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
-                                    != bool(c)))
-            for m in METHODS}
+    def stream(key):
+        return Generator(Philox(SeedSequence(entropy=key, spawn_key=(block_index,))))
+
+    x = c * cfgs[0].mu + stream(normals_key(cfgs[0], c)).standard_normal(rows)
+    out = []
+    for cfg in cfgs:
+        per_k = _draw_training_counts(stream(_cell_key(cfg, c)), rows,
+                                      beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta))
+        k = np.repeat(np.arange(cfg.n + 1), per_k)
+        f_ratio = np.exp(cfg.mu * x - cfg.mu * cfg.mu / 2.0)
+        out.append({m: int(np.count_nonzero(predicts_one(m, cfg.alpha, cfg.beta, cfg.n, k, f_ratio)
+                                            != bool(c)))
+                    for m in METHODS})
+    return out
 
 
 sampler_laws = dict(
@@ -198,6 +212,27 @@ class TestTrainingCountSampler:
 OVERFULL = (10_000, 31.953975047133053, 59.18095764700197)
 
 
+# Per-count training draws of the first and last blocks of the scenarios of
+# ``test_recorded_counts_are_unchanged``, from the training-count stream,
+# recorded while that stream also fed the observations' normals.  Counts over
+# 301 values of k are recorded as the first 16 hex digits of the sha256 of
+# their little-endian int64 bytes.
+TRAINING_COUNT_PINS = [
+    (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345), 0, 0,
+     [38324, 16467, 6825, 2641, 900, 275, 85, 13, 5, 1, 0]),
+    (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345), 0, 3, [4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345), 1, 0,
+     [38343, 16449, 6823, 2621, 905, 306, 70, 16, 3, 0, 0]),
+    (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345), 1, 3, [5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+    (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7), 0, 0, "06458f50a7a29394"),
+    (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7), 0, 1, "4ef452b4f6af3704"),
+    (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7), 1, 0, "9b2a31b9143cde6d"),
+    (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7), 1, 1, "1d309adeeeb69126"),
+    (dict(beta=1.0, mu=0.0, n=0, reps=20_001, seed=2), 0, 0, [20001]),
+    (dict(beta=1.0, mu=0.0, n=0, reps=20_001, seed=2), 1, 0, [20001]),
+]
+
+
 block_rows = st.one_of(st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, BLOCK]),
                        st.integers(1, BLOCK))
 block_shifts = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, -1e-3), st.floats(1e-3, 4.0))
@@ -207,14 +242,15 @@ class TestChunkedBlock:
     """The chunked block against the row-wise oracle, count for count."""
 
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(0, 300), alpha=st.floats(0.05, 200.0), beta=st.floats(0.05, 200.0),
+    @given(n=st.integers(0, 300), alpha=st.floats(0.05, 200.0),
+           betas=st.lists(st.floats(0.05, 200.0), min_size=1, max_size=4, unique=True),
            mu=block_shifts, c=st.sampled_from((0, 1)), rows=block_rows,
            seed=st.integers(0, 2**32), block_index=st.integers(0, 20))
-    def test_counts_equal_rowwise_oracle(self, n, alpha, beta, mu, c, rows, seed, block_index):
-        cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed)
-        got = _block_errors(cfg, c, block_index, rows)
-        assert got == rowwise_block_errors(cfg, c, block_index, rows)
-        assert list(got) == list(METHODS)
+    def test_counts_equal_rowwise_oracle(self, n, alpha, betas, mu, c, rows, seed, block_index):
+        cfgs = [SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed) for beta in betas]
+        got = _block_errors(cfgs, c, block_index, rows)
+        assert got == rowwise_block_errors(cfgs, c, block_index, rows)
+        assert [list(counts) for counts in got] == [list(METHODS)] * len(betas)
 
     @pytest.mark.parametrize("overfull", [False, True])
     @pytest.mark.parametrize("c", [0, 1])
@@ -224,16 +260,17 @@ class TestChunkedBlock:
         n, alpha, beta = OVERFULL if overfull else (10_000, 1.0, 14.0)
         cfg = SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=99)
         for rows in (_CHUNK + 1, BLOCK):
-            assert _block_errors(cfg, c, 3, rows) == rowwise_block_errors(cfg, c, 3, rows)
+            assert _block_errors([cfg], c, 3, rows) == rowwise_block_errors([cfg], c, 3, rows)
 
     def test_block_working_set_is_bounded(self):
-        # One full block at n = 10,000 holds a few chunk-sized arrays; the
-        # row-wise block needs several 512 KB arrays at once (3.2 MB peak).
-        cfg = SimConfig(alpha=1.0, beta=14.0, n=10_000, seed=1)
-        _block_errors(cfg, 1, 0, BLOCK)  # warm caches outside the measurement
+        # One full block of four betas at n = 10,000 holds a few chunk-sized
+        # arrays and each beta's count edges; the row-wise block needs several
+        # 512 KB arrays at once (3.2 MB peak for one beta).
+        cfgs = [SimConfig(alpha=1.0, beta=beta, n=10_000, seed=1) for beta in (1, 14, 32, 100)]
+        _block_errors(cfgs, 1, 0, BLOCK)  # warm caches outside the measurement
         tracemalloc.start()
         try:
-            _block_errors(cfg, 1, 1, BLOCK)
+            _block_errors(cfgs, 1, 1, BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -249,20 +286,31 @@ class TestChunkedBlock:
         chunked = (tmp_path / "chunked" / "risk_table.csv").read_bytes()
         assert chunked == (tmp_path / "rowwise" / "risk_table.csv").read_bytes()
 
-    # Error counts of the row-wise block, recorded before the block ran in
-    # chunks, so a change to the draws shows even if the oracle follows it.
-    # The second case was recorded while the key's ``0`` field still chose
-    # between two training laws, so it shows that the key kept its text.
+    # Error counts recorded when the normals moved to a stream of their own,
+    # keyed without beta, so a change to the draws shows even if the oracle
+    # follows it.  The training counts kept their stream and its key's text:
+    # ``TRAINING_COUNT_PINS`` holds draws recorded before the move.
     @pytest.mark.parametrize("kwargs,want", [
         (dict(beta=14.0, reps=3 * BLOCK + 5, seed=12345),
-         [{"map": 514, "lrse": 56314}, {"map": 191843, "lrse": 74345}]),
+         [{"map": 500, "lrse": 55815}, {"map": 191596, "lrse": 74216}]),
         (dict(alpha=0.5, beta=3.0, mu=-1.5, n=300, reps=BLOCK + 17, seed=7),
-         [{"map": 3026, "lrse": 13240}, {"map": 48107, "lrse": 29235}]),
+         [{"map": 3073, "lrse": 13172}, {"map": 47946, "lrse": 29176}]),
         (dict(beta=1.0, mu=0.0, n=0, reps=20_001, seed=2),
          [{"map": 20001, "lrse": 20001}, {"map": 0, "lrse": 0}]),
     ])
     def test_recorded_counts_are_unchanged(self, kwargs, want):
-        assert [_cell_error_counts(SimConfig(**kwargs), c) for c in (0, 1)] == want
+        assert [_cell_error_counts([SimConfig(**kwargs)], c) for c in (0, 1)] == [[w] for w in want]
+
+    @pytest.mark.parametrize("kwargs,c,block_index,want", TRAINING_COUNT_PINS)
+    def test_recorded_training_counts_keep_their_bits(self, kwargs, c, block_index, want):
+        cfg = SimConfig(**kwargs)
+        rng = Generator(Philox(SeedSequence(entropy=_cell_key(cfg, c), spawn_key=(block_index,))))
+        rows = min(BLOCK, cfg.reps - block_index * BLOCK)
+        per_k = _draw_training_counts(rng, rows, beta_binomial_pmf(cfg.n, cfg.alpha, cfg.beta))
+        assert per_k.sum() == rows
+        digest = hashlib.sha256(per_k.astype("<i8").tobytes()).hexdigest()[:16]
+        assert (per_k.tolist() if cfg.n <= 10 else digest) == want
+
 
 
 class TestScenarioTypes:
@@ -343,6 +391,17 @@ class TestExactRisk:
         rows = risk_table(reps=reps, seed=0, betas=(1.0, 14.0, 32.0, 100.0), threads=2)
         assert simulate._scenario.cache_info().misses == 4
         assert [(r.m0 is None, r.z_m1 is None) for r in rows] == [(reps is None,) * 2] * 8
+
+    def test_simulation_evaluates_no_exact_risk(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("erfc evaluated")
+
+        simulate._scenario.cache_clear()
+        monkeypatch.setattr(math, "erfc", refuse)
+        reports = conditional_risk_mc(SimConfig(beta=14.0, n=2000, reps=1000, seed=5))
+        assert list(reports) == list(METHODS)
+        with pytest.raises(AssertionError, match="erfc evaluated"):
+            exact_conditional_risk(1.0, 14.0, 1.0, 2000, "map")
 
     def test_risk_table_reports_exact_values_and_z_scores(self):
         reports = conditional_risk_mc(SimConfig(beta=14.0, reps=20_000, seed=3))
@@ -447,10 +506,10 @@ class TestRiskTableCli:
                 assert abs(z) < 5
 
     def test_exact_table_draws_nothing(self, tmp_path, monkeypatch):
-        def refuse(cfg):
+        def refuse(*args):
             raise AssertionError("the exact table ran the simulator")
 
-        monkeypatch.setattr(simulate, "conditional_risk_mc", refuse)
+        monkeypatch.setattr(simulate, "_block_errors", refuse)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["--output-dir", str(tmp_path), "risk-table", "--betas", "1,14,32,100"]) == 0
@@ -464,8 +523,8 @@ class TestRiskTableCli:
             assert row["exact_sum"] == pytest.approx(sum(want), abs=1e-12, rel=0)
 
     def test_benchmark_csv_is_unchanged(self, tmp_path):
-        # risk_table.csv of the benchmark's argv, recorded before the
-        # multinomial learned to redraw an overfull pmf.
+        # risk_table.csv of the benchmark's argv, recorded when the betas of
+        # a table came to share one stream of normals.
         argv = ["--output-dir", str(tmp_path), "--seed", "20261018", "--threads", "1",
                 "risk-table", "--reps", "65536", "--betas", "1,14,32,100"]
         assert run(argv) == 0
@@ -474,14 +533,14 @@ class TestRiskTableCli:
 
 BENCHMARK_RISK_TABLE = """\
 beta,method,M0,M1,sum,se,exact_M0,exact_M1,z_M0,z_M1
-1,map,0.389022827148,0.390426635742,0.779449462891,0.00269412119675,0.388646499963,0.388646499963,0.197608142552,0.934135153351
-1,lrse,0.389022827148,0.390426635742,0.779449462891,0.00269412119675,0.388646499963,0.388646499963,0.197608142552,0.934135153351
-14,map,0.00227355957031,0.975692749023,0.977966308594,0.000630030164345,0.00250458065758,0.975061493732,-1.23762797167,1.04904501087
-14,lrse,0.284973144531,0.380111694336,0.665084838867,0.00258932800515,0.284491342201,0.378830482968,0.273239014318,0.675690173301
-32,map,0.000137329101562,0.997406005859,0.997543334961,0.000205028843454,0.000126311999805,0.997233746994,0.228342658796,0.864445064035
-32,lrse,0.292144775391,0.344604492188,0.636749267578,0.00256938787148,0.291600884151,0.3482063616,0.306180817023,-1.94023490839
-100,map,1.52587890625e-05,0.999969482422,0.999984741211,3.41184921964e-05,5.77316694436e-07,0.999959664809,0.680374139846,0.371485412954
-100,lrse,0.2998046875,0.323577880859,0.623382568359,0.00255792697184,0.301299517341,0.323336902741,-0.835219037846,0.131861306768
+1,map,0.391708374023,0.392211914062,0.783920288086,0.00269688608134,0.388646499963,0.388646499963,1.60579199888,1.86944552591
+1,lrse,0.391708374023,0.392211914062,0.783920288086,0.00269688608134,0.388646499963,0.388646499963,1.60579199888,1.86944552591
+14,map,0.00270080566406,0.974304199219,0.977005004883,0.000650808233619,0.00250458065758,0.975061493732,0.965209257248,-1.22491895048
+14,lrse,0.284194946289,0.384002685547,0.668197631836,0.00259104382026,0.284491342201,0.378830482968,-0.168230054318,2.72243925145
+32,map,0.000198364257812,0.997360229492,0.99755859375,0.000208955912918,0.000126311999805,0.997233746994,1.26216614277,0.629244818852
+32,lrse,0.292556762695,0.353897094727,0.646453857422,0.00257819949453,0.291600884151,0.3482063616,0.53788452892,3.04661518112
+100,map,0,0.999984741211,0.999984741211,2.64282586041e-05,5.77316694436e-07,0.999959664809,-0.0378358928561,1.16209974349
+100,lrse,0.302185058594,0.327835083008,0.630020141602,0.00256516834086,0.301299517341,0.323336902741,0.493673344079,2.45306696728
 """
 
 
@@ -564,9 +623,34 @@ class TestReproducibility:
         for threads in (1, 2):
             out = tmp_path / f"threads{threads}"
             assert run(["--output-dir", str(out), "--seed", "12345", "--threads", str(threads),
-                        "risk-table", "--reps", str(3 * BLOCK), "--betas", "14"]) == 0
-            tables.append((out / "risk_table.csv").read_text())
+                        "risk-table", "--reps", str(3 * BLOCK + 5), "--betas", "1,14,32"]) == 0
+            tables.append((out / "risk_table.csv").read_bytes())
         assert tables[0] == tables[1]
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        reps, seed = BLOCK + 5, 31
+        table = risk_table(reps=reps, seed=seed, betas=(1, 14, 32, 100))
+        for beta in (1, 14, 32, 100):
+            rows = [row for row in table if row.beta == beta]
+            assert risk_table(reps=reps, seed=seed, betas=(beta,)) == rows
+            reports = conditional_risk_mc(SimConfig(beta=beta, reps=reps, seed=seed))
+            for row in rows:
+                rep = reports[row.method]
+                assert (row.m0, row.m1, row.risk_sum) == (*rep.per_class_error, rep.unweighted_sum)
+                assert row.se == float(np.sqrt(np.sum(rep.std_err**2)))
+
+    def test_table_draws_each_blocks_normals_once(self, monkeypatch):
+        keys = []
+
+        def counted_key(cfg, c, normals=False):
+            keys.append(normals)
+            return _cell_key(cfg, c, normals)
+
+        monkeypatch.setattr(simulate, "_cell_key", counted_key)
+        risk_table(reps=2 * BLOCK + 5, seed=3, betas=(1, 14, 32, 100))
+        # Three blocks per class: one normals stream each, one counts stream per beta.
+        assert keys.count(True) == 2 * 3
+        assert keys.count(False) == 2 * 3 * 4
 
     def test_seed_changes_counts(self):
         a = conditional_risk_mc(SimConfig(beta=14.0, reps=30_000, seed=1))
@@ -625,6 +709,21 @@ def test_import_leaves_scipy_special_unloaded(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     assert fresh_python(script) == "[]"
+
+
+def test_exact_risk_table_loads_no_random_streams(tmp_path):
+    # The exact table needs neither numpy's generators nor the stream keys'
+    # hash; the first table that draws loads them.
+    out = ["--output-dir", str(tmp_path / "run")]
+    script = (
+        "import sys\n"
+        "from relbelief.cli import run\n"
+        f"assert run({out!r} + ['risk-table', '--betas', '1,14']) == 0\n"
+        "loaded = [m for m in ('numpy.random', 'hashlib') if m in sys.modules]\n"
+        f"assert run({out!r} + ['--seed', '1', 'risk-table', '--reps', '1000', '--betas', '1,14']) == 0\n"
+        "print(loaded, [m for m in ('numpy.random', 'hashlib') if m in sys.modules])\n"
+    )
+    assert fresh_python(script) == "[] ['numpy.random', 'hashlib']"
 
 
 def test_cold_subcommands_load_only_what_they_run(tmp_path):
