@@ -92,19 +92,21 @@ def build_grid(
     """Discretize a continuous model onto an equal-width grid.
 
     Bin prior masses and integrated likelihoods are computed by adaptive
-    Gauss-Legendre quadrature (relative error 1e-10 per bin, all bins
-    together in array passes).  One quadrature pass serves both: its
-    stacked integrand evaluates the prior density once per node and returns
-    the prior and the prior times the likelihood as two columns, each with
-    its own acceptance test.  The likelihood is exponentiated after one
-    shift, the largest log-likelihood at the nodes of the first pass, so it
-    is one at the first pass's best node and the joint column underflows
-    only where the posterior is negligible.  The returned finite model
-    reproduces the exact bin posterior masses: its likelihood column is the
-    bin-averaged shifted likelihood under the prior conditioned on the
-    bin.  Bin ``i`` is labelled ``bin{i}`` as both theta and psi; its
-    representative, the bin midpoint, is in ``psi_coords``.  The model has
-    one sample-space column, index 0, for the observed ``x``.
+    Gauss-Kronrod quadrature (a G7-K15 pair per interval, relative error
+    1e-10 per bin, all bins together in array passes).  One quadrature
+    pass serves both: its stacked integrand evaluates the prior density
+    once per node and returns the prior and the prior times the likelihood
+    as two columns, each with its own acceptance test.  The likelihood is
+    exponentiated after one shift, the largest log-likelihood at the 15
+    nodes per bin of the first pass (the only pass when no bin is
+    bisected), so it is one at the first pass's best node and the joint
+    column underflows only where the posterior is negligible.  The
+    returned finite model reproduces the exact bin posterior masses: its
+    likelihood column is the bin-averaged shifted likelihood under the
+    prior conditioned on the bin.  Bin ``i`` is labelled ``bin{i}`` as both
+    theta and psi; its representative, the bin midpoint, is in
+    ``psi_coords``.  The model has one sample-space column, index 0, for the
+    observed ``x``.
 
     Raises
     ------

@@ -226,11 +226,19 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
     An indicator loss ``I(true != a) * h(true)`` costs ``sum(w) - w[a]`` with
     ``w = h * marg_post``; under the prior-based loss ``w`` is the belief
     ratio, so its lowest-risk sets are the relative-surprise sets.  The ball
-    loss costs the posterior mass outside each ball.
+    loss costs the posterior mass outside each ball.  Where ``h`` is a
+    reciprocal, ``w`` is formed as a quotient, which stays finite at a prior
+    whose reciprocal would overflow.
     """
+    post, prior = tables.marg_post, tables.marg_prior
     if loss.kind == BALL:
-        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, tables.marg_post)
-    w = h_vector(loss, tables.marg_prior) * tables.marg_post
+        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, post)
+    if loss.kind == PRIOR_BASED:
+        w = post / prior
+    elif loss.kind == CAPPED:
+        w = post / np.maximum(loss.eta, prior)
+    else:
+        w = h_vector(loss, prior) * post
     return w.sum() - w
 
 

@@ -58,7 +58,11 @@ def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
         raise InvariantViolation(f"{what} contains non-finite entries")
     if np.any(arr < 0):
         raise InvariantViolation(f"{what} contains negative entries")
-    total = float(arr.sum())
+    with np.errstate(over="ignore"):
+        total = float(arr.sum())
+    if total == np.inf:  # the sum passes the largest double; the largest weight does not
+        arr = arr / arr.max()
+        total = float(arr.sum())
     if total <= 0.0:
         raise InvariantViolation(f"{what} has nonpositive total mass")
     out = arr / total

@@ -269,7 +269,8 @@ def load_model(path: str | Path, *, strict: bool = False) -> FiniteModel:
 
     theta_labels, theta_coords = _theta(raw)
     prior = _numbers(raw["prior"], "prior")
-    total = float(prior.sum())
+    with np.errstate(over="ignore"):  # a sum past the largest double is reported as inf
+        total = float(prior.sum())
     if abs(total - 1.0) > PRIOR_WARN_TOL:
         if strict:
             raise ModelSpecError("prior", f"sums to {total!r}, not 1")

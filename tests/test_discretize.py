@@ -244,14 +244,33 @@ class TestLogLikelihoodProtocol:
             build_grid(cmodel, 0.0, 0.5)
 
     def test_spike_between_first_nodes_exits_2_naming_it(self, tmp_path, capsys):
-        # At sigma = 1e-6 the likelihood's peak at theta = x is narrower than
-        # the first pass's node spacing; a later node finds it e^2493 higher.
+        # At sigma = 1e-6 the likelihood's peak at theta = x = 1 is far
+        # narrower than a bin.  On the default schedule a K15 node of the
+        # first pass lands close enough to it, and the answer must be the
+        # closed form's: the posterior is N(x / (1 + s^2), s^2 / (1 + s^2)).
+        # A lone 0.2-wide grid, or sigma = 1e-8, leaves the peak between the
+        # first nodes, and a later node finds it past the float range.
+        x, sigma = 1.0, 1e-6
+        cmodel = NormalNormalTestbed(sigma=sigma).continuous_model()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run(["--output-dir", str(tmp_path), "converge", "--sigma", "1e-6"]) == 2
-            assert run(["--output-dir", str(tmp_path / "wider"), "converge", "--sigma", "1e-5"]) == 0
+            assert run(["--output-dir", str(tmp_path / "answer"), "converge",
+                        "--sigma", str(sigma)]) == 0
+            lams = [0.2, 0.1, 0.05, 0.025]
+            widths = discretize._tables(cmodel, x, [*lams, lams[-1] / 4])
+            with pytest.raises(InvariantViolation, match="a spike the grid's first nodes missed"):
+                build_grid(cmodel, x, 0.2)
+            assert run(["--output-dir", str(tmp_path), "converge", "--sigma", "1e-8"]) == 2
+        rows = (tmp_path / "answer" / "converge.csv").read_text().splitlines()
+        lrse_rows = [row.split(",") for row in rows if row.startswith("grid-lrse,")]
+        assert [float(row[1]) for row in lrse_rows] == lams
+        assert all(abs(float(row[3]) - x) <= float(row[1]) for row in lrse_rows)
+        mean, sd = x / (1 + sigma**2), sigma / math.sqrt(1 + sigma**2)
+        for tables, grid in widths:
+            exact = np.diff(norm.cdf((grid.edges - mean) / sd))
+            np.testing.assert_allclose(tables.marg_post, exact, rtol=0, atol=5e-11)
         err = capsys.readouterr().err
-        assert "log-likelihood of x = 1.0 at theta = 1.00004" in err and "by 2493.42" in err
+        assert "log-likelihood of x = 1.0 at theta = 1.00001335" in err and "by 2.67373e+06" in err
         assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "validation-error"
 
     def test_nan_observation_is_named(self):

@@ -1,21 +1,25 @@
-"""Array quadrature and grid reuse, against the recursive scalar oracle.
+"""Array quadrature and grid reuse, against two recursive scalar oracles.
 
-The oracle below is the depth-first recursion that ``integrate_bins``
-replaced: one panel pair per call, bisecting until each half-panel sum
-agrees with its whole panel.  Both sides take the same acceptance decisions,
-so they differ only by rounding in the panel sums and in the order converged
-halves are added; bins must agree within 1e-14 relative.
+The first oracle is the depth-first recursion that ``integrate_bins``
+replaced: one G7-K15 pair per call, bisecting until the pair agrees.  Both
+sides take the same acceptance decisions, so they differ only by rounding
+in the sums and in the order converged pieces are added; bins must agree
+within 1e-14 relative.  The second oracle is the 10-point Gauss-Legendre
+recursion the kernel used before, which bisects until each whole panel
+agrees with its two half panels: another rule with the same 1e-10 target,
+so it checks the answers rather than the decisions.
 """
 
 import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import relbelief.discretize as discretize
@@ -24,28 +28,77 @@ from relbelief import quadrature
 from relbelief.cli import run
 from relbelief.quadrature import integrate_bins
 
+from conftest import fresh_python
+
 REL_TOL = 1e-14
+TARGET = 1e-10  # the kernel's relative error target
+
+# The kernel's G7-K15 table; checked against its defining properties below.
+_NODES, _KRONROD, _GAUSS = quadrature._NODES, quadrature._KRONROD, quadrature._GAUSS
 
 
-# -- scalar oracle ----------------------------------------------------------
+def test_kronrod_table():
+    # G7 is the 7-point Gauss-Legendre rule, on every other K15 node.
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(_NODES[1::2], nodes, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(_GAUSS, weights, rtol=0, atol=4e-16)
+    # K15 integrates polynomials up to degree 22 exactly, G7 up to degree 13.
+    np.testing.assert_array_equal(_NODES, -_NODES[::-1])
+    for degree in range(0, 23, 2):
+        exact = 2.0 / (degree + 1)
+        assert _KRONROD @ _NODES**degree == pytest.approx(exact, rel=1e-15, abs=0)
+        if degree <= 13:
+            assert _GAUSS @ _NODES[1::2] ** degree == pytest.approx(exact, rel=1e-15, abs=0)
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+def test_kernel_needs_no_scipy():
+    # The table is written out, so the runtime depends on numpy alone.
+    script = "import relbelief.quadrature, sys; assert 'scipy' not in sys.modules; print('ok')"
+    assert fresh_python(script) == "ok"
 
 
-def _panel(f, a, b):
+# -- scalar oracles -----------------------------------------------------------
+
+
+def _pair(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return half * float(_WEIGHTS @ np.asarray(f(mid + half * _NODES), dtype=float))
+    values = np.asarray(f(mid + half * _NODES), dtype=float)
+    return half * float(_KRONROD @ values), half * float(_GAUSS @ values[1::2])
 
 
 def oracle_integral(f, a, b, rel_tol=1e-10, *, max_depth=48):
     if not b > a:
         raise QuadratureFailure(f"empty interval [{a}, {b}]")
 
+    def recurse(lo, hi, depth):
+        kronrod, gauss = _pair(f, lo, hi)
+        if abs(kronrod - gauss) <= rel_tol * abs(kronrod) + 1e-300:
+            return kronrod
+        if depth >= max_depth:
+            raise QuadratureFailure(f"no convergence on [{lo}, {hi}] after depth {depth}")
+        mid = 0.5 * (lo + hi)
+        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
+
+    return recurse(float(a), float(b), 0)
+
+
+_GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def _gl10_panel(f, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return half * float(_GL10_WEIGHTS @ np.asarray(f(mid + half * _GL10_NODES), dtype=float))
+
+
+def gl10_integral(f, a, b, rel_tol=1e-10, *, max_depth=48):
+    """The second oracle: a GL10 panel against the sum of its two half panels."""
+
     def recurse(lo, hi, whole, depth):
         mid = 0.5 * (lo + hi)
-        left = _panel(f, lo, mid)
-        right = _panel(f, mid, hi)
+        left = _gl10_panel(f, lo, mid)
+        right = _gl10_panel(f, mid, hi)
         refined = left + right
         if abs(refined - whole) <= rel_tol * abs(refined) + 1e-300:
             return refined
@@ -53,17 +106,17 @@ def oracle_integral(f, a, b, rel_tol=1e-10, *, max_depth=48):
             raise QuadratureFailure(f"no convergence on [{lo}, {hi}] after depth {depth}")
         return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
 
-    return recurse(float(a), float(b), _panel(f, float(a), float(b)), 0)
+    return recurse(float(a), float(b), _gl10_panel(f, float(a), float(b)), 0)
 
 
-def oracle_bins(f, edges):
-    """The scalar oracle per bin; for a stacked integrand, per row."""
+def oracle_bins(f, edges, integral=oracle_integral):
+    """A scalar oracle per bin; for a stacked integrand, per row."""
     edges = np.asarray(edges, dtype=float)
     probe = np.asarray(f(edges[:1]))
     if probe.ndim == 2:
-        return np.array([oracle_bins(lambda t, r=r: np.asarray(f(t))[r], edges)
+        return np.array([oracle_bins(lambda t, r=r: np.asarray(f(t))[r], edges, integral)
                          for r in range(probe.shape[0])])
-    return np.array([oracle_integral(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
+    return np.array([integral(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])])
 
 
 class CountingIntegrand:
@@ -94,11 +147,17 @@ def inverse_sqrt(t):
 
 
 def assert_bins_match(f, edges, scale=None):
-    """``integrate_bins`` against the oracle; ``scale`` bounds each |integral|."""
+    """``integrate_bins`` against both oracles; ``scale`` bounds each |integral|."""
     got = integrate_bins(f, edges)
     want = oracle_bins(f, edges)
     bound = np.abs(want) if scale is None else scale
     np.testing.assert_array_less(np.abs(got - want), REL_TOL * bound + 1e-300)
+    # The earlier rule is held to the target on the scale of the largest
+    # bin: where every GL10 node of a bin sees a spike's far tail below the
+    # 1e-300 floor, it reads the bin as about zero (4e-303 for the pinned
+    # spike example, whose exact mass G7-K15 finds, 2.6756e-266).
+    other_rule = oracle_bins(f, edges, gl10_integral)
+    np.testing.assert_array_less(np.abs(got - other_rule), TARGET * np.max(bound) + 1e-300)
 
 
 widths = st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=6)
@@ -118,12 +177,14 @@ class TestAgainstOracle:
         edges = np.array(edges)
         counted = CountingIntegrand(f)
         oracle_bins(counted, edges)
-        # Three panels per bin means no bisection; these need many levels.
-        assert counted.calls > 3 * (edges.size - 1) + 20
+        # One pair per bin means no bisection; these need many levels.
+        assert counted.calls > (edges.size - 1) + 20
         assert_bins_match(f, edges, np.diff(edges) if scale == "width" else None)
 
     @settings(max_examples=40, deadline=None)
     @given(start=st.floats(-2.0, 2.0), steps=widths, where=st.floats(0.0, 1.0))
+    @example(start=0.0, where=0.744140625, steps=[
+        0.23828125, 0.00390625, 0.3828125, 0.23828125, 0.021484375, 0.001953125])
     def test_spike(self, start, steps, where):
         edges = start + np.concatenate([[0.0], np.cumsum(steps)])
         center = edges[0] + where * (edges[-1] - edges[0])
@@ -247,36 +308,43 @@ class TestStackedColumns:
         (row,) = integrate_bins(stacked(spike(0.3)), edges)
         assert row.tobytes() == integrate_bins(spike(0.3), edges).tobytes()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "half-panel-inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "mixed-inf", "half-panel-inf"])
     @pytest.mark.parametrize("smooth_first", [True, False])
     def test_non_finite_column_fails_as_alone(self, bad, smooth_first):
+        # A node of bin [0, 0.5] that only K15 reads: its G7 value stays finite.
         bad_node = 0.25 + 0.25 * _NODES[0]
         f = {
             "nan": lambda t: np.full(np.shape(t), np.nan),
             "inf": lambda t: np.where(t > 0.6, np.inf, 1.0),
+            "mixed-inf": lambda t: np.where(t > 0.6, np.inf, -np.inf),
             "half-panel-inf": lambda t: np.where(t == bad_node, np.inf, 1.0),
         }[bad]
         edges = [0.0, 0.5, 1.0]
-        alone = outcome(lambda: integrate_bins(f, edges))
-        assert alone[0] is QuadratureFailure and "non-finite" in alone[1]
         columns = [smooth, f] if smooth_first else [f, smooth]
-        assert outcome(lambda: integrate_bins(stacked(*columns), edges)) == alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = outcome(lambda: integrate_bins(f, edges))
+            assert alone[0] is QuadratureFailure and "non-finite" in alone[1]
+            assert outcome(lambda: integrate_bins(stacked(*columns), edges)) == alone
 
     def test_non_finite_where_column_is_done_is_ignored(self):
         # The constant column is accepted on the first pass over [0, 1].
-        # The spike column then bisects towards 0.3 and reaches a node of
-        # [0.25, 0.375] where the constant column is infinite; that value
-        # must neither raise nor reach the constant column's bin.
-        hole = 0.3125 + 0.0625 * _NODES[0]
+        # The spike column then bisects towards 0.3 and reaches two K15
+        # nodes of [0.25, 0.375], one of them a G7 node, where the constant
+        # column is infinite; that value must neither raise, nor warn, nor
+        # reach the constant column's bin.
+        holes = 0.3125 + 0.0625 * _NODES[:2]
         seen = []
 
         def constant_with_hole(t):
-            seen.append(np.any(t == hole))
-            return np.where(t == hole, np.inf, 1.0)
+            seen.append(np.isin(holes, t).all())
+            return np.where(np.isin(t, holes), np.inf, 1.0)
 
-        alone = integrate_bins(constant_with_hole, [0.0, 1.0])
-        assert not any(seen)
-        got = integrate_bins(stacked(constant_with_hole, spike(0.3)), [0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = integrate_bins(constant_with_hole, [0.0, 1.0])
+            assert not any(seen)
+            got = integrate_bins(stacked(constant_with_hole, spike(0.3)), [0.0, 1.0])
         assert any(seen)
         assert got[0].tobytes() == alone.tobytes()
         assert got[1].tobytes() == integrate_bins(spike(0.3), [0.0, 1.0]).tobytes()
@@ -337,10 +405,10 @@ def test_never_converging_fails_fast(kind, integrate):
 
 
 def test_non_finite_half_panel_raises():
-    # Finite on the whole panel's nodes, infinite at one node of the left
-    # half panel: the refined sum would be infinite and pass the relative
-    # test, so the non-finite value itself must be rejected.
-    bad_node = 0.25 + 0.25 * _NODES[0]
+    # Finite at the G7 nodes, infinite at a node only K15 reads: the K15
+    # value is infinite, so |K15 - G7| <= 1e-10 |K15| holds and the pair
+    # passes the relative test; the non-finite value itself must be rejected.
+    bad_node = 0.5 + 0.5 * _NODES[0]
 
     def f(t):
         return np.where(t == bad_node, np.inf, 1.0)
@@ -391,6 +459,12 @@ def test_converge_integrates_once_per_run(tmp_path, monkeypatch, capsys, args, u
         quadrature_fn=lambda f, edges: oracle_bins(f, edges),
     )
     assert csv == oracle_csv
+    # The earlier GL10 rule prints the same table.
+    _, gl10_csv = converge_csv(
+        tmp_path, monkeypatch, "gl10", *args,
+        quadrature_fn=lambda f, edges: oracle_bins(f, edges, gl10_integral),
+    )
+    assert csv == gl10_csv
 
 
 def one_column_passes(f, edges):
@@ -433,10 +507,9 @@ def test_converge_evaluates_prior_with_likelihood(tmp_path, monkeypatch, capsys)
 
     monkeypatch.setattr(NormalNormalTestbed, "continuous_model", traced)
     # One quadrature over the reference grid, which holds every other
-    # width's edges, each bin accepted on its first bisection: one call for
-    # the whole panels and one for the halves, 30 nodes per bin, shared by
-    # the prior and the joint.
+    # width's edges, each bin accepted on its first pass: one call of 15
+    # nodes per bin, shared by the prior and the joint.
     for args, union_bins in [(BENCHMARK_SCHEDULE, 1280), ([], 2560)]:
         converge_csv(tmp_path, monkeypatch, "counted", *args)
-        assert counts["prior"] == counts["likelihood"] == [2, 30 * union_bins]
+        assert counts["prior"] == counts["likelihood"] == [1, 15 * union_bins]
         counts.clear()

@@ -756,3 +756,48 @@ class TestCli:
         np.testing.assert_array_equal(model.likelihood, again.likelihood)
         assert model.theta_labels == again.theta_labels
         assert model.psi_labels == again.psi_labels
+
+    def test_prior_weight_past_the_reciprocal_range(self, tmp_path, capsys):
+        # 1 / 5e-324 overflows, so a loss weight formed as a reciprocal
+        # times the posterior (0 for r at x0) would be inf * 0 = NaN.
+        path = write_json(
+            tmp_path / "tiny.json",
+            {
+                "theta": ["p", "q", "r"],
+                "prior": [0.5, 0.5, 5e-324],
+                "x": ["x0", "x1"],
+                "likelihood": [[0.4, 0.6], [0.7, 0.3], [0.0, 1.0]],
+                "psi_map": ["p", "q", "r"],
+            },
+        )
+        on_model = ["--model", path, "--x", "x0", "--loss", "prior-based"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path / "e"), "estimate", *on_model,
+                        "--estimator", "bayes"]) == 0
+            assert capsys.readouterr().out == "q\n"
+            assert run(["--output-dir", str(tmp_path / "r"), "region", *on_model,
+                        "--family", "lpl", "--gamma", "0.9"]) == 0
+            assert capsys.readouterr().out.startswith("members: {p, q} ")
+
+    def test_prior_sum_past_the_largest_double(self, tmp_path, capsys):
+        # The prior stands for (0.5, 0.5, 1e-308); only its sum overflows.
+        path = write_json(
+            tmp_path / "huge.json",
+            {
+                "theta": ["p", "q", "r"],
+                "prior": [1e308, 1e308, 2],
+                "x": ["x0", "x1"],
+                "likelihood": [[0.4, 0.6], [0.7, 0.3], [0.2, 0.8]],
+                "psi_map": ["p", "q", "r"],
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path / "v"), "validate", "--model", path]) == 2
+            assert "prior: sums to inf, not 1" in capsys.readouterr().err
+            warnings.filterwarnings("ignore", "prior summed to inf; renormalizing", UserWarning)
+            assert run(["--output-dir", str(tmp_path / "e"), "estimate", "--model", path,
+                        "--x", "x0", "--estimator", "lrse"]) == 0
+            assert capsys.readouterr().out == "q\n"
+            np.testing.assert_array_equal(load_model(path).prior, [0.5, 0.5, 1e-308])
