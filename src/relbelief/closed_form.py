@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvariantViolation, SingularDesign
 from .estimators import EstimateResult
 from .losses import LossSpec, RiskReport, prior_risk
-from .model import FiniteModel
+from .model import FiniteModel, _normal_log_likelihood
 
 if TYPE_CHECKING:
     from .discretize import ContinuousModel1D
@@ -336,8 +336,7 @@ class NormalNormalTestbed:
         log_norm = math.log(sigma * math.sqrt(2 * math.pi))
 
         def likelihood(t, x):
-            z = (x - np.asarray(t)) / sigma
-            return -0.5 * z * z - log_norm
+            return _normal_log_likelihood(x, np.asarray(t), sigma, log_norm, "theta evaluated")
 
         half = 8.0 * tau
         return ContinuousModel1D(

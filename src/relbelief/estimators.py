@@ -6,6 +6,17 @@ under a given loss minimizes posterior risk by exhaustive search over the
 marginal support.  Ties are never resolved silently: results carry the whole
 argmax set and a flag, because the optimality statements for these
 estimators assume a unique maximizer.
+
+Every per-point answer reads its point's row of a table built once for
+every point of its source: the model's cached :class:`SampleSpaceTables`
+for a matrix model, the one-point tables of a callback's point, or a
+public :class:`BeliefTables` itself.  The LRSE and the MAP read the
+source's tie masks of ``rb`` and ``marg_post``, so the LRSE at ``x`` *is*
+entry ``x`` of :func:`lrse_rule`.  A Bayes rule under an indicator loss
+reads the source's risk table for that loss
+(:func:`relbelief.losses._risk_slot`) and, built on its first read, the
+tie mask of the negated risks.  The tie rule itself, :func:`_tie_mask`
+with its tolerance :func:`_spread_tol`, lives in :mod:`relbelief.model`.
 """
 
 from __future__ import annotations
@@ -15,26 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, check_rule, h_vector, posterior_risk_vector
-from .model import BeliefTables, FiniteModel, sample_space_tables
+from .losses import BALL, LossSpec, _risk_slot, _times_h, check_rule, posterior_risk_vector
+from .model import (TIE_RTOL, BeliefTables, FiniteModel, _cached, _frozen, _points,  # noqa: F401
+                    _source_column, _spread_tol, _tie_mask, sample_space_tables)
 
-TIE_RTOL = 1e-12
 
+def _ties(source, name: str) -> np.ndarray:
+    """Tie mask of ``source``'s ``name`` table (``rb`` or ``marg_post``), built on first read.
 
-def _spread_tol(values: np.ndarray, best):
-    """Tie tolerance along the first axis (per column of a table); ``best`` is the maximum.
-
-    It is relative to the spread of the values, so criteria that differ only
-    by an additive constant (ratios versus negated risks) give the same tie
-    classes.
+    Row ``x`` is point ``x``'s mask, so one point reads contiguous memory.
     """
-    return TIE_RTOL * (best - values.min(axis=0))
-
-
-def _tie_mask(values: np.ndarray) -> np.ndarray:
-    """Entries tied with the maximum along the first axis (per column of a table)."""
-    best = values.max(axis=0)
-    return values >= best - _spread_tol(values, best)
+    return _cached(source, f"_{name}_ties", lambda: _frozen(_tie_mask(_points(getattr(source, name)))))
 
 
 @dataclass(frozen=True)
@@ -58,21 +60,24 @@ class EstimateResult:
         return len(self.argmax_set) > 1
 
 
-def _estimate(labels, values: np.ndarray) -> EstimateResult:
-    ties = tuple(_tie_mask(np.asarray(values, dtype=float)).nonzero()[0].tolist())
-    return EstimateResult(
-        argmax_set=ties, psi_label=labels[ties[0]], criterion_value=float(values[ties[0]])
-    )
+def _estimate(labels, values: np.ndarray, ties: np.ndarray) -> EstimateResult:
+    argmax_set = tuple(ties.nonzero()[0].tolist())
+    return EstimateResult(argmax_set, labels[argmax_set[0]], float(values[argmax_set[0]]))
+
+
+def _column_estimate(tables: BeliefTables, name: str) -> EstimateResult:
+    source, col = _source_column(tables)
+    return _estimate(tables.psi_labels, getattr(tables, name), _ties(source, name)[col])
 
 
 def lrse(tables: BeliefTables) -> EstimateResult:
     """Least relative surprise estimator: argmax of the relative belief ratio."""
-    return _estimate(tables.psi_labels, tables.rb)
+    return _column_estimate(tables, "rb")
 
 
 def map_estimate(tables: BeliefTables) -> EstimateResult:
     """MAP estimator: argmax of the marginal posterior."""
-    return _estimate(tables.psi_labels, tables.marg_post)
+    return _column_estimate(tables, "marg_post")
 
 
 def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
@@ -81,8 +86,13 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     The criterion value reported is the negative posterior risk, so larger
     is better, matching the other estimators.
     """
-    risks = posterior_risk_vector(loss, tables)
-    return _estimate(tables.psi_labels, -risks)
+    if loss.kind == BALL:
+        values = -posterior_risk_vector(loss, tables)
+        return _estimate(tables.psi_labels, values, _tie_mask(values))
+    slot, row = _risk_slot(loss, tables)
+    if slot[2] is None:  # two racing threads store equal masks
+        slot[2] = _frozen(_tie_mask(-slot[1]))
+    return _estimate(tables.psi_labels, -slot[1][row], slot[2][row])
 
 
 # -- decision rules over a finite sample space -----------------------------
@@ -90,12 +100,12 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
 
 def lrse_rule(model: FiniteModel) -> np.ndarray:
     """The LRSE at every sample point: the first of its tied ratio maximizers."""
-    return np.argmax(_tie_mask(sample_space_tables(model).rb), axis=0)
+    return np.argmax(_ties(sample_space_tables(model), "rb"), axis=1)
 
 
 def map_rule(model: FiniteModel) -> np.ndarray:
     """The MAP estimate at every sample point, ties resolved as in :func:`lrse_rule`."""
-    return np.argmax(_tie_mask(sample_space_tables(model).marg_post), axis=0)
+    return np.argmax(_ties(sample_space_tables(model), "marg_post"), axis=1)
 
 
 # -- Bayesian unbiasedness --------------------------------------------------
@@ -112,12 +122,17 @@ def unbiasedness_gap(loss: LossSpec, rule, model: FiniteModel) -> float:
     Bayesian unbiased under the loss if and only if the value is >= 0: a
     nonnegative gap means the rule's prior risk does not exceed its expected
     loss against an independently prior-drawn false value.
+
+    Each term is formed as ``h * marg_joint - m(x) * h * marg_prior`` with
+    :func:`relbelief.losses._times_h`, so a prior-based ``h`` is a quotient,
+    ``marg_joint / marg_prior - m(x)``, which stays finite and accurate at a
+    prior whose reciprocal overflows.
     """
     rule_arr, tabs = check_rule(rule, model)
-    h = h_vector(loss, tabs.marg_prior)
-    chosen_post = tabs.marg_post[rule_arr, np.arange(model.n_x)]
-    prior = tabs.marg_prior[rule_arr]
-    return math.fsum(tabs.evidence * h[rule_arr] * (chosen_post - prior))
+    chosen_joint = tabs.marg_joint[rule_arr, np.arange(model.n_x)]
+    weighted_prior = _times_h(loss, tabs.marg_prior, tabs.marg_prior[rule_arr], rule_arr)
+    return math.fsum(_times_h(loss, tabs.marg_prior, chosen_joint, rule_arr)
+                     - tabs.evidence * weighted_prior)
 
 
 def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:

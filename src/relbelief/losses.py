@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import BeliefTables, FiniteModel, SampleSpaceTables, _whole_sample_space
+from .model import (BeliefTables, FiniteModel, SampleSpaceTables, _frozen, _points,
+                    _source_column, _whole_sample_space)
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -176,6 +177,21 @@ def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
 
 
+def _times_h(loss: LossSpec, marg_prior: np.ndarray, values: np.ndarray,
+             rows=slice(None)) -> np.ndarray:
+    """``h[rows] * values`` for ``h = h_vector(loss, marg_prior)``.
+
+    Where ``h`` is a reciprocal the product is formed as a quotient, which
+    stays finite at a prior whose reciprocal would overflow: under the
+    prior-based loss ``h * post`` is the belief ratio ``post / prior``.
+    """
+    if loss.kind == PRIOR_BASED:
+        return values / marg_prior[rows]
+    if loss.kind == CAPPED:
+        return values / np.maximum(loss.eta, marg_prior)[rows]
+    return h_vector(loss, marg_prior)[rows] * values
+
+
 # Each row block of the dense ball test holds at most this many coordinate
 # differences, so its memory stays bounded however large the support is.
 BALL_BLOCK = 1 << 16
@@ -213,33 +229,48 @@ def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
     if loss.kind == BALL:
         pts = _ball_points(model.psi_coords)
         return 1.0 - np.concatenate(list(_ball_rows(loss.radius, pts, pts[actions])))
-    h = h_vector(loss, model.marginal_prior())
-    return h[:, None] * (np.arange(model.n_psi)[:, None] != actions)
+    wrong = np.arange(model.n_psi)[:, None] != actions
+    return _times_h(loss, model.marginal_prior(), wrong, np.s_[:, None])
 
 
 # -- posterior risk --------------------------------------------------------
 
 
 def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
-    """Posterior risk of every candidate action at once.
+    """Posterior risk of every candidate action at once (read-only).
 
     An indicator loss ``I(true != a) * h(true)`` costs ``sum(w) - w[a]`` with
-    ``w = h * marg_post``; under the prior-based loss ``w`` is the belief
-    ratio, so its lowest-risk sets are the relative-surprise sets.  The ball
-    loss costs the posterior mass outside each ball.  Where ``h`` is a
-    reciprocal, ``w`` is formed as a quotient, which stays finite at a prior
-    whose reciprocal would overflow.
+    ``w = h * marg_post`` (:func:`_times_h`); under the prior-based loss
+    ``w`` is the belief ratio, so its lowest-risk sets are the
+    relative-surprise sets.  It is read from the risk table of
+    :func:`_risk_slot`.  The ball loss costs the posterior mass outside each
+    ball, per point: in one product over every point, BLAS may round a point
+    differently.
     """
-    post, prior = tables.marg_post, tables.marg_prior
     if loss.kind == BALL:
-        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, post)
-    if loss.kind == PRIOR_BASED:
-        w = post / prior
-    elif loss.kind == CAPPED:
-        w = post / np.maximum(loss.eta, prior)
-    else:
-        w = h_vector(loss, prior) * post
-    return w.sum() - w
+        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, tables.marg_post)
+    slot, row = _risk_slot(loss, tables)
+    return slot[1][row]
+
+
+def _risk_slot(loss: LossSpec, tables: BeliefTables) -> tuple[list, int]:
+    """The slot ``[loss, risks, ties]`` of ``tables``' source, and ``tables``' row in it.
+
+    ``risks`` holds the posterior risks of an indicator loss at every point
+    of the tables ``tables`` came from, one row per point; ``ties``, the
+    actions tied at each point's least risk, stays ``None`` until a Bayes
+    rule first asks for it.  The source keeps one slot, for the last loss
+    asked for, keyed by the loss's identity (a weighted loss is
+    unhashable), so a second loss replaces the first.  Each point's
+    ``sum(w)`` is a sum over a contiguous row, which rounds as a 1-D sum
+    does.
+    """
+    source, row = _source_column(tables)
+    slot = source.__dict__.get("_risk_slot")
+    if slot is None or slot[0] is not loss:
+        w = np.ascontiguousarray(_times_h(loss, source.marg_prior, _points(source.marg_post)))
+        slot = source.__dict__["_risk_slot"] = [loss, _frozen(w.sum(axis=1, keepdims=True) - w), None]
+    return slot, row
 
 
 # -- prior risk over the whole sample space --------------------------------
@@ -274,9 +305,11 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
 def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     """Exact prior risk of a decision rule, with per-class error probabilities.
 
-    The risk is ``sum_{j, x} marg_joint[j, x] * L[j, rule(x)]``.  Summation
-    uses :func:`math.fsum` so results are invariant to how the sample space
-    might be chunked across workers.  Every call checks the identities:
+    The risk is ``sum_{j, x} marg_joint[j, x] * L[j, rule(x)]``, each cell of
+    an indicator loss formed by :func:`_times_h`, so a prior whose reciprocal
+    overflows still gives a finite risk.  Summation uses :func:`math.fsum`
+    so results are invariant to how the sample space might be chunked
+    across workers.  Every call checks the identities:
     prior-based risk = sum of the conditional error probabilities =
     ``n_psi - E[rb(rule(x))]``; zero-one risk = prior-weighted error.
 
@@ -294,21 +327,27 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     per_class = np.array([math.fsum(row) for row in (sampling * wrong).tolist()])
     unweighted = math.fsum(per_class)
     weighted = math.fsum(per_class * tabs.marg_prior)
-    cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
+    if loss.kind == BALL:
+        cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
+    else:
+        cells = _times_h(loss, tabs.marg_prior, tabs.marg_joint, np.s_[:, None]) * wrong
     risk = math.fsum(cells.ravel().tolist())
 
+    # Written as "not within", so that a NaN fails every check.
     if loss.kind == PRIOR_BASED:
-        if abs(risk - unweighted) > IDENTITY_TOL:
+        if not abs(risk - unweighted) <= IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal the sum of conditional error probabilities"
             )
-        chosen_rb = tabs.rb[rule_arr, np.arange(model.n_x)]
-        alt = model.n_psi - math.fsum(tabs.evidence * chosen_rb)
-        if abs(risk - alt) > IDENTITY_TOL:
+        # E[rb(rule(x))] = sum_x m(x) rb(rule(x)) = sum_x marg_joint / marg_prior,
+        # a quotient that stays accurate where the posterior is subnormal.
+        cols = np.arange(model.n_x)
+        alt = model.n_psi - math.fsum(tabs.marg_joint[rule_arr, cols] / tabs.marg_prior[rule_arr])
+        if not abs(risk - alt) <= IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal n_psi minus the expected chosen ratio"
             )
-    elif loss.kind == ZERO_ONE and abs(risk - weighted) > IDENTITY_TOL:
+    elif loss.kind == ZERO_ONE and not abs(risk - weighted) <= IDENTITY_TOL:
         raise InvariantViolation(
             "zero-one prior risk must equal the prior-weighted error probability"
         )

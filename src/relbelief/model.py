@@ -16,11 +16,15 @@ All values are immutable after construction and safe to share across
 threads.  A :class:`FiniteModel` computes its marginal prior and its
 whole-sample-space tables on first use and keeps them, read-only, in a
 write-once cache on the instance; a second thread that races the first
-builds the same values and gets the copy that was stored first.
+builds the same values and gets the copy that was stored first.  The one
+slot that holds the risk table of the last loss asked for is replaced
+whole, so a reader sees one loss's table or another's, never a mix.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -31,6 +35,24 @@ from .errors import InfiniteSampleSpace, InvariantViolation, ZeroEvidence
 # One shared rounding policy: probability vectors are renormalized at
 # construction and must then sum to one within SUM_TOL.
 SUM_TOL = 1e-12
+
+TIE_RTOL = 1e-12
+
+
+def _spread_tol(values: np.ndarray, best):
+    """Tie tolerance along the last axis (per row of a table); ``best`` is the maximum.
+
+    It is relative to the spread of the values, so criteria that differ only
+    by an additive constant (ratios versus negated risks) give the same tie
+    classes.
+    """
+    return TIE_RTOL * (best - values.min(axis=-1))
+
+
+def _tie_mask(values: np.ndarray) -> np.ndarray:
+    """Entries tied with the maximum along the last axis (per row of a table)."""
+    best = values.max(axis=-1)
+    return values >= (best - _spread_tol(values, best))[..., None]
 
 
 def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
@@ -73,6 +95,29 @@ def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
+    return out
+
+
+# A normal log-density's -z*z/2 passes the double range once |z| exceeds this.
+NORMAL_Z_MAX = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
+
+
+def _normal_log_likelihood(x: float, centre, sd, log_norm, what: str) -> np.ndarray:
+    """``-z*z/2 - log_norm`` for ``z = (x - centre) / sd`` at one observed ``x``.
+
+    An entry whose ``z*z/2`` passes the double range is ``-inf``: it lies
+    below another entry by more than any ratio can show.  If every entry
+    does (``x`` finite), only their differences are finite, which ``z*z``
+    cannot hold, so ``x`` is refused by that limit rather than reported as
+    having zero evidence.
+    """
+    with np.errstate(over="ignore"):
+        z = (x - centre) / sd
+        out = -0.5 * z * z - log_norm
+    if math.isfinite(x) and out.max() == -np.inf:
+        raise InvariantViolation(
+            f"x = {x!r} lies more than {NORMAL_Z_MAX:.3g} standard deviations from every "
+            f"{what}: the normal log-likelihood passes the double range")
     return out
 
 
@@ -141,7 +186,8 @@ class FiniteModel:
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
     long as the model: the tables' three ``(n_psi, n_x)`` arrays can take up
-    to three times the memory of the likelihood table.
+    to three times the memory of the likelihood table, and per-point answers
+    add up to one more float table and three boolean ones of that shape.
     """
 
     theta_labels: tuple[str, ...]
@@ -288,7 +334,8 @@ class BeliefTables:
 
     @classmethod
     def _trusted(
-        cls, model: FiniteModel, marg_post: np.ndarray, rb: np.ndarray
+        cls, model: FiniteModel, marg_post: np.ndarray, rb: np.ndarray,
+        source: "SampleSpaceTables | None" = None, column: int = 0,
     ) -> "BeliefTables":
         """A column of the tables that the posterior kernel built from ``model``.
 
@@ -296,7 +343,9 @@ class BeliefTables:
         a pushed-forward probability vector and ``rb`` its quotient by the
         prior, all aligned over the model's psi support, and the kernel has
         checked the paper's two identities on every column at once.  So none
-        of the public constructor's checks is repeated here.
+        of the public constructor's checks is repeated here.  The two vectors
+        are column ``column`` of ``source``'s tables; per-point answers read
+        that column of the whole-table results cached on ``source``.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -306,11 +355,27 @@ class BeliefTables:
             psi_labels=model.psi_labels,
             psi_coords=model.psi_coords,
         )
+        if source is not None:
+            self.__dict__.update(_source=source, _column=column)
         return self
 
     @property
     def n_psi(self) -> int:
         return len(self.psi_labels)
+
+
+def _source_column(tables: BeliefTables):
+    """The tables that ``tables`` is a column of, and that column's index.
+
+    A column from the kernel names the kernel's tables; the public
+    constructor's tables are their own one column.
+    """
+    return tables.__dict__.get("_source", tables), tables.__dict__.get("_column", 0)
+
+
+def _points(values: np.ndarray) -> np.ndarray:
+    """A source's ``(n_psi, k)`` table as one row per point; a vector is one point."""
+    return values.reshape(len(values), -1).T
 
 
 # -- the posterior kernel ----------------------------------------------------
@@ -322,7 +387,9 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     On a matrix model these are column ``model.x_index(x)`` of the cached
     :func:`sample_space_tables`.  A callback is asked for its one
     log-likelihood column at ``x`` (at ``x``'s index on a finite sample
-    space), which runs through the same kernel uncached.
+    space), which runs through the same kernel uncached into one-column
+    tables.  Either way the result keeps the tables it is a column of, and
+    the per-point answers read their column of tables derived from them.
 
     Raises
     ------
@@ -338,7 +405,7 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     else:
         at = x if model.n_x is None else model.x_index(x)
         col, tabs = 0, _build_sample_space_tables(model, at)[0]
-    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col])
+    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col], tabs, col)
 
 
 @dataclass(frozen=True)
@@ -347,7 +414,10 @@ class SampleSpaceTables:
 
     Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
     ``marg_joint[j, x]`` is the prior probability of the j-th marginal value
-    together with ``x``.
+    together with ``x``.  Tables derived from these for every column at once
+    are kept on the instance, like the model's own cache: the tie masks of
+    ``rb`` and ``marg_post``, each built on first read, and the posterior
+    risks of the last loss asked for (see :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ModelSpecError
 from .losses import parse_number
-from .model import FiniteModel
+from .model import FiniteModel, _normal_log_likelihood
 
 PRIOR_WARN_TOL = 1e-9
 
@@ -241,8 +241,7 @@ def _family_likelihood(spec: dict, n_theta: int) -> dict:
             value = parse_number(x)
             if math.isnan(value):
                 raise InvariantViolation(f"observation {x!r} is not a number")
-            z = (value - mean) / sd
-            return -0.5 * z * z - log_norm
+            return _normal_log_likelihood(value, mean, sd, log_norm, "mean")
 
         return {"likelihood": callback}
     raise ModelSpecError("likelihood", f"unknown family {family!r}")

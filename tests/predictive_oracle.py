@@ -18,7 +18,7 @@ from relbelief import (
     InvariantViolation,
     RelBeliefError,
 )
-from relbelief.estimators import EstimateResult, _estimate
+from relbelief.estimators import EstimateResult, _estimate, _tie_mask
 from relbelief.model import SUM_TOL, _frozen
 
 KERNEL_TOL = 1e-10
@@ -121,7 +121,7 @@ def posterior_predictive(model: FiniteModel, posterior, kernel, x=None) -> Predi
 
 def predict_lrse(pred: PredictiveTables) -> EstimateResult:
     """Future value maximizing the predictive belief ratio."""
-    return _estimate(pred.y_labels, pred.rb_pred)
+    return _estimate(pred.y_labels, pred.rb_pred, _tie_mask(pred.rb_pred))
 
 
 def predictive_tables_for(model: BetaBernoulliPredictor) -> PredictiveTables:

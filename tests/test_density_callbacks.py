@@ -188,3 +188,35 @@ def test_estimate_far_in_the_tail(normal_file, tmp_path, capsys, x):
 def test_estimate_at_an_infinite_point_exits_one(normal_file, tmp_path, capsys):
     assert estimate(normal_file, tmp_path, "inf") == 1
     assert "zero evidence" in capsys.readouterr().err
+
+
+def normal_model_file(tmp_path, sd) -> str:
+    path = tmp_path / "tiny-sd.json"
+    path.write_text(json.dumps({
+        "theta": ["a", "b"], "prior": [0.5, 0.5], "psi_map": ["a", "b"],
+        "likelihood": {"family": "normal", "mean": [0.0, 1.0], "sd": sd},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("sd, x", [([1.0, 1.0], "1e160"), ([1.0, 1.0], "-1e160"),
+                                   ([1.0, 1.0], "1e308"), ([1e-300, 1e-300], "0.5")])
+def test_estimate_past_the_double_range_exits_two_naming_it(tmp_path, capsys, sd, x):
+    # Every -z*z/2 (and at sd 1e-300 every z) passes the largest double; the
+    # evidence is positive, so no message may claim it is zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert estimate(normal_model_file(tmp_path, sd), tmp_path, x) == 2
+    err = capsys.readouterr().err
+    assert "passes the double range" in err and "zero evidence" not in err
+
+
+@pytest.mark.parametrize("sd, x", [([1.0, 1e-200], "1e10"), ([1e-300, 1e-300], "0")])
+def test_overflow_at_one_theta_leaves_the_other(tmp_path, sd, x):
+    # b's z is 1e210 (or -1e300) and a's finite: b's likelihood is negligible beside a's.
+    model = load_model(normal_model_file(tmp_path, sd))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tables = belief_tables(model, x)
+    assert tables.marg_post.tolist() == [1.0, 0.0]
+    assert lrse(tables).psi_label == "a"

@@ -243,6 +243,16 @@ class TestLogLikelihoodProtocol:
         with pytest.raises(InvariantViolation, match="zero evidence"):
             build_grid(cmodel, 0.0, 0.5)
 
+    @pytest.mark.parametrize("argv", [["--x", "1e308"], ["--x", "-1e308"], ["--sigma", "1e-300"]])
+    def test_log_likelihood_past_the_double_range_exits_2_naming_it(self, tmp_path, capsys, argv):
+        # -z*z/2 overflows at every node: the evidence is positive, but
+        # only differences of log-likelihoods past the double range hold it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["--output-dir", str(tmp_path), "converge", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "passes the double range" in err and "zero evidence" not in err
+
     def test_spike_between_first_nodes_exits_2_naming_it(self, tmp_path, capsys):
         # At sigma = 1e-6 the likelihood's peak at theta = x = 1 is far
         # narrower than a bin.  On the default schedule a K15 node of the

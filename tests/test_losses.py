@@ -1,6 +1,7 @@
 """Loss values, posterior risks, and exact prior-risk identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from relbelief import (
     belief_tables,
     parse_loss,
     prior_risk,
+    unbiasedness_gap,
 )
 from relbelief.estimators import lrse_rule, map_rule
 from relbelief.losses import loss_matrix, posterior_risk_vector
@@ -235,3 +237,45 @@ class TestPriorRisk:
                 perm = rng.permutation(len(wrong))
                 chunked = math.fsum(sampling[j, wrong][perm])
                 assert chunked == report.per_class_error[j]
+
+
+class TestPriorBelowTheReciprocalRange:
+    """A marginal prior whose reciprocal overflows: ``1 / 5e-324`` is inf.
+
+    Theta ``c`` is impossible at ``x0`` and certain at ``x1``, so the LRSE
+    picks it at ``x1``.  Every prior-based quantity is a quotient by the
+    prior there, which is finite: ``P(x1 | c) = 1``.
+    """
+
+    model = FiniteModel(
+        theta_labels=("a", "b", "c"),
+        prior=[0.5, 0.5, 5e-324],
+        likelihood=[[0.4, 0.6], [0.7, 0.3], [0.0, 1.0]],
+        psi_map=[0, 1, 2],
+        psi_labels=("a", "b", "c"),
+    )
+
+    def test_prior_risk_is_finite_and_checked(self):
+        rule = lrse_rule(self.model)
+        assert rule.tolist() == [1, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for loss in (LossSpec.prior_based(), LossSpec.capped(1e-320)):
+                report = prior_risk(loss, rule, self.model)
+                # Class a errs at both points, b at x1 (0.3), c never.
+                np.testing.assert_array_equal(report.per_class_error, [1.0, 0.3, 0.0])
+                assert report.prior_risk == pytest.approx(1.3, abs=1e-15)
+
+    def test_unbiasedness_gap_is_finite(self):
+        # sum_x marg_joint / marg_prior - m(x): (0.7 - 0.55) + (1 - 0.45).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = unbiasedness_gap(LossSpec.prior_based(), lrse_rule(self.model), self.model)
+        assert gap == pytest.approx(0.7, abs=1e-15)
+
+    def test_loss_matrix_charges_nothing_for_the_correct_action(self):
+        with np.errstate(over="ignore"):  # 1 / 5e-324 is past the largest double
+            table = loss_matrix(LossSpec.prior_based(), self.model, [0, 1, 2])
+        assert not np.isnan(table).any()
+        np.testing.assert_array_equal(np.diag(table), 0.0)
+        assert table[2, 0] == table[2, 1] == np.inf
