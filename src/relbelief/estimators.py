@@ -7,16 +7,12 @@ marginal support.  Ties are never resolved silently: results carry the whole
 argmax set and a flag, because the optimality statements for these
 estimators assume a unique maximizer.
 
-Every per-point answer reads its point's row of a table built once for
-every point of its source: the model's cached :class:`SampleSpaceTables`
-for a matrix model, the one-point tables of a callback's point, or a
-public :class:`BeliefTables` itself.  The LRSE and the MAP read the
-source's tie masks of ``rb`` and ``marg_post``, so the LRSE at ``x`` *is*
-entry ``x`` of :func:`lrse_rule`.  A Bayes rule under an indicator loss
-reads the source's risk table for that loss
-(:func:`relbelief.losses._risk_slot`) and, built on its first read, the
-tie mask of the negated risks.  The tie rule itself, :func:`_tie_mask`
-with its tolerance :func:`_spread_tol`, lives in :mod:`relbelief.model`.
+The LRSE and the MAP read their point's row of a tie mask built once for
+every point of the tables they came from (their *source*): the model's
+cached :class:`SampleSpaceTables` for a matrix model, the one-point tables
+of a callback's point, or a public :class:`BeliefTables` itself.  So the
+LRSE at ``x`` *is* entry ``x`` of :func:`lrse_rule`.  A Bayes rule ranks
+its point's posterior risks, :func:`relbelief.losses.posterior_risk_vector`.
 """
 
 from __future__ import annotations
@@ -26,9 +22,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import BALL, LossSpec, _risk_slot, _times_h, check_rule, posterior_risk_vector
-from .model import (TIE_RTOL, BeliefTables, FiniteModel, _cached, _frozen, _points,  # noqa: F401
-                    _source_column, _spread_tol, _tie_mask, sample_space_tables)
+from .losses import LossSpec, _times_h, check_rule, posterior_risk_vector
+from .model import (BeliefTables, FiniteModel, _cached, _frozen, _points, _source_column,
+                    sample_space_tables)
+
+TIE_RTOL = 1e-12
+
+
+def _spread_tol(values: np.ndarray, best):
+    """Tie tolerance along the last axis (per row of a table); ``best`` is the maximum.
+
+    It is relative to the spread of the values, so criteria that differ only
+    by an additive constant (ratios versus negated risks) give the same tie
+    classes.
+    """
+    return TIE_RTOL * (best - values.min(axis=-1))
+
+
+def _tie_mask(values: np.ndarray) -> np.ndarray:
+    """Entries tied with the maximum along the last axis (per row of a table)."""
+    best = values.max(axis=-1)
+    return values >= (best - _spread_tol(values, best))[..., None]
 
 
 def _ties(source, name: str) -> np.ndarray:
@@ -86,13 +100,8 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     The criterion value reported is the negative posterior risk, so larger
     is better, matching the other estimators.
     """
-    if loss.kind == BALL:
-        values = -posterior_risk_vector(loss, tables)
-        return _estimate(tables.psi_labels, values, _tie_mask(values))
-    slot, row = _risk_slot(loss, tables)
-    if slot[2] is None:  # two racing threads store equal masks
-        slot[2] = _frozen(_tie_mask(-slot[1]))
-    return _estimate(tables.psi_labels, -slot[1][row], slot[2][row])
+    values = -posterior_risk_vector(loss, tables)
+    return _estimate(tables.psi_labels, values, _tie_mask(values))
 
 
 # -- decision rules over a finite sample space -----------------------------

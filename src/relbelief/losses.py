@@ -28,8 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import (BeliefTables, FiniteModel, SampleSpaceTables, _frozen, _points,
-                    _source_column, _whole_sample_space)
+from .model import BeliefTables, FiniteModel, SampleSpaceTables, _whole_sample_space
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -237,40 +236,19 @@ def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
 
 
 def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
-    """Posterior risk of every candidate action at once (read-only).
+    """Posterior risk of every candidate action at once.
 
     An indicator loss ``I(true != a) * h(true)`` costs ``sum(w) - w[a]`` with
-    ``w = h * marg_post`` (:func:`_times_h`); under the prior-based loss
-    ``w`` is the belief ratio, so its lowest-risk sets are the
-    relative-surprise sets.  It is read from the risk table of
-    :func:`_risk_slot`.  The ball loss costs the posterior mass outside each
-    ball, per point: in one product over every point, BLAS may round a point
-    differently.
+    ``w = h * marg_post``; under the prior-based loss ``w`` is the belief
+    ratio, so its lowest-risk sets are the relative-surprise sets.  The ball
+    loss costs the posterior mass outside each ball.  Where ``h`` is a
+    reciprocal, ``w`` is formed as a quotient (:func:`_times_h`), which
+    stays finite at a prior whose reciprocal would overflow.
     """
     if loss.kind == BALL:
         return 1.0 - _ball_mass(loss.radius, tables.psi_coords, tables.marg_post)
-    slot, row = _risk_slot(loss, tables)
-    return slot[1][row]
-
-
-def _risk_slot(loss: LossSpec, tables: BeliefTables) -> tuple[list, int]:
-    """The slot ``[loss, risks, ties]`` of ``tables``' source, and ``tables``' row in it.
-
-    ``risks`` holds the posterior risks of an indicator loss at every point
-    of the tables ``tables`` came from, one row per point; ``ties``, the
-    actions tied at each point's least risk, stays ``None`` until a Bayes
-    rule first asks for it.  The source keeps one slot, for the last loss
-    asked for, keyed by the loss's identity (a weighted loss is
-    unhashable), so a second loss replaces the first.  Each point's
-    ``sum(w)`` is a sum over a contiguous row, which rounds as a 1-D sum
-    does.
-    """
-    source, row = _source_column(tables)
-    slot = source.__dict__.get("_risk_slot")
-    if slot is None or slot[0] is not loss:
-        w = np.ascontiguousarray(_times_h(loss, source.marg_prior, _points(source.marg_post)))
-        slot = source.__dict__["_risk_slot"] = [loss, _frozen(w.sum(axis=1, keepdims=True) - w), None]
-    return slot, row
+    w = _times_h(loss, tables.marg_prior, tables.marg_post)
+    return w.sum() - w
 
 
 # -- prior risk over the whole sample space --------------------------------
@@ -339,10 +317,9 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
             raise InvariantViolation(
                 "prior risk must equal the sum of conditional error probabilities"
             )
-        # E[rb(rule(x))] = sum_x m(x) rb(rule(x)) = sum_x marg_joint / marg_prior,
-        # a quotient that stays accurate where the posterior is subnormal.
-        cols = np.arange(model.n_x)
-        alt = model.n_psi - math.fsum(tabs.marg_joint[rule_arr, cols] / tabs.marg_prior[rule_arr])
+        # The kernel's own evidence and ratio, not the risk's cells.
+        chosen_rb = tabs.rb[rule_arr, np.arange(model.n_x)]
+        alt = model.n_psi - math.fsum(tabs.evidence * chosen_rb)
         if not abs(risk - alt) <= IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal n_psi minus the expected chosen ratio"

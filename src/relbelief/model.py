@@ -16,9 +16,7 @@ All values are immutable after construction and safe to share across
 threads.  A :class:`FiniteModel` computes its marginal prior and its
 whole-sample-space tables on first use and keeps them, read-only, in a
 write-once cache on the instance; a second thread that races the first
-builds the same values and gets the copy that was stored first.  The one
-slot that holds the risk table of the last loss asked for is replaced
-whole, so a reader sees one loss's table or another's, never a mix.
+builds the same values and gets the copy that was stored first.
 """
 
 from __future__ import annotations
@@ -35,24 +33,6 @@ from .errors import InfiniteSampleSpace, InvariantViolation, ZeroEvidence
 # One shared rounding policy: probability vectors are renormalized at
 # construction and must then sum to one within SUM_TOL.
 SUM_TOL = 1e-12
-
-TIE_RTOL = 1e-12
-
-
-def _spread_tol(values: np.ndarray, best):
-    """Tie tolerance along the last axis (per row of a table); ``best`` is the maximum.
-
-    It is relative to the spread of the values, so criteria that differ only
-    by an additive constant (ratios versus negated risks) give the same tie
-    classes.
-    """
-    return TIE_RTOL * (best - values.min(axis=-1))
-
-
-def _tie_mask(values: np.ndarray) -> np.ndarray:
-    """Entries tied with the maximum along the last axis (per row of a table)."""
-    best = values.max(axis=-1)
-    return values >= (best - _spread_tol(values, best))[..., None]
 
 
 def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
@@ -186,8 +166,8 @@ class FiniteModel:
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
     long as the model: the tables' three ``(n_psi, n_x)`` arrays can take up
-    to three times the memory of the likelihood table, and per-point answers
-    add up to one more float table and three boolean ones of that shape.
+    to three times the memory of the likelihood table, and the LRSE and MAP
+    add two boolean tables of that shape.
     """
 
     theta_labels: tuple[str, ...]
@@ -344,8 +324,8 @@ class BeliefTables:
         prior, all aligned over the model's psi support, and the kernel has
         checked the paper's two identities on every column at once.  So none
         of the public constructor's checks is repeated here.  The two vectors
-        are column ``column`` of ``source``'s tables; per-point answers read
-        that column of the whole-table results cached on ``source``.
+        are column ``column`` of ``source``'s tables; the LRSE and MAP read
+        that column of tie masks cached on ``source``.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -389,7 +369,7 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     log-likelihood column at ``x`` (at ``x``'s index on a finite sample
     space), which runs through the same kernel uncached into one-column
     tables.  Either way the result keeps the tables it is a column of, and
-    the per-point answers read their column of tables derived from them.
+    the LRSE and MAP read their column of tie masks derived from them.
 
     Raises
     ------
@@ -416,8 +396,8 @@ class SampleSpaceTables:
     ``marg_joint[j, x]`` is the prior probability of the j-th marginal value
     together with ``x``.  Tables derived from these for every column at once
     are kept on the instance, like the model's own cache: the tie masks of
-    ``rb`` and ``marg_post``, each built on first read, and the posterior
-    risks of the last loss asked for (see :mod:`relbelief.estimators`).
+    ``rb`` and ``marg_post``, each built on first read (see
+    :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)
@@ -460,7 +440,11 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     density = model.n_x is None
     if model.is_table:
         e = np.minimum(np.frexp(model.likelihood.max(axis=0))[1], 0)
-        joint, rest, theta_sums = np.ldexp(model.likelihood, -e), 1.0, model.likelihood.sum(axis=1)
+
+        def scaled() -> np.ndarray:
+            return np.ldexp(model.likelihood, -e)
+
+        joint, rest, theta_sums = scaled(), 1.0, model.likelihood.sum(axis=1)
     else:
         shape = (model.n_theta,) + (() if density else np.shape(at))
         loglik = np.asarray(model.likelihood(at), dtype=float)
@@ -470,7 +454,11 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
             )
         loglik = loglik.reshape(model.n_theta, -1)
         top = np.nan_to_num(loglik.max(axis=0), neginf=0.0)  # an impossible column stays 0
-        joint = np.exp(loglik - top)
+
+        def scaled() -> np.ndarray:
+            return np.exp(loglik - top)
+
+        joint = scaled()
         e = np.clip(np.ceil(top / np.log(2.0)), -4096, 4096).astype(np.intp)
         rest = np.exp(np.minimum(top - e * np.log(2.0), 0.0))
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum fails every check
@@ -492,6 +480,12 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     marg_prior = model.marginal_prior()
     marg_post = _frozen(fiber_sums(joint / evidence))
     rb = marg_post / marg_prior[:, None]
+    # A subnormal posterior has lost digits that its ratio can keep: form
+    # those ratios from each theta's prior within its fiber instead.
+    low = (marg_post > 0.0) & (marg_post < np.finfo(float).tiny)
+    if low.any():
+        within = model.prior / marg_prior[model.psi_map]
+        rb[low] = (fiber_sums(scaled() * within[:, None]) / evidence)[low]
     _check_identities(marg_prior, rb)
     with np.errstate(over="ignore"):
         undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, fiber_sums(joint))]

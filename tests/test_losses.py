@@ -1,5 +1,6 @@
 """Loss values, posterior risks, and exact prior-risk identities."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,10 +17,12 @@ from relbelief import (
     belief_tables,
     parse_loss,
     prior_risk,
+    sample_space_tables,
     unbiasedness_gap,
 )
 from relbelief.estimators import lrse_rule, map_rule
 from relbelief.losses import loss_matrix, posterior_risk_vector
+from relbelief.model import _whole_sample_space
 from conftest import model_corpus
 
 
@@ -239,6 +242,18 @@ class TestPriorRisk:
                 assert chunked == report.per_class_error[j]
 
 
+def test_prior_risk_checks_the_risk_against_the_kernel_ratio():
+    """``n_psi - E[rb(rule(x))]`` reads the kernel's ratio, not the risk's cells."""
+    model = FiniteModel(theta_labels=("a", "b", "c"), prior=[0.5, 0.3, 0.2],
+                        likelihood=[[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]],
+                        psi_map=[0, 1, 2], psi_labels=("a", "b", "c"))
+    prior_risk(LossSpec.prior_based(), lrse_rule(model), model)  # the true tables pass
+    tabs, theta_sums = _whole_sample_space(model)
+    model.__dict__["_sample_space_tables"] = (dataclasses.replace(tabs, rb=tabs.rb * 1.001), theta_sums)
+    with pytest.raises(InvariantViolation, match="expected chosen ratio"):
+        prior_risk(LossSpec.prior_based(), lrse_rule(model), model)
+
+
 class TestPriorBelowTheReciprocalRange:
     """A marginal prior whose reciprocal overflows: ``1 / 5e-324`` is inf.
 
@@ -272,6 +287,12 @@ class TestPriorBelowTheReciprocalRange:
             warnings.simplefilter("error")
             gap = unbiasedness_gap(LossSpec.prior_based(), lrse_rule(self.model), self.model)
         assert gap == pytest.approx(0.7, abs=1e-15)
+
+    def test_kernel_ratio_keeps_its_digits_at_a_subnormal_posterior(self):
+        # The posterior of c at x1 is 5e-324 / 0.45, two subnormal steps.
+        ratio = 1.0 / 0.45
+        assert sample_space_tables(self.model).rb[2, 1] == pytest.approx(ratio, rel=1e-15)
+        assert belief_tables(self.model, 1).rb[2] == pytest.approx(ratio, rel=1e-15)
 
     def test_loss_matrix_charges_nothing_for_the_correct_action(self):
         with np.errstate(over="ignore"):  # 1 / 5e-324 is past the largest double
