@@ -27,7 +27,7 @@ from .losses import parse_loss, parse_number
 from .model import belief_tables
 from .modelfile import load_model
 from .regions import eta_sweep, hpd_region, lpl_region, rs_region
-from .reporting import write_report
+from .reporting import write_report, write_text
 
 
 def _float_list(text: str) -> list[float]:
@@ -316,7 +316,6 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     manifest = {
         "subcommand": args.subcommand,
@@ -328,18 +327,24 @@ def run(argv) -> int:
         "error": None,
         "wall_time_s": None,
     }
+    code = 0
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         manifest["artifacts"] = [str(p) for p in _RUNNERS[args.subcommand](args, outdir)]
         manifest["status"] = "ok"
-        return 0
     except (RelBeliefError, OSError) as exc:
         invalid = isinstance(exc, (ModelSpecError, InvariantViolation))
         manifest.update(status="validation-error" if invalid else "error", error=str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if invalid else 1
+        code = 2 if invalid else 1
     finally:
         manifest["wall_time_s"] = time.perf_counter() - started
-        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+        try:
+            write_text(outdir / "manifest.json", json.dumps(manifest, indent=2, default=str) + "\n")
+        except OSError as exc:
+            print(f"error: manifest not written: {exc}", file=sys.stderr)
+            code = code or 1  # a run that already failed keeps its own code
+    return code
 
 
 def main() -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import HypothesisViolated, InvariantViolation, ZeroBinMass
 from .estimators import bayes_rule, lrse
 from .losses import LossSpec
-from .model import BeliefTables, FiniteModel, belief_tables
+from .model import BeliefTables, FiniteModel, _fsum, belief_tables
 from .quadrature import integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
@@ -352,7 +352,7 @@ def _region_rows(
         # Reference posterior mass of the symmetric difference between the
         # reference region and the reference bins the region's members cover.
         covered = _mask(n_bins, region.members)[owner]
-        return math.fsum(ref_tables.marg_post[ref_mask ^ covered])
+        return _fsum(ref_tables.marg_post[ref_mask ^ covered])
 
     rows = []
     for tables, grid in widths:

@@ -17,13 +17,12 @@ its point's posterior risks, :func:`relbelief.losses.posterior_risk_vector`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .losses import LossSpec, _times_h, check_rule, posterior_risk_vector
-from .model import (BeliefTables, FiniteModel, _cached, _frozen, _points, _source_column,
+from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points, _source_column,
                     sample_space_tables)
 
 TIE_RTOL = 1e-12
@@ -140,8 +139,8 @@ def unbiasedness_gap(loss: LossSpec, rule, model: FiniteModel) -> float:
     rule_arr, tabs = check_rule(rule, model)
     chosen_joint = tabs.marg_joint[rule_arr, np.arange(model.n_x)]
     weighted_prior = _times_h(loss, tabs.marg_prior, tabs.marg_prior[rule_arr], rule_arr)
-    return math.fsum(_times_h(loss, tabs.marg_prior, chosen_joint, rule_arr)
-                     - tabs.evidence * weighted_prior)
+    return _fsum(_times_h(loss, tabs.marg_prior, chosen_joint, rule_arr)
+                 - tabs.evidence * weighted_prior)
 
 
 def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:

@@ -21,14 +21,13 @@ Every kind but ``ball`` is ``I(true != action) * h(true)`` (:func:`h_vector`);
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import BeliefTables, FiniteModel, SampleSpaceTables, _whole_sample_space
+from .model import BeliefTables, FiniteModel, SampleSpaceTables, _fsum, _whole_sample_space
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -299,17 +298,16 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     sampling = conditional_sampling_table(model)
     rule_arr, tabs = check_rule(rule, model)
 
-    # Zeros in the right cells leave each fsum exact; plain floats from
-    # tolist() are several times faster for fsum than numpy scalars.
+    # Zeros in the right cells leave each fsum exact.
     wrong = rule_arr[None, :] != np.arange(model.n_psi)[:, None]
-    per_class = np.array([math.fsum(row) for row in (sampling * wrong).tolist()])
-    unweighted = math.fsum(per_class)
-    weighted = math.fsum(per_class * tabs.marg_prior)
+    per_class = np.array([_fsum(row) for row in sampling * wrong])
+    unweighted = _fsum(per_class)
+    weighted = _fsum(per_class * tabs.marg_prior)
     if loss.kind == BALL:
         cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
     else:
         cells = _times_h(loss, tabs.marg_prior, tabs.marg_joint, np.s_[:, None]) * wrong
-    risk = math.fsum(cells.ravel().tolist())
+    risk = _fsum(cells.ravel())
 
     # Written as "not within", so that a NaN fails every check.
     if loss.kind == PRIOR_BASED:
@@ -319,7 +317,7 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
             )
         # The kernel's own evidence and ratio, not the risk's cells.
         chosen_rb = tabs.rb[rule_arr, np.arange(model.n_x)]
-        alt = model.n_psi - math.fsum(tabs.evidence * chosen_rb)
+        alt = model.n_psi - _fsum(tabs.evidence * chosen_rb)
         if not abs(risk - alt) <= IDENTITY_TOL:
             raise InvariantViolation(
                 "prior risk must equal n_psi minus the expected chosen ratio"

@@ -78,6 +78,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fsum(values: np.ndarray) -> float:
+    """Exact sum of a 1-D float array: :func:`math.fsum` over a memoryview.
+
+    fsum reads the same doubles in the same order as over ``values.tolist()``,
+    so the sum keeps its bits, without a Python float list or numpy scalars.
+    """
+    return math.fsum(memoryview(values))
+
+
 # A normal log-density's -z*z/2 passes the double range once |z| exceeds this.
 NORMAL_Z_MAX = math.sqrt(2.0) * math.sqrt(sys.float_info.max)
 

@@ -54,6 +54,7 @@ import numpy as np
 from .errors import InvariantViolation, ModelSpecError
 from .losses import parse_number
 from .model import FiniteModel, _normal_log_likelihood
+from .reporting import write_text
 
 PRIOR_WARN_TOL = 1e-9
 
@@ -328,4 +329,4 @@ def save_model(model: FiniteModel, path: str | Path) -> None:
     doc["psi_map"] = [model.psi_labels[j] for j in model.psi_map]
     if model.psi_coords is not None:
         doc["psi_coords"] = model.psi_coords.tolist()
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_text(path, json.dumps(doc, indent=2) + "\n")

@@ -10,7 +10,6 @@ attained mass equals the request exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .errors import InvariantViolation, UnknownPsi
 from .estimators import _spread_tol
 from .losses import CAPPED, LossSpec, posterior_risk_vector
-from .model import BeliefTables
+from .model import BeliefTables, _fsum
 
 GAMMA_TOL = 1e-12
 
@@ -61,9 +60,8 @@ def _ranked_region(
         hit = min(int(cum.searchsorted(gamma - GAMMA_TOL, side="left")), values.size - 1)
     threshold = float(values[order[hit]])
     keep = values >= threshold - _spread_tol(values, values[order[0]])  # ranked first: the max
-    # fsum rounds the exact sum of the members' masses, whatever their order
-    # or float type; plain floats from tolist() are the fastest input for it.
-    return keep.nonzero()[0].tolist(), threshold, math.fsum(masses[keep].tolist())
+    # fsum rounds the exact sum of the members' masses, whatever their order.
+    return keep.nonzero()[0].tolist(), threshold, _fsum(masses[keep])
 
 
 def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -100,7 +98,7 @@ def tail_probability(tables: BeliefTables, psi0: int) -> float:
         raise UnknownPsi(f"psi index {psi0} out of range")
     cutoff = float(tables.rb[psi0])
     keep = tables.rb <= cutoff + _spread_tol(tables.rb, tables.rb.max())
-    return math.fsum(tables.marg_post[keep])
+    return _fsum(tables.marg_post[keep])
 
 
 def attainable_gammas(tables: BeliefTables, family: str = "rs") -> np.ndarray:

@@ -8,7 +8,20 @@ with the same columns and rows for programmatic use.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` with the bytes ``Path.write_text`` gives.
+
+    An existing file is overwritten in place and cut at the end of the new
+    text: truncating it to zero first costs far more than the write on some
+    filesystems.  Not atomic: a crash mid-write can mix old and new bytes.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
+        f.write(text)
+        f.truncate()
 
 
 def format_value(value) -> str:
@@ -31,7 +44,7 @@ def write_report(base: str | Path, columns: list[str], rows: list[list]) -> list
         if len(row) != len(columns):
             raise ValueError("row width does not match the header")
         lines.append(",".join(format_value(v) for v in row))
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_text(csv_path, "\n".join(lines) + "\n")
     mirror = {
         "columns": columns,
         "rows": [
@@ -40,5 +53,5 @@ def write_report(base: str | Path, columns: list[str], rows: list[list]) -> list
             for row in rows
         ],
     }
-    json_path.write_text(json.dumps(mirror, indent=2) + "\n")
+    write_text(json_path, json.dumps(mirror, indent=2) + "\n")
     return [csv_path, json_path]

@@ -32,6 +32,7 @@ import numpy as np
 from .closed_form import decision_statistic
 from .errors import InvariantViolation
 from .losses import RiskReport
+from .model import _fsum
 
 BLOCK = 65536  # fixed logical block size; independent of worker count
 _CHUNK = 16384  # rows per chunk of a block; bounds the block's working set
@@ -212,7 +213,7 @@ def exact_conditional_risk(
         # probability erfc(t / sqrt 2) / 2 at t = cutoff - c * |mu|, missed at -t.
         tails = [side * (cutoffs[method] - c * abs(mu)) / math.sqrt(2.0)
                  for c, side in ((0, 1.0), (1, -1.0))]
-        exact[method] = tuple(math.fsum(pmf * [0.5 * math.erfc(v) for v in z]) for z in tails)
+        exact[method] = tuple(_fsum(pmf * [0.5 * math.erfc(v) for v in z]) for z in tails)
     return exact[method]
 
 
