@@ -12,7 +12,7 @@ every point of the tables they came from (their *source*): the model's
 cached :class:`SampleSpaceTables` for a matrix model, the one-point tables
 of a callback's point, or a public :class:`BeliefTables` itself.  So the
 LRSE at ``x`` *is* entry ``x`` of :func:`lrse_rule`.  A Bayes rule ranks
-its point's posterior risks, :func:`relbelief.losses.posterior_risk_vector`.
+its point's posterior gains, :func:`relbelief.losses._posterior_gain`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, _times_h, check_rule, posterior_risk_vector
+from .losses import LossSpec, _posterior_gain, _times_h, check_rule
 from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points, _source_column,
                     sample_space_tables)
 
@@ -96,11 +96,13 @@ def map_estimate(tables: BeliefTables) -> EstimateResult:
 def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     """Exhaustive posterior-risk minimizer over the marginal support.
 
-    The criterion value reported is the negative posterior risk, so larger
-    is better, matching the other estimators.
+    The ranking is on the posterior gain, which orders the actions as the
+    risk does without the rounding of forming the risk.  The criterion value
+    reported is the negative posterior risk, so larger is better, matching
+    the other estimators.
     """
-    values = -posterior_risk_vector(loss, tables)
-    return _estimate(tables.psi_labels, values, _tie_mask(values))
+    gain, total = _posterior_gain(loss, tables)
+    return _estimate(tables.psi_labels, -(total - gain), _tie_mask(gain))
 
 
 # -- decision rules over a finite sample space -----------------------------

@@ -234,6 +234,19 @@ def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
 # -- posterior risk --------------------------------------------------------
 
 
+def _posterior_gain(loss: LossSpec, tables: BeliefTables) -> tuple[np.ndarray, float]:
+    """``(gain, total)``, each action's posterior risk being ``total - gain``.
+
+    Bayes rules and LPL regions rank the gain, which orders the actions as
+    the risk does without the rounding of the subtraction: under the
+    prior-based loss the gain is the belief ratio itself.
+    """
+    if loss.kind == BALL:
+        return _ball_mass(loss.radius, tables.psi_coords, tables.marg_post), 1.0
+    w = _times_h(loss, tables.marg_prior, tables.marg_post)
+    return w, w.sum()
+
+
 def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
     """Posterior risk of every candidate action at once.
 
@@ -244,10 +257,8 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
     reciprocal, ``w`` is formed as a quotient (:func:`_times_h`), which
     stays finite at a prior whose reciprocal would overflow.
     """
-    if loss.kind == BALL:
-        return 1.0 - _ball_mass(loss.radius, tables.psi_coords, tables.marg_post)
-    w = _times_h(loss, tables.marg_prior, tables.marg_post)
-    return w.sum() - w
+    gain, total = _posterior_gain(loss, tables)
+    return total - gain
 
 
 # -- prior risk over the whole sample space --------------------------------
@@ -269,14 +280,25 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
 
     Row ``j`` is the distribution of the data when the j-th marginal value
     is true, averaging the per-theta sampling distributions under the prior
-    conditioned on the fiber.
+    conditioned on the fiber.  A cell is ``marg_joint / marg_prior``, except
+    where the joint is subnormal and the quotient would magnify its lost
+    digits: there the cell averages the likelihood under each theta's prior
+    within its fiber, as the kernel forms a subnormal posterior's ratio.
     """
     tabs, theta_sums = _whole_sample_space(model)  # InfiniteSampleSpace for a density
     if not np.all(np.abs(theta_sums - 1.0) <= 1e-9):
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )
-    return tabs.marg_joint / tabs.marg_prior[:, None]
+    sampling = tabs.marg_joint / tabs.marg_prior[:, None]
+    low = tabs.marg_joint < np.finfo(float).tiny
+    if low.any():
+        lik = model.likelihood if model.is_table else np.exp(model.likelihood(np.arange(model.n_x)))
+        within = model.prior / tabs.marg_prior[model.psi_map]
+        fibers = np.zeros_like(sampling)
+        np.add.at(fibers, model.psi_map, lik * within[:, None])
+        sampling[low] = fibers[low]
+    return sampling
 
 
 def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
@@ -305,6 +327,8 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     weighted = _fsum(per_class * tabs.marg_prior)
     if loss.kind == BALL:
         cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
+    elif loss.kind == PRIOR_BASED:  # marg_joint / marg_prior is the sampling table
+        cells = sampling * wrong
     else:
         cells = _times_h(loss, tabs.marg_prior, tabs.marg_joint, np.s_[:, None]) * wrong
     risk = _fsum(cells.ravel())

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
 from .estimators import _spread_tol
-from .losses import CAPPED, LossSpec, posterior_risk_vector
+from .losses import CAPPED, LossSpec, _posterior_gain
 from .model import BeliefTables, _fsum
 
 GAMMA_TOL = 1e-12
@@ -80,12 +80,14 @@ def rs_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
 def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRegion:
     """Lowest-posterior-loss region: sub-level set of posterior risk.
 
-    The stored threshold is the risk cutoff (smaller is better inside the
+    The region ranks the posterior gain (:func:`relbelief.losses._posterior_gain`),
+    so under the prior-based loss it is the relative-surprise region.  The
+    stored threshold is the risk cutoff (smaller is better inside the
     region).
     """
-    risks = posterior_risk_vector(loss, tables)
-    members, threshold, attained = _ranked_region(-risks, tables.marg_post, gamma)
-    return CredibleRegion(float(gamma), members, -threshold, attained)
+    gain, total = _posterior_gain(loss, tables)
+    members, threshold, attained = _ranked_region(gain, tables.marg_post, gamma)
+    return CredibleRegion(float(gamma), members, float(total - threshold), attained)
 
 
 def tail_probability(tables: BeliefTables, psi0: int) -> float:

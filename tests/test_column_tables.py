@@ -32,27 +32,28 @@ from relbelief.losses import h_vector, posterior_risk_vector
 from relbelief.model import _source_column
 from test_per_point_path import (
     assert_identical,
+    oracle_bayes_rule,
     oracle_belief_tables,
     oracle_dense_ball_inside,
     oracle_estimate,
-    oracle_ranked_region,
+    oracle_lpl_region,
     small_model,
 )
 from test_sample_space_tables import finite_models
 
 
-def oracle_risks(loss, tables) -> np.ndarray:
-    """The posterior risks of one column, from that column alone."""
+def oracle_gain(loss, tables) -> tuple[np.ndarray, float]:
+    """The posterior gains of one column and their total, from that column alone."""
     post, prior = tables.marg_post, tables.marg_prior
     if loss.kind == "ball":
-        return 1.0 - oracle_dense_ball_inside(loss.radius, tables) @ post
+        return oracle_dense_ball_inside(loss.radius, tables) @ post, 1.0
     if loss.kind == "prior-based":
         w = post / prior
     elif loss.kind == "capped":
         w = post / np.maximum(loss.eta, prior)
     else:
         w = h_vector(loss, prior) * post
-    return w.sum() - w
+    return w, w.sum()
 
 
 @given(model=finite_models())
@@ -76,13 +77,12 @@ def test_interleaved_losses_equal_the_oracle(model, data, gamma, eta):
     pairs = [(x, k) for x in range(model.n_x) for k in range(len(losses))]
     for x, k in data.draw(st.permutations(pairs)):
         loss, want = losses[k], wants[x]
-        risks = oracle_risks(loss, want)
+        gain, total = oracle_gain(loss, want)
         for tables in (belief_tables(model, x), want):  # a kernel column; its own source
-            assert posterior_risk_vector(loss, tables).tobytes() == risks.tobytes()
-            assert_identical(bayes_rule(loss, tables), oracle_estimate(want, -risks))
-            region = oracle_ranked_region(-risks, want.marg_post, gamma)
-            assert_identical(lpl_region(loss, tables, gamma), dataclasses.replace(
-                region, threshold=-region.threshold))
+            assert posterior_risk_vector(loss, tables).tobytes() == (total - gain).tobytes()
+            assert_identical(bayes_rule(loss, tables), oracle_bayes_rule(want, gain, total))
+            assert_identical(lpl_region(loss, tables, gamma),
+                             oracle_lpl_region(gain, total, want.marg_post, gamma))
 
 
 def test_derived_tables_are_read_only_and_built_once():

@@ -21,7 +21,7 @@ from relbelief import (
     unbiasedness_gap,
 )
 from relbelief.estimators import lrse_rule, map_rule
-from relbelief.losses import loss_matrix, posterior_risk_vector
+from relbelief.losses import conditional_sampling_table, loss_matrix, posterior_risk_vector
 from relbelief.model import _whole_sample_space
 from conftest import model_corpus
 
@@ -201,8 +201,6 @@ class TestPriorRisk:
 
     @pytest.mark.parametrize("form", ["matrix", "log source", "overflowing log source"])
     def test_rows_that_are_not_distributions_are_rejected(self, form):
-        from relbelief.losses import conditional_sampling_table
-
         # Theta b's row sums to 0.9, so it is no sampling distribution over x.
         table = np.array([[0.6, 0.4], [0.5, 0.4]])
         logs = np.log(table)
@@ -227,8 +225,6 @@ class TestPriorRisk:
         # fsum aggregation must make the report independent of any chunking
         # of the sample space; emulate chunked evaluation by permuting and
         # re-summing the conditional error contributions.
-        from relbelief.losses import conditional_sampling_table
-
         model = model_corpus(1, seed=99)[0]
         rule = lrse_rule(model)
         report = prior_risk(LossSpec.prior_based(), rule, model)
@@ -293,6 +289,22 @@ class TestPriorBelowTheReciprocalRange:
         ratio = 1.0 / 0.45
         assert sample_space_tables(self.model).rb[2, 1] == pytest.approx(ratio, rel=1e-15)
         assert belief_tables(self.model, 1).rb[2] == pytest.approx(ratio, rel=1e-15)
+
+    def test_sampling_row_of_a_subnormal_fiber_is_its_likelihood(self):
+        # b's joint cells, 5e-324 times 0.6 and 0.4, round to 5e-324 and 0;
+        # divided by b's prior they would read (1, 0), not b's likelihood row.
+        model = FiniteModel(theta_labels=("a", "b"), prior=[1.0, 5e-324],
+                            likelihood=[[0.5, 0.5], [0.6, 0.4]],
+                            psi_map=[0, 1], psi_labels=("a", "b"))
+        np.testing.assert_array_equal(conditional_sampling_table(model), model.likelihood)
+        report = prior_risk(LossSpec.zero_one(), [0, 1], model)
+        np.testing.assert_array_equal(report.per_class_error, [0.5, 0.6])
+        # The LRSE picks b at x0 (ratio 0.6 / 0.5) and a at x1: a errs at x0, b at x1.
+        rule = lrse_rule(model)
+        assert rule.tolist() == [1, 0]
+        report = prior_risk(LossSpec.prior_based(), rule, model)
+        assert report.prior_risk == pytest.approx(0.9, abs=1e-15)
+        np.testing.assert_array_equal(report.per_class_error, [0.5, 0.4])
 
     def test_loss_matrix_charges_nothing_for_the_correct_action(self):
         with np.errstate(over="ignore"):  # 1 / 5e-324 is past the largest double

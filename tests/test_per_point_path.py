@@ -5,7 +5,8 @@ built through the fully validating public constructor from a fresh marginal
 prior, regions whose members are collected one ``int`` at a time with the
 mass summed over a list index, and the LPL region wrapped a second time.
 Every field of every result must be exactly equal to the oracle's.  The
-posterior risks themselves come from the library in both paths; the ball
+posterior gains and risks themselves come from the library in both paths,
+and the Bayes rule and the LPL region rank the gain; the ball
 risk, which the library now computes in row blocks, is checked apart against
 the dense ``(n_psi, n_psi, d)`` membership test and its ``inside @ post``.
 A support whose whole test fits in one block is one product, as before, so
@@ -41,7 +42,7 @@ from relbelief import (
 )
 from relbelief import losses
 from relbelief.estimators import TIE_RTOL, _spread_tol, _tie_mask
-from relbelief.losses import loss_matrix, posterior_risk_vector
+from relbelief.losses import _posterior_gain, loss_matrix, posterior_risk_vector
 from relbelief.model import _build_sample_space_tables, _check_identities
 from relbelief.regions import GAMMA_TOL, CredibleRegion
 from posterior_oracle import compute_posterior
@@ -82,14 +83,16 @@ def oracle_ranked_region(values, masses, gamma) -> CredibleRegion:
     )
 
 
-def oracle_lpl_region(loss, tables, gamma) -> CredibleRegion:
-    region = oracle_ranked_region(-posterior_risk_vector(loss, tables), tables.marg_post, gamma)
-    return CredibleRegion(
-        gamma=region.gamma,
-        members=region.members,
-        threshold=-region.threshold,
-        attained_mass=region.attained_mass,
-    )
+def oracle_lpl_region(gain, total, masses, gamma) -> CredibleRegion:
+    """The region ranked by the posterior gain; its threshold is the risk cutoff."""
+    region = oracle_ranked_region(gain, masses, gamma)
+    return dataclasses.replace(region, threshold=float(total - region.threshold))
+
+
+def oracle_bayes_rule(tables, gain, total) -> EstimateResult:
+    """The gain's argmax set, reporting the negative posterior risk."""
+    est = oracle_estimate(tables, gain)
+    return dataclasses.replace(est, criterion_value=float(-(total - gain[est.psi_index])))
 
 
 def oracle_estimate(tables, values) -> EstimateResult:
@@ -146,9 +149,11 @@ def check_point(model, x, losses_at_x, gammas):
             hpd_region(tables, gamma), oracle_ranked_region(want.marg_post, want.marg_post, gamma)
         )
     for loss in losses_at_x:
-        assert_identical(bayes_rule(loss, tables), oracle_estimate(want, -posterior_risk_vector(loss, want)))
+        gain, total = _posterior_gain(loss, want)
+        assert_identical(bayes_rule(loss, tables), oracle_bayes_rule(want, gain, total))
         for gamma in gammas:
-            assert_identical(lpl_region(loss, tables, gamma), oracle_lpl_region(loss, want, gamma))
+            assert_identical(lpl_region(loss, tables, gamma),
+                             oracle_lpl_region(gain, total, want.marg_post, gamma))
 
 
 gammas = st.lists(
