@@ -4,8 +4,9 @@ Subcommands: estimate, region, classify, predict, risk-table (the exact
 risks; ``--reps`` adds a seeded Monte Carlo check), converge, validate.
 Every run writes its reports as CSV plus a mirrored JSON document into the
 output directory, with a manifest of the resolved configuration, seed,
-artifact paths and wall time, written even when the run fails.  Exit codes:
-0 success, 2 validation error, 1 runtime error.
+artifact paths and wall time, written even when the run fails.  An argv
+that argparse rejects exits 2 before any run and writes no manifest.
+Exit codes: 0 success, 2 validation error, 1 runtime error.
 """
 
 from __future__ import annotations

@@ -133,16 +133,15 @@ def unbiasedness_gap(loss: LossSpec, rule, model: FiniteModel) -> float:
     nonnegative gap means the rule's prior risk does not exceed its expected
     loss against an independently prior-drawn false value.
 
-    Each term is formed as ``h * marg_joint - m(x) * h * marg_prior`` with
-    :func:`relbelief.losses._times_h`, so a prior-based ``h`` is a quotient,
-    ``marg_joint / marg_prior - m(x)``, which stays finite and accurate at a
-    prior whose reciprocal overflows.
+    Each term is ``g[rule(x)] * (M[rule(x), x] - m(x))`` over the sampling
+    table ``M``, with ``g = h * marg_prior`` formed by
+    :func:`relbelief.losses._times_h`: 1 under the prior-based loss, so a
+    prior whose reciprocal overflows, or whose joint underflows, costs no
+    digits.
     """
     rule_arr, tabs = check_rule(rule, model)
-    chosen_joint = tabs.marg_joint[rule_arr, np.arange(model.n_x)]
-    weighted_prior = _times_h(loss, tabs.marg_prior, tabs.marg_prior[rule_arr], rule_arr)
-    return _fsum(_times_h(loss, tabs.marg_prior, chosen_joint, rule_arr)
-                 - tabs.evidence * weighted_prior)
+    g = _times_h(loss, tabs.marg_prior, tabs.marg_prior)[rule_arr]
+    return _fsum(g * (tabs.sampling[rule_arr, np.arange(model.n_x)] - tabs.evidence))
 
 
 def uniform_unbiasedness_check(rule, model: FiniteModel) -> np.ndarray:

@@ -15,8 +15,9 @@ family members differ in how the penalty depends on the prior:
 * ``ball``          — indicator that ``Psi(theta)`` falls outside the closed
   ball of a given radius around the action; needs psi coordinates.
 
-Every kind but ``ball`` is ``I(true != action) * h(true)`` (:func:`h_vector`);
-:func:`loss_matrix` gives any kind as a ``(true, action)`` table.
+Every kind but ``ball`` is ``I(true != action) * h(true)``, and
+:func:`_times_h` is that one form; :func:`loss_matrix` gives any kind as a
+``(true, action)`` table.
 """
 
 from __future__ import annotations
@@ -156,38 +157,26 @@ class RiskReport:
 # -- loss tables -------------------------------------------------------------
 
 
-def h_vector(loss: LossSpec, marg_prior: np.ndarray) -> np.ndarray:
-    """Weight-per-true-value form of an indicator loss.
+def _times_h(loss: LossSpec, marg_prior: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``h * values``: an indicator loss's weight ``h`` on each true value (last axis).
 
-    Every kind except ``ball`` can be written as
-    ``I(true != action) * h(true)``; this returns the vector ``h``.
+    ``h`` is 1 for zero-one, ``1 / prior`` for prior-based,
+    ``1 / max(eta, prior)`` for capped and the given weights for weighted.
+    A reciprocal is formed as a quotient, which stays finite at a prior
+    whose reciprocal would overflow: under the prior-based loss
+    ``h * post`` is the belief ratio ``post / prior`` and ``h * prior`` is 1.
     """
     if loss.kind == ZERO_ONE:
-        return np.ones_like(marg_prior)
+        return 1.0 * values
     if loss.kind == PRIOR_BASED:
-        return 1.0 / marg_prior
+        return values / marg_prior
     if loss.kind == CAPPED:
-        return 1.0 / np.maximum(loss.eta, marg_prior)
+        return values / np.maximum(loss.eta, marg_prior)
     if loss.kind == WEIGHTED:
         if loss.weights.size != marg_prior.size:
             raise InvariantViolation("weight vector length does not match psi support")
-        return np.asarray(loss.weights, dtype=float)
+        return loss.weights * values
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
-
-
-def _times_h(loss: LossSpec, marg_prior: np.ndarray, values: np.ndarray,
-             rows=slice(None)) -> np.ndarray:
-    """``h[rows] * values`` for ``h = h_vector(loss, marg_prior)``.
-
-    Where ``h`` is a reciprocal the product is formed as a quotient, which
-    stays finite at a prior whose reciprocal would overflow: under the
-    prior-based loss ``h * post`` is the belief ratio ``post / prior``.
-    """
-    if loss.kind == PRIOR_BASED:
-        return values / marg_prior[rows]
-    if loss.kind == CAPPED:
-        return values / np.maximum(loss.eta, marg_prior)[rows]
-    return h_vector(loss, marg_prior)[rows] * values
 
 
 # Each row block of the dense ball test holds at most this many coordinate
@@ -228,7 +217,7 @@ def loss_matrix(loss: LossSpec, model: FiniteModel, actions) -> np.ndarray:
         pts = _ball_points(model.psi_coords)
         return 1.0 - np.concatenate(list(_ball_rows(loss.radius, pts, pts[actions])))
     wrong = np.arange(model.n_psi)[:, None] != actions
-    return _times_h(loss, model.marginal_prior(), wrong, np.s_[:, None])
+    return _times_h(loss, model.marginal_prior(), wrong.T).T
 
 
 # -- posterior risk --------------------------------------------------------
@@ -280,35 +269,26 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
 
     Row ``j`` is the distribution of the data when the j-th marginal value
     is true, averaging the per-theta sampling distributions under the prior
-    conditioned on the fiber.  A cell is ``marg_joint / marg_prior``, except
-    where the joint is subnormal and the quotient would magnify its lost
-    digits: there the cell averages the likelihood under each theta's prior
-    within its fiber, as the kernel forms a subnormal posterior's ratio.
+    conditioned on the fiber: the kernel's ``sampling`` table (read-only).
     """
     tabs, theta_sums = _whole_sample_space(model)  # InfiniteSampleSpace for a density
     if not np.all(np.abs(theta_sums - 1.0) <= 1e-9):
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )
-    sampling = tabs.marg_joint / tabs.marg_prior[:, None]
-    low = tabs.marg_joint < np.finfo(float).tiny
-    if low.any():
-        lik = model.likelihood if model.is_table else np.exp(model.likelihood(np.arange(model.n_x)))
-        within = model.prior / tabs.marg_prior[model.psi_map]
-        fibers = np.zeros_like(sampling)
-        np.add.at(fibers, model.psi_map, lik * within[:, None])
-        sampling[low] = fibers[low]
-    return sampling
+    return tabs.sampling
 
 
 def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     """Exact prior risk of a decision rule, with per-class error probabilities.
 
-    The risk is ``sum_{j, x} marg_joint[j, x] * L[j, rule(x)]``, each cell of
-    an indicator loss formed by :func:`_times_h`, so a prior whose reciprocal
-    overflows still gives a finite risk.  Summation uses :func:`math.fsum`
-    so results are invariant to how the sample space might be chunked
-    across workers.  Every call checks the identities:
+    The risk is ``sum_{j, x} marg_prior[j] * M[j, x] * L[j, rule(x)]`` over
+    the sampling table ``M``.  An indicator loss's cell is
+    ``g[j] * M[j, x] * I(j != rule(x))`` with ``g = h * marg_prior`` formed
+    by :func:`_times_h`, so a prior whose reciprocal overflows still gives a
+    finite risk, and under the prior-based loss ``g`` is 1.  Summation uses
+    :func:`math.fsum` so results are invariant to how the sample space might
+    be chunked across workers.  Every call checks the identities:
     prior-based risk = sum of the conditional error probabilities =
     ``n_psi - E[rb(rule(x))]``; zero-one risk = prior-weighted error.
 
@@ -321,16 +301,14 @@ def prior_risk(loss: LossSpec, rule, model: FiniteModel) -> RiskReport:
     rule_arr, tabs = check_rule(rule, model)
 
     # Zeros in the right cells leave each fsum exact.
-    wrong = rule_arr[None, :] != np.arange(model.n_psi)[:, None]
-    per_class = np.array([_fsum(row) for row in sampling * wrong])
+    errors = sampling * (rule_arr[None, :] != np.arange(model.n_psi)[:, None])
+    per_class = np.array([_fsum(row) for row in errors])
     unweighted = _fsum(per_class)
     weighted = _fsum(per_class * tabs.marg_prior)
     if loss.kind == BALL:
-        cells = tabs.marg_joint * loss_matrix(loss, model, rule_arr)
-    elif loss.kind == PRIOR_BASED:  # marg_joint / marg_prior is the sampling table
-        cells = sampling * wrong
+        cells = sampling * tabs.marg_prior[:, None] * loss_matrix(loss, model, rule_arr)
     else:
-        cells = _times_h(loss, tabs.marg_prior, tabs.marg_joint, np.s_[:, None]) * wrong
+        cells = _times_h(loss, tabs.marg_prior, tabs.marg_prior)[:, None] * errors
     risk = _fsum(cells.ravel())
 
     # Written as "not within", so that a NaN fails every check.

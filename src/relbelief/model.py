@@ -402,22 +402,22 @@ class SampleSpaceTables:
     """Belief tables at every point of a finite sample space at once.
 
     Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
-    ``marg_joint[j, x]`` is the prior probability of the j-th marginal value
-    together with ``x``.  Tables derived from these for every column at once
-    are kept on the instance, like the model's own cache: the tie masks of
-    ``rb`` and ``marg_post``, each built on first read (see
-    :mod:`relbelief.estimators`).
+    ``sampling[j, x]`` is the fiber-averaged sampling probability of ``x``
+    when the j-th marginal value is true.  Tables derived from these for
+    every column at once are kept on the instance, like the model's own
+    cache: the tie masks of ``rb`` and ``marg_post``, each built on first
+    read (see :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)
     marg_prior: np.ndarray  # (n_psi,)
-    marg_joint: np.ndarray  # (n_psi, n_x)
+    sampling: np.ndarray  # (n_psi, n_x)
     marg_post: np.ndarray  # (n_psi, n_x)
     rb: np.ndarray  # (n_psi, n_x)
 
 
 def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
-    """Evidence, marginal joint, posterior and ratio for every ``x`` in one pass.
+    """Evidence, sampling table, posterior and ratio for every ``x`` in one pass.
 
     The tables are built once per model and cached on it, so every sweep
     and every single-point query on the same model shares them; a finite log
@@ -442,18 +442,15 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     or a finite log source's column indices.  A matrix column below one half
     is lifted by the power of two that brings its maximum into ``[1/2, 1)``;
     a log column is exponentiated less its maximum ``top``.  The scale
-    cancels in the posterior and ratio; the evidence and marginal joint undo
+    cancels in the posterior and ratio; the evidence and sampling table undo
     it as ``2**e`` times a remainder, ``e`` clipped to a range past which
     they read 0.0 or inf.
     """
     density = model.n_x is None
     if model.is_table:
         e = np.minimum(np.frexp(model.likelihood.max(axis=0))[1], 0)
-
-        def scaled() -> np.ndarray:
-            return np.ldexp(model.likelihood, -e)
-
-        joint, rest, theta_sums = scaled(), 1.0, model.likelihood.sum(axis=1)
+        scaled, rest = np.ldexp(model.likelihood, -e), 1.0
+        theta_sums = model.likelihood.sum(axis=1)
     else:
         shape = (model.n_theta,) + (() if density else np.shape(at))
         loglik = np.asarray(model.likelihood(at), dtype=float)
@@ -463,23 +460,12 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
             )
         loglik = loglik.reshape(model.n_theta, -1)
         top = np.nan_to_num(loglik.max(axis=0), neginf=0.0)  # an impossible column stays 0
-
-        def scaled() -> np.ndarray:
-            return np.exp(loglik - top)
-
-        joint = scaled()
+        scaled = np.exp(loglik - top)
         e = np.clip(np.ceil(top / np.log(2.0)), -4096, 4096).astype(np.intp)
         rest = np.exp(np.minimum(top - e * np.log(2.0), 0.0))
         with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum fails every check
-            theta_sums = joint @ np.ldexp(rest, e)
-    joint *= model.prior[:, None]  # in place: the scaled block is a fresh array
-    n_psi, k = model.n_psi, joint.shape[1]
-    # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
-    # sum over theta does; a sum over axis 0 would round differently.
-    evidence = np.ascontiguousarray(joint.T).sum(axis=1)
-    if np.any(evidence <= 0.0):
-        bad = at if density else int(np.ravel(at)[np.argmin(evidence)])
-        raise ZeroEvidence(f"sample point {bad!r} has zero evidence")
+            theta_sums = scaled @ np.ldexp(rest, e)
+    n_psi, k = model.n_psi, scaled.shape[1]
     # One bincount over (psi, x) cells adds each fiber in theta order.
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
 
@@ -487,17 +473,24 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
         return np.bincount(cells, weights=per_theta.ravel(), minlength=n_psi * k).reshape(n_psi, k)
 
     marg_prior = model.marginal_prior()
+    # M[j, x]: the likelihood averaged under each theta's prior within its fiber.
+    sampling = fiber_sums(scaled * (model.prior / marg_prior[model.psi_map])[:, None])
+    joint = scaled  # in place: the scaled block is a fresh array
+    joint *= model.prior[:, None]
+    # Summing contiguous rows makes numpy add each column pairwise, as a 1-D
+    # sum over theta does; a sum over axis 0 would round differently.
+    evidence = np.ascontiguousarray(joint.T).sum(axis=1)
+    if np.any(evidence <= 0.0):
+        bad = at if density else int(np.ravel(at)[np.argmin(evidence)])
+        raise ZeroEvidence(f"sample point {bad!r} has zero evidence")
     marg_post = _frozen(fiber_sums(joint / evidence))
     rb = marg_post / marg_prior[:, None]
-    # A subnormal posterior has lost digits that its ratio can keep: form
-    # those ratios from each theta's prior within its fiber instead.
+    # A subnormal posterior has lost digits that its ratio keeps as M / m(x).
     low = (marg_post > 0.0) & (marg_post < np.finfo(float).tiny)
-    if low.any():
-        within = model.prior / marg_prior[model.psi_map]
-        rb[low] = (fiber_sums(scaled() * within[:, None]) / evidence)[low]
+    rb[low] = (sampling / evidence)[low]
     _check_identities(marg_prior, rb)
     with np.errstate(over="ignore"):
-        undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, fiber_sums(joint))]
+        undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, sampling)]
     return SampleSpaceTables(undone[0], marg_prior, undone[1], marg_post, _frozen(rb)), theta_sums
 
 

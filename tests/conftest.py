@@ -28,6 +28,18 @@ def fiber(model: FiniteModel, psi_index: int) -> np.ndarray:
     return np.flatnonzero(model.psi_map == psi_index)
 
 
+def oracle_h(loss, marg_prior) -> np.ndarray:
+    """An indicator loss's penalty for each wrong true value, from the loss definitions."""
+    if loss.kind == "zero-one":
+        return np.ones_like(marg_prior)
+    if loss.kind == "prior-based":
+        return 1.0 / marg_prior
+    if loss.kind == "capped":
+        return 1.0 / np.maximum(loss.eta, marg_prior)
+    assert loss.kind == "weighted"
+    return np.asarray(loss.weights, dtype=float)
+
+
 def anti_lrse_rule(model: FiniteModel) -> np.ndarray:
     """Rule picking the psi whose belief dropped the most at each x.
 

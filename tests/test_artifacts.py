@@ -129,6 +129,11 @@ class TestOutputDirErrors:
         assert err[0] == "error: the risk table needs at least one beta"
         assert err[1].startswith("error: manifest not written")
 
+    def test_an_argv_argparse_rejects_exits_two_and_writes_no_manifest(self, tmp_path, capsys):
+        assert run(["--output-dir", str(tmp_path), "risk-table", "--reps", "oops"]) == 2
+        assert "invalid int value: 'oops'" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
 

@@ -28,8 +28,9 @@ from relbelief import (
     sample_space_tables,
 )
 from relbelief.estimators import _ties, _tie_mask
-from relbelief.losses import h_vector, posterior_risk_vector
+from relbelief.losses import posterior_risk_vector
 from relbelief.model import _source_column
+from conftest import oracle_h
 from test_per_point_path import (
     assert_identical,
     oracle_bayes_rule,
@@ -52,7 +53,7 @@ def oracle_gain(loss, tables) -> tuple[np.ndarray, float]:
     elif loss.kind == "capped":
         w = post / np.maximum(loss.eta, prior)
     else:
-        w = h_vector(loss, prior) * post
+        w = oracle_h(loss, prior) * post
     return w, w.sum()
 
 

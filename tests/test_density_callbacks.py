@@ -80,7 +80,7 @@ def test_finite_log_source_reproduces_the_matrix_tables(model):
     source = dataclasses.replace(model, likelihood=lambda k: logs[:, k],
                                  x_labels=tuple(f"x{j}" for j in range(model.n_x)))
     want, got = sample_space_tables(model), sample_space_tables(source)
-    for name in ("evidence", "marg_joint", "marg_post", "rb"):
+    for name in ("evidence", "sampling", "marg_post", "rb"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=RTOL, atol=0)
     # One column asked for alone has the bits of its column in the whole block.
     for x in range(model.n_x):
@@ -101,7 +101,7 @@ def test_bernoulli_is_the_binomial_at_one_trial(tmp_path):
     assert bernoulli.n_x == binomial.n_x == 2
     assert bernoulli.x_labels is binomial.x_labels is None
     want, got = sample_space_tables(binomial), sample_space_tables(bernoulli)
-    for name in ("evidence", "marg_joint", "marg_post", "rb"):
+    for name in ("evidence", "sampling", "marg_post", "rb"):
         np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=RTOL, atol=0)
 
 

@@ -278,7 +278,7 @@ class TestPriorBelowTheReciprocalRange:
                 assert report.prior_risk == pytest.approx(1.3, abs=1e-15)
 
     def test_unbiasedness_gap_is_finite(self):
-        # sum_x marg_joint / marg_prior - m(x): (0.7 - 0.55) + (1 - 0.45).
+        # sum_x M[rule(x), x] - m(x): (0.7 - 0.55) + (1 - 0.45).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap = unbiasedness_gap(LossSpec.prior_based(), lrse_rule(self.model), self.model)
@@ -305,6 +305,31 @@ class TestPriorBelowTheReciprocalRange:
         report = prior_risk(LossSpec.prior_based(), rule, model)
         assert report.prior_risk == pytest.approx(0.9, abs=1e-15)
         np.testing.assert_array_equal(report.per_class_error, [0.5, 0.4])
+
+    subnormal_fiber = dict(theta_labels=("a", "b"), prior=[1.0, 5e-324],
+                           psi_map=[0, 1], psi_labels=("a", "b"))
+    subnormal_fiber_likelihood = np.array([[0.5, 0.5], [0.6, 0.4]])
+
+    def test_unbiasedness_gap_of_a_subnormal_fiber(self):
+        # sum_x M[rule(x), x] - m(x) = (0.6 - 0.5) + (0.5 - 0.5); the joint
+        # 5e-324 * 0.6 rounds to 5e-324, which read over the prior gives 0.5.
+        model = FiniteModel(likelihood=self.subnormal_fiber_likelihood, **self.subnormal_fiber)
+        gap = unbiasedness_gap(LossSpec.prior_based(), [1, 0], model)
+        assert gap == pytest.approx(0.1, abs=1e-15)
+
+    def test_finite_log_source_is_read_once(self):
+        logs, calls = np.log(self.subnormal_fiber_likelihood), []
+
+        def source(k):
+            calls.append(k)
+            return logs[:, k]
+
+        model = FiniteModel(likelihood=source, n_x=2, **self.subnormal_fiber)
+        report = prior_risk(LossSpec.prior_based(), [1, 0], model)
+        gap = unbiasedness_gap(LossSpec.prior_based(), [1, 0], model)
+        assert len(calls) == 1
+        assert report.prior_risk == pytest.approx(0.9, abs=1e-15)
+        assert gap == pytest.approx(0.1, abs=1e-15)
 
     def test_loss_matrix_charges_nothing_for_the_correct_action(self):
         with np.errstate(over="ignore"):  # 1 / 5e-324 is past the largest double

@@ -273,7 +273,7 @@ class TestModelFile:
             assert again.family_spec == model.family_spec
             assert again.n_x == model.n_x and again.x_labels is model.x_labels is None
             if model.n_x is not None:
-                for name in ("evidence", "marg_joint", "marg_post", "rb"):
+                for name in ("evidence", "sampling", "marg_post", "rb"):
                     np.testing.assert_array_equal(getattr(sample_space_tables(again), name),
                                                   getattr(sample_space_tables(model), name))
 

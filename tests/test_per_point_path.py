@@ -328,15 +328,18 @@ def dense_ball_risks(radius, tables) -> np.ndarray:
 
 def assert_ball_matches_dense(radius, tables):
     got = posterior_risk_vector(LossSpec.ball(radius), tables)
-    want = dense_ball_risks(radius, tables)
+    mass = oracle_dense_ball_inside(radius, tables) @ tables.marg_post
+    want = 1.0 - mass
     if tables.psi_coords.size * tables.n_psi <= losses.BALL_BLOCK:  # one block
         assert got.tobytes() == want.tobytes()
     else:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-    # Each value and the tolerance cut move by under 3 * delta between the two
-    # sums, so only a value that close to the dense cut may change its tie.
-    delta = 3.0 * float(np.max(np.abs(got - want)))
-    values = -want
+    # Bayes rules rank the gain, the mass inside each ball, so the dense ties
+    # are read on the mass.  Each value and the tolerance cut move by under
+    # 3 * delta between the two sums, so only a value that close to the dense
+    # cut may change its tie.
+    delta = 3.0 * float(np.max(np.abs(_posterior_gain(LossSpec.ball(radius), tables)[0] - mass)))
+    values = mass
     cut = values.max() - TIE_RTOL * (values.max() - values.min())
     ties = set(bayes_rule(LossSpec.ball(radius), tables).argmax_set)
     assert set(np.flatnonzero(values >= cut + delta).tolist()) <= ties
@@ -348,6 +351,22 @@ def assert_ball_matches_dense(radius, tables):
 def test_ball_risk_matches_dense_on_small_models(model, radius):
     for x in range(model.n_x):
         assert_ball_matches_dense(radius, belief_tables(model, x))
+
+
+def test_ball_ties_match_the_dense_mass_at_the_tolerance_edge():
+    # At x2 the ball around p0 misses only p1's posterior mass, about 2.5e-13,
+    # which is about the tie tolerance: the cut on the mass, ``1 - tol``,
+    # rounds where the cut on the risk, ``-tol``, does not, so the two
+    # rankings tie differently there, and Bayes rules rank the mass.
+    model = FiniteModel(
+        theta_labels=("t0", "t1", "t2", "t3"),
+        prior=[1 / 3, 1 / 3, 1 / 3, 3.33333333e-13],
+        likelihood=[[0.5, 0.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+        psi_map=[0, 2, 2, 1],
+        psi_labels=("p0", "p1", "p2"),
+        psi_coords=[[0.0, 1.0], [0.0, -1.0], [0.0, 0.0]],
+    )
+    assert_ball_matches_dense(1.0, belief_tables(model, 2))
 
 
 def coordinate_tables(coords, post) -> BeliefTables:

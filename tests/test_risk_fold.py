@@ -42,9 +42,9 @@ from relbelief import (
     rs_region,
 )
 from relbelief.estimators import TIE_RTOL, _tie_mask
-from relbelief.losses import _ball_mass, h_vector, posterior_risk_vector
+from relbelief.losses import _ball_mass, posterior_risk_vector
 from relbelief.regions import _ranked_region
-from conftest import model_corpus
+from conftest import model_corpus, oracle_h
 
 GAMMAS = (0.0, 0.3, 0.6, 0.9, 1.0)
 
@@ -59,7 +59,7 @@ def five_branch_risk(loss: LossSpec, tables) -> np.ndarray:
         capped = post / np.maximum(loss.eta, tables.marg_prior)
         return float(np.sum(capped)) - capped
     if loss.kind == "weighted":
-        weighted = h_vector(loss, tables.marg_prior) * post
+        weighted = oracle_h(loss, tables.marg_prior) * post
         return float(np.sum(weighted)) - weighted
     return 1.0 - _ball_mass(loss.radius, tables.psi_coords, post)
 

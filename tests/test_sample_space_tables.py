@@ -24,8 +24,8 @@ from relbelief import (
     uniform_unbiasedness_check,
 )
 from relbelief.estimators import TIE_RTOL, lrse_rule, map_rule
-from relbelief.losses import conditional_sampling_table, h_vector
-from conftest import anti_lrse_rule, fiber
+from relbelief.losses import conditional_sampling_table
+from conftest import anti_lrse_rule, fiber, oracle_h
 
 ABS_TOL = 1e-12
 
@@ -59,7 +59,7 @@ def oracle_conditional_sampling_table(model) -> np.ndarray:
 
 def oracle_unbiasedness_gap(loss, rule, model) -> float:
     marg_prior = model.marginal_prior()
-    h = h_vector(loss, marg_prior)
+    h = oracle_h(loss, marg_prior)
     terms = []
     for x in range(model.n_x):
         tab = belief_tables(model, x)
@@ -86,14 +86,7 @@ def oracle_loss_value(loss, theta_index, psi_index, model) -> float:
         return 0.0 if dist <= loss.radius else 1.0
     if true_psi == psi_index:
         return 0.0
-    marg_prior = model.marginal_prior()
-    if loss.kind == "zero-one":
-        return 1.0
-    if loss.kind == "prior-based":
-        return 1.0 / float(marg_prior[true_psi])
-    if loss.kind == "capped":
-        return 1.0 / max(loss.eta, float(marg_prior[true_psi]))
-    return float(loss.weights[true_psi])
+    return float(oracle_h(loss, model.marginal_prior())[true_psi])
 
 
 def oracle_prior_risk(loss, rule, model):
@@ -191,10 +184,6 @@ def test_columns_reproduce_single_point_tables(model):
         np.testing.assert_array_equal(tabs.marg_prior, point.marg_prior)
         np.testing.assert_array_equal(tabs.marg_post[:, x], point.marg_post)
         np.testing.assert_array_equal(tabs.rb[:, x], point.rb)
-        joint = np.bincount(
-            model.psi_map, weights=model.prior * model.likelihood[:, x], minlength=model.n_psi
-        )
-        np.testing.assert_array_equal(tabs.marg_joint[:, x], joint)
         assert tabs.evidence[x] == (model.prior * model.likelihood[:, x]).sum()
 
 
@@ -278,4 +267,4 @@ def test_underflowing_evidence_leaves_the_tables_exact():
     zero = belief_tables(model, 0)
     post = model.prior * model.likelihood[:, 0]
     np.testing.assert_array_equal(zero.marg_post, post / post.sum())
-    np.testing.assert_array_equal(tabs.marg_joint[:, 0], post)
+    np.testing.assert_array_equal(tabs.sampling[:, 0], model.likelihood[:, 0])
