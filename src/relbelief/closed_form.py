@@ -267,7 +267,8 @@ def decision_statistic(method: str, alpha: float, beta: float, n: int, k):
     when ``f_ratio * statistic >= 1``.  The LRSE statistic carries the extra
     ``beta / alpha`` factor that cancels the prior odds of the classes.  The
     statistic is a positive normal float, so its product with any ratio in
-    ``[0, inf]`` is a number.
+    ``[0, inf]`` is a number; one past the largest double is ``inf``, which
+    decides class 1 as the exact product would.
     """
     if method not in ("map", "lrse"):
         raise InvariantViolation(f"unknown method {method!r}")
@@ -292,7 +293,8 @@ def decision_statistic(method: str, alpha: float, beta: float, n: int, k):
 def predicts_one(method: str, alpha: float, beta: float, n: int, k, f_ratio):
     """Vectorized class-1 decision; ties at the threshold go to class 1."""
     stat = decision_statistic(method, alpha, beta, n, k)
-    return np.asarray(f_ratio) * stat >= 1.0
+    with np.errstate(over="ignore"):  # inf: the exact product is >= 1 too
+        return np.asarray(f_ratio) * stat >= 1.0
 
 
 def predict_class(model: BetaBernoulliPredictor, method: str) -> int:

@@ -7,12 +7,20 @@ marginal support.  Ties are never resolved silently: results carry the whole
 argmax set and a flag, because the optimality statements for these
 estimators assume a unique maximizer.
 
-The LRSE and the MAP read their point's row of a tie mask built once for
-every point of the tables they came from (their *source*): the model's
-cached :class:`SampleSpaceTables` for a matrix model, the one-point tables
-of a callback's point, or a public :class:`BeliefTables` itself.  So the
-LRSE at ``x`` *is* entry ``x`` of :func:`lrse_rule`.  A Bayes rule ranks
-its point's posterior gains, :func:`relbelief.losses._posterior_gain`.
+Per-point answers read their point's row of tables derived from the tables
+they came from (their *source*): the model's cached
+:class:`SampleSpaceTables` for a matrix model, the one-point tables of a
+callback's point, or a public :class:`BeliefTables` itself.  The derived
+tables are the tie masks of ``rb`` and ``marg_post`` (one byte per cell)
+and their rankings (the values in stable descending order and the
+posterior mass accumulated along it, 16 bytes per cell).  Each is built a
+block of points at a time, at most :data:`relbelief.model.BLOCK_CELLS`
+cells, on the first read of that block, and kept on the source; so a
+one-point query on a large model builds one block.  The LRSE at ``x`` *is*
+entry ``x`` of :func:`lrse_rule`.  A Bayes rule ranks its point's posterior
+gains, :func:`relbelief.losses._posterior_gain`: under the prior-based
+loss these are the ratio, so it reads the LRSE's tie row; any other gain is
+ranked per call.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, _posterior_gain, _times_h, check_rule
-from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points, _source_column,
-                    sample_space_tables)
+from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points, _rows_per_block,
+                    _source_column, sample_space_tables)
 
 TIE_RTOL = 1e-12
 
@@ -44,12 +52,52 @@ def _tie_mask(values: np.ndarray) -> np.ndarray:
     return values >= (best - _spread_tol(values, best))[..., None]
 
 
-def _ties(source, name: str) -> np.ndarray:
-    """Tie mask of ``source``'s ``name`` table (``rb`` or ``marg_post``), built on first read.
+def _rank(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` in stable descending order along the last axis, and ``masses``
+    accumulated along that order (per row of a table)."""
+    order = (-values).argsort(axis=-1, kind="stable")
+    if order.ndim > 1 and len(order) > 1:  # each row's order as indices into the flattened table
+        order += np.arange(0, values.size, values.shape[-1])[:, None]
+    return values.take(order), masses.take(order).cumsum(axis=-1)
 
-    Row ``x`` is point ``x``'s mask, so one point reads contiguous memory.
+
+def _block(source, name: str, kind: str, start: int, rows: int):
+    """Points ``start`` to ``start + rows`` of a table derived from ``source``'s
+    ``name`` table (``rb`` or ``marg_post``), built on first read.
+
+    ``kind`` is ``"ties"``, a tie mask, or ``"ranking"``, a pair from
+    :func:`_rank` accumulating the posterior.  Row ``i`` is point
+    ``start + i``'s, so one point reads contiguous memory.  Blocks are kept
+    write-once on ``source``, like :func:`relbelief.model._cached`.
     """
-    return _cached(source, f"_{name}_ties", lambda: _frozen(_tie_mask(_points(getattr(source, name)))))
+    blocks = _cached(source, f"_{name}_{kind}", dict)
+    built = blocks.get(start)
+    if built is None:
+        values = _points(getattr(source, name))[start:start + rows]
+        if kind == "ties":
+            built = _frozen(_tie_mask(values))
+        else:
+            ranked, cum = _rank(values, _points(source.marg_post)[start:start + rows])
+            built = _frozen(ranked), _frozen(cum)
+        built = blocks.setdefault(start, built)
+    return built
+
+
+def _derived(tables: BeliefTables, name: str, kind: str):
+    """``tables``'s row of the ``kind`` table derived from its source's ``name`` table."""
+    source, col = _source_column(tables)
+    rows = _rows_per_block(tables.n_psi)
+    i = col % rows
+    block = _block(source, name, kind, col - i, rows)
+    return block[i] if kind == "ties" else (block[0][i], block[1][i])
+
+
+def _gain_row(tables: BeliefTables, gain: np.ndarray, kind: str):
+    """The ``kind`` row of a posterior gain: the cached row when the gain is
+    the tables' own ratio (the prior-based loss), else built for this call."""
+    if gain is tables.rb:
+        return _derived(tables, "rb", kind)
+    return _tie_mask(gain) if kind == "ties" else _rank(gain, tables.marg_post)
 
 
 @dataclass(frozen=True)
@@ -79,8 +127,7 @@ def _estimate(labels, values: np.ndarray, ties: np.ndarray) -> EstimateResult:
 
 
 def _column_estimate(tables: BeliefTables, name: str) -> EstimateResult:
-    source, col = _source_column(tables)
-    return _estimate(tables.psi_labels, getattr(tables, name), _ties(source, name)[col])
+    return _estimate(tables.psi_labels, getattr(tables, name), _derived(tables, name, "ties"))
 
 
 def lrse(tables: BeliefTables) -> EstimateResult:
@@ -102,20 +149,29 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     the other estimators.
     """
     gain, total = _posterior_gain(loss, tables)
-    return _estimate(tables.psi_labels, -(total - gain), _tie_mask(gain))
+    argmax_set = tuple(_gain_row(tables, gain, "ties").nonzero()[0].tolist())
+    best = argmax_set[0]
+    return EstimateResult(argmax_set, tables.psi_labels[best], float(-(total - gain[best])))
 
 
 # -- decision rules over a finite sample space -----------------------------
 
 
+def _rule(model: FiniteModel, name: str) -> np.ndarray:
+    """The first tied maximizer of ``name`` at every sample point, a block at a time."""
+    source, rows = sample_space_tables(model), _rows_per_block(model.n_psi)
+    return np.concatenate([_block(source, name, "ties", start, rows).argmax(axis=1)
+                           for start in range(0, model.n_x, rows)])
+
+
 def lrse_rule(model: FiniteModel) -> np.ndarray:
     """The LRSE at every sample point: the first of its tied ratio maximizers."""
-    return np.argmax(_ties(sample_space_tables(model), "rb"), axis=1)
+    return _rule(model, "rb")
 
 
 def map_rule(model: FiniteModel) -> np.ndarray:
     """The MAP estimate at every sample point, ties resolved as in :func:`lrse_rule`."""
-    return np.argmax(_ties(sample_space_tables(model), "marg_post"), axis=1)
+    return _rule(model, "marg_post")
 
 
 # -- Bayesian unbiasedness --------------------------------------------------

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .model import BeliefTables, FiniteModel, SampleSpaceTables, _fsum, _whole_sample_space
+from .model import (BeliefTables, FiniteModel, SampleSpaceTables, _fsum, _rows_per_block,
+                    _whole_sample_space)
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -179,11 +180,6 @@ def _times_h(loss: LossSpec, marg_prior: np.ndarray, values: np.ndarray) -> np.n
     raise InvariantViolation(f"{loss.kind} loss has no weight-per-true-value form")
 
 
-# Each row block of the dense ball test holds at most this many coordinate
-# differences, so its memory stays bounded however large the support is.
-BALL_BLOCK = 1 << 16
-
-
 def _ball_points(coords: np.ndarray | None) -> np.ndarray:
     if coords is None:
         raise InvariantViolation("ball loss needs psi coordinates")
@@ -196,8 +192,12 @@ def _within(diff: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _ball_rows(radius: float, pts: np.ndarray, centres: np.ndarray):
-    """``inside[true, k]`` (``true`` within ``radius`` of ``centres[k]``), in row blocks."""
-    step = max(1, BALL_BLOCK // max(1, len(centres) * pts.shape[1]))
+    """``inside[true, k]`` (``true`` within ``radius`` of ``centres[k]``), in row blocks.
+
+    A block holds at most :data:`relbelief.model.BLOCK_CELLS` coordinate
+    differences, so its memory stays bounded however large the support is.
+    """
+    step = _rows_per_block(len(centres) * pts.shape[1])
     for start in range(0, len(pts), step):
         yield _within(pts[start:start + step, None, :] - centres[None, :, :], radius)
 
@@ -227,11 +227,14 @@ def _posterior_gain(loss: LossSpec, tables: BeliefTables) -> tuple[np.ndarray, f
     """``(gain, total)``, each action's posterior risk being ``total - gain``.
 
     Bayes rules and LPL regions rank the gain, which orders the actions as
-    the risk does without the rounding of the subtraction: under the
-    prior-based loss the gain is the belief ratio itself.
+    the risk does without the rounding of the subtraction.  Under the
+    prior-based loss the gain ``h * post`` is the belief ratio: the tables'
+    own ``rb``, whose tie masks and rankings are cached with the tables.
     """
     if loss.kind == BALL:
         return _ball_mass(loss.radius, tables.psi_coords, tables.marg_post), 1.0
+    if loss.kind == PRIOR_BASED:
+        return tables.rb, tables.rb.sum()
     w = _times_h(loss, tables.marg_prior, tables.marg_post)
     return w, w.sum()
 
@@ -240,10 +243,10 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
     """Posterior risk of every candidate action at once.
 
     An indicator loss ``I(true != a) * h(true)`` costs ``sum(w) - w[a]`` with
-    ``w = h * marg_post``; under the prior-based loss ``w`` is the belief
-    ratio, so its lowest-risk sets are the relative-surprise sets.  The ball
-    loss costs the posterior mass outside each ball.  Where ``h`` is a
-    reciprocal, ``w`` is formed as a quotient (:func:`_times_h`), which
+    ``w = h * marg_post``; under the prior-based loss ``w`` is the tables'
+    belief ratio, so its lowest-risk sets are the relative-surprise sets.
+    The ball loss costs the posterior mass outside each ball.  Under the
+    capped loss ``w`` is formed as a quotient (:func:`_times_h`), which
     stays finite at a prior whose reciprocal would overflow.
     """
     gain, total = _posterior_gain(loss, tables)

@@ -124,6 +124,16 @@ def _checked_coords(values, size: int, what: str) -> np.ndarray:
     return _frozen(coords)
 
 
+# Tables built in blocks of rows hold at most this many cells per block, so
+# their memory stays bounded however large the support or sample space is.
+BLOCK_CELLS = 1 << 16
+
+
+def _rows_per_block(row_cells: int) -> int:
+    """Rows of ``row_cells`` cells each in one block (at least one)."""
+    return max(1, BLOCK_CELLS // max(1, row_cells))
+
+
 def _cached(model: "FiniteModel", name: str, build: Callable[[], object]):
     """``build()`` computed once per model and kept on the frozen instance.
 
@@ -131,10 +141,8 @@ def _cached(model: "FiniteModel", name: str, build: Callable[[], object]):
     ``dataclasses.replace`` and equality never see it.  ``setdefault`` keeps
     whichever value was stored first, so every caller gets the same object.
     """
-    try:
-        return model.__dict__[name]
-    except KeyError:
-        return model.__dict__.setdefault(name, build())
+    value = model.__dict__.get(name)
+    return model.__dict__.setdefault(name, build()) if value is None else value
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,10 @@ class FiniteModel:
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
     long as the model: the tables' three ``(n_psi, n_x)`` arrays can take up
-    to three times the memory of the likelihood table, and the LRSE and MAP
-    add two boolean tables of that shape.
+    to three times the memory of the likelihood table.  Per-point answers
+    add tables derived from them a block of points at a time, only for the
+    blocks they read: tie masks (one byte per cell) and rankings (about 16
+    bytes per cell), see :mod:`relbelief.estimators`.
     """
 
     theta_labels: tuple[str, ...]
@@ -220,7 +230,7 @@ class FiniteModel:
                 raise InvariantViolation("likelihood table must be (n_theta, n_x)")
             if not np.all(np.isfinite(lik)) or np.any(lik < 0):
                 raise InvariantViolation("likelihood entries must be finite and >= 0")
-            if np.any(lik.sum(axis=0) <= 0.0):
+            if np.any(lik.max(axis=0) <= 0.0):
                 raise InvariantViolation(
                     "every sample-space column needs at least one positive likelihood"
                 )
@@ -333,8 +343,8 @@ class BeliefTables:
         prior, all aligned over the model's psi support, and the kernel has
         checked the paper's two identities on every column at once.  So none
         of the public constructor's checks is repeated here.  The two vectors
-        are column ``column`` of ``source``'s tables; the LRSE and MAP read
-        that column of tie masks cached on ``source``.
+        are column ``column`` of ``source``'s tables; per-point answers read
+        that column's row of the tables derived from ``source``.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -378,7 +388,8 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     log-likelihood column at ``x`` (at ``x``'s index on a finite sample
     space), which runs through the same kernel uncached into one-column
     tables.  Either way the result keeps the tables it is a column of, and
-    the LRSE and MAP read their column of tie masks derived from them.
+    per-point answers read their column's row of the tie masks and rankings
+    derived from them.
 
     Raises
     ------
@@ -403,10 +414,10 @@ class SampleSpaceTables:
 
     Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
     ``sampling[j, x]`` is the fiber-averaged sampling probability of ``x``
-    when the j-th marginal value is true.  Tables derived from these for
-    every column at once are kept on the instance, like the model's own
-    cache: the tie masks of ``rb`` and ``marg_post``, each built on first
-    read (see :mod:`relbelief.estimators`).
+    when the j-th marginal value is true.  Tables derived from these are
+    kept on the instance, like the model's own cache: the tie masks and
+    rankings of ``rb`` and ``marg_post``, each built a block of columns at a
+    time on the first read of that block (see :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)
@@ -450,7 +461,6 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     if model.is_table:
         e = np.minimum(np.frexp(model.likelihood.max(axis=0))[1], 0)
         scaled, rest = np.ldexp(model.likelihood, -e), 1.0
-        theta_sums = model.likelihood.sum(axis=1)
     else:
         shape = (model.n_theta,) + (() if density else np.shape(at))
         loglik = np.asarray(model.likelihood(at), dtype=float)
@@ -463,8 +473,8 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
         scaled = np.exp(loglik - top)
         e = np.clip(np.ceil(top / np.log(2.0)), -4096, 4096).astype(np.intp)
         rest = np.exp(np.minimum(top - e * np.log(2.0), 0.0))
-        with np.errstate(over="ignore", invalid="ignore"):  # a NaN sum fails every check
-            theta_sums = scaled @ np.ldexp(rest, e)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails every check
+        theta_sums = model.likelihood.sum(axis=1) if model.is_table else scaled @ np.ldexp(rest, e)
     n_psi, k = model.n_psi, scaled.shape[1]
     # One bincount over (psi, x) cells adds each fiber in theta order.
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()

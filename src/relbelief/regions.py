@@ -6,6 +6,13 @@ credibility is reached, and include every value tied with the boundary.
 Including boundary ties can push the attained mass above the request, so the
 sweep restricts itself to "attainable" credibility levels, where the
 attained mass equals the request exactly.
+
+The ranking of the belief ratio and of the posterior, with the posterior
+mass accumulated down it, is read from the tables' source, where it is built
+a block of points at a time and kept (see :mod:`relbelief.estimators`).  So
+RS and HPD regions and the attainable levels sort nothing per call, and
+neither does an LPL region under the prior-based loss, which ranks the
+ratio; the gains of every other loss are ranked per call.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .estimators import _spread_tol
+from .estimators import TIE_RTOL, _derived, _gain_row, _spread_tol
 from .losses import CAPPED, LossSpec, _posterior_gain
 from .model import BeliefTables, _fsum
 
@@ -45,21 +52,24 @@ class CredibleRegion:
 
 
 def _ranked_region(
-    values: np.ndarray, masses: np.ndarray, gamma: float
+    values: np.ndarray, masses: np.ndarray, ranking, gamma: float
 ) -> tuple[list[int], float, float]:
     """Members, threshold and attained mass of the super-level region of
-    ``values`` holding posterior mass >= gamma; :class:`CredibleRegion` checks gamma."""
-    order = (-values).argsort(kind="stable")
+    ``values`` holding posterior mass >= gamma; :class:`CredibleRegion` checks gamma.
+
+    ``ranking`` is ``values``' row from :func:`relbelief.estimators._rank`:
+    the values ranked, and ``masses`` accumulated down the ranking.
+    """
+    ranked, cum = ranking
     if gamma >= 1.0 - GAMMA_TOL:
         # Full credibility is the whole support; the cumulative-mass search
         # below could drop members whose posterior mass rounds away.
         hit = values.size - 1
     else:
         # First ranking position at which the accumulated mass reaches gamma.
-        cum = masses[order].cumsum()
         hit = min(int(cum.searchsorted(gamma - GAMMA_TOL, side="left")), values.size - 1)
-    threshold = float(values[order[hit]])
-    keep = values >= threshold - _spread_tol(values, values[order[0]])  # ranked first: the max
+    threshold = float(ranked[hit])
+    keep = values >= threshold - TIE_RTOL * (ranked[0] - ranked[-1])  # the max less the min
     # fsum rounds the exact sum of the members' masses, whatever their order.
     return keep.nonzero()[0].tolist(), threshold, _fsum(masses[keep])
 
@@ -69,12 +79,14 @@ def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
 
     As gamma drops to zero the region shrinks to the posterior mode set.
     """
-    return CredibleRegion(float(gamma), *_ranked_region(tables.marg_post, tables.marg_post, gamma))
+    return CredibleRegion(float(gamma), *_ranked_region(
+        tables.marg_post, tables.marg_post, _derived(tables, "marg_post", "ranking"), gamma))
 
 
 def rs_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
     """Relative-surprise region: super-level set of the belief ratio."""
-    return CredibleRegion(float(gamma), *_ranked_region(tables.rb, tables.marg_post, gamma))
+    return CredibleRegion(float(gamma), *_ranked_region(
+        tables.rb, tables.marg_post, _derived(tables, "rb", "ranking"), gamma))
 
 
 def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -86,7 +98,8 @@ def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRe
     region).
     """
     gain, total = _posterior_gain(loss, tables)
-    members, threshold, attained = _ranked_region(gain, tables.marg_post, gamma)
+    members, threshold, attained = _ranked_region(
+        gain, tables.marg_post, _gain_row(tables, gain, "ranking"), gamma)
     return CredibleRegion(float(gamma), members, float(total - threshold), attained)
 
 
@@ -110,17 +123,12 @@ def attainable_gammas(tables: BeliefTables, family: str = "rs") -> np.ndarray:
     ranking's tie classes; at any of them the constructed region holds
     exactly that much posterior mass.
     """
-    if family == "rs":
-        values = tables.rb
-    elif family == "hpd":
-        values = tables.marg_post
-    else:
+    names = {"rs": "rb", "hpd": "marg_post"}
+    if family not in names:
         raise InvariantViolation(f"unknown region family {family!r}")
-    order = np.argsort(-values, kind="stable")
-    cum = np.cumsum(tables.marg_post[order])
-    ranked = values[order]
+    ranked, cum = _derived(tables, names[family], "ranking")
     # The last position of each tie class: the next value ranks strictly lower.
-    return cum[np.append(ranked[1:] < ranked[:-1] - _spread_tol(values, values.max()), True)]
+    return cum[np.append(ranked[1:] < ranked[:-1] - TIE_RTOL * (ranked[0] - ranked[-1]), True)]
 
 
 # -- sweep of the capped loss toward the belief-ratio region ----------------

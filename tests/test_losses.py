@@ -199,18 +199,22 @@ class TestPriorRisk:
         with pytest.raises(InfiniteSampleSpace):
             prior_risk(LossSpec.zero_one(), [0], model)
 
-    @pytest.mark.parametrize("form", ["matrix", "log source", "overflowing log source"])
+    @pytest.mark.parametrize(
+        "form", ["matrix", "overflowing matrix", "log source", "overflowing log source"])
     def test_rows_that_are_not_distributions_are_rejected(self, form):
         # Theta b's row sums to 0.9, so it is no sampling distribution over x.
         table = np.array([[0.6, 0.4], [0.5, 0.4]])
         logs = np.log(table)
+        if form == "overflowing matrix":
+            # Theta a's row sums to 2e308, past the largest double.
+            table = np.array([[1e308, 1e308], [0.5, 0.5]])
         if form == "overflowing log source":
             # Theta b's row sums to exp(5000), past the largest double.
             logs[1] = [5000.0, -np.inf]
         model = FiniteModel(
             theta_labels=("a", "b"),
             prior=[0.5, 0.5],
-            likelihood=table if form == "matrix" else lambda k: logs[:, k],
+            likelihood=table if form.endswith("matrix") else lambda k: logs[:, k],
             psi_map=[0, 1],
             psi_labels=("a", "b"),
             x_labels=("x0", "x1"),

@@ -40,7 +40,7 @@ from relbelief import (
     rs_region,
     sample_space_tables,
 )
-from relbelief import losses
+import relbelief.model
 from relbelief.estimators import TIE_RTOL, _spread_tol, _tie_mask
 from relbelief.losses import _posterior_gain, loss_matrix, posterior_risk_vector
 from relbelief.model import _build_sample_space_tables, _check_identities
@@ -330,7 +330,7 @@ def assert_ball_matches_dense(radius, tables):
     got = posterior_risk_vector(LossSpec.ball(radius), tables)
     mass = oracle_dense_ball_inside(radius, tables) @ tables.marg_post
     want = 1.0 - mass
-    if tables.psi_coords.size * tables.n_psi <= losses.BALL_BLOCK:  # one block
+    if tables.psi_coords.size * tables.n_psi <= relbelief.model.BLOCK_CELLS:  # one block
         assert got.tobytes() == want.tobytes()
     else:
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -386,7 +386,7 @@ def coordinate_tables(coords, post) -> BeliefTables:
     ["integers with repeats", "tenths", "spread floats", "two-dimensional", "non-finite"],
 )
 def test_ball_risk_matches_dense_on_larger_supports(kind, monkeypatch):
-    monkeypatch.setattr(losses, "BALL_BLOCK", 1000)  # several row blocks
+    monkeypatch.setattr(relbelief.model, "BLOCK_CELLS", 1000)  # several row blocks
     rng = np.random.default_rng(7)
     n = 300
     coords = {
@@ -425,7 +425,7 @@ def test_ball_loss_matrix_is_the_dense_test_in_blocks(monkeypatch):
     actions = rng.integers(0, 60, size=45)
     pts = model.psi_coords
     want = 1.0 - (np.linalg.norm(pts[:, None, :] - pts[actions][None, :, :], axis=-1) <= 2.0)
-    monkeypatch.setattr(losses, "BALL_BLOCK", 200)
+    monkeypatch.setattr(relbelief.model, "BLOCK_CELLS", 200)
     np.testing.assert_array_equal(loss_matrix(LossSpec.ball(2.0), model, actions), want)
     assert loss_matrix(LossSpec.ball(2.0), model, []).shape == (60, 0)
 

@@ -108,16 +108,17 @@ def oracle_prior_risk(loss, rule, model):
 
 
 @st.composite
-def finite_models(draw):
+def finite_models(draw, psi=(1, 4), points=(1, 5)):
     """Small row-stochastic models with exact ties, skewed priors and coordinates.
 
     Likelihood rows are drawn from a few integer templates, so fibers often
     share identical rows and the ratio or the posterior ties exactly.  Prior
-    weights span up to twelve orders of magnitude.
+    weights span up to twelve orders of magnitude.  ``psi`` and ``points``
+    bound the psi support and the sample space.
     """
-    n_psi = draw(st.integers(1, 4))
+    n_psi = draw(st.integers(*psi))
     n_theta = draw(st.integers(n_psi, 12))
-    n_x = draw(st.integers(1, 5))
+    n_x = draw(st.integers(*points))
     extra = draw(st.lists(st.integers(0, n_psi - 1), min_size=n_theta - n_psi, max_size=n_theta - n_psi))
     psi_map = draw(st.permutations(list(range(n_psi)) + extra))
     exponents = draw(st.lists(st.sampled_from([0, 0, 1, 3, 12]), min_size=n_theta, max_size=n_theta))
