@@ -25,7 +25,7 @@ from . import __version__
 from .errors import InvariantViolation, ModelSpecError, RelBeliefError
 from .estimators import bayes_rule, lrse, map_estimate
 from .losses import parse_loss, parse_number
-from .model import belief_tables
+from .model import belief_tables, sample_space_tables
 from .modelfile import load_model
 from .regions import eta_sweep, hpd_region, lpl_region, rs_region
 from .reporting import write_report, write_text
@@ -294,7 +294,9 @@ def _run_converge(args, outdir: Path) -> list[Path]:
 
 
 def _run_validate(args, outdir: Path) -> list[Path]:
-    load_model(args.model, strict=True)
+    model = load_model(args.model, strict=True)
+    if model.is_table:  # refused as any query would refuse it
+        sample_space_tables(model)
     print("ok")
     return write_report(outdir / "validate", ["model", "status"], [[args.model, "ok"]])
 

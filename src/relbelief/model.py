@@ -398,7 +398,8 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
         column is possible by construction and scaled so it cannot underflow.
     InvariantViolation
         If the callback does not return ``n_theta`` log-likelihoods, or
-        returns NaN or ``+inf``.
+        returns NaN or ``+inf``; or if a ratio the tables hold is past the
+        largest double (on a matrix model, at any point).
     """
     if model.is_table:
         col, tabs = model.x_index(x), sample_space_tables(model)
@@ -433,7 +434,8 @@ def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
     The tables are built once per model and cached on it, so every sweep
     and every single-point query on the same model shares them; a finite log
     source is read in one call.  Raises :class:`InfiniteSampleSpace` for a
-    density callback and :class:`ZeroEvidence` if some ``x`` is impossible.
+    density callback, :class:`ZeroEvidence` if some ``x`` is impossible and
+    :class:`InvariantViolation` if some ratio is past the largest double.
     """
     return _whole_sample_space(model)[0]
 
@@ -494,10 +496,17 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
         bad = at if density else int(np.ravel(at)[np.argmin(evidence)])
         raise ZeroEvidence(f"sample point {bad!r} has zero evidence")
     marg_post = _frozen(fiber_sums(joint / evidence))
-    rb = marg_post / marg_prior[:, None]
-    # A subnormal posterior has lost digits that its ratio keeps as M / m(x).
-    low = (marg_post > 0.0) & (marg_post < np.finfo(float).tiny)
-    rb[low] = (sampling / evidence)[low]
+    with np.errstate(over="ignore"):  # a ratio past the largest double is refused below
+        rb = marg_post / marg_prior[:, None]
+    # A posterior below the normal range, zero included, has lost digits that
+    # its ratio keeps as M / m(x), which is then below tiny / min(prior) < 2**53.
+    np.divide(sampling, evidence, out=rb, where=marg_post < np.finfo(float).tiny)
+    if np.isinf(rb).any():
+        j, col = np.unravel_index(np.argmax(np.isinf(rb)), rb.shape)
+        bad = at if density else int(np.ravel(at)[col])
+        raise InvariantViolation(
+            f"the relative belief ratio of psi {model.psi_labels[j]!r} at sample point {bad!r}"
+            f" is past the largest double ({np.finfo(float).max:.6g})")
     _check_identities(marg_prior, rb)
     with np.errstate(over="ignore"):
         undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, sampling)]

@@ -294,6 +294,28 @@ class TestPriorBelowTheReciprocalRange:
         assert sample_space_tables(self.model).rb[2, 1] == pytest.approx(ratio, rel=1e-15)
         assert belief_tables(self.model, 1).rb[2] == pytest.approx(ratio, rel=1e-15)
 
+    def test_kernel_ratio_of_an_underflowed_posterior_is_its_likelihood_ratio(self):
+        # b's joint cell at x0, 5e-324 * 0.4, rounds to 0, and so does its
+        # posterior; its ratio is M / m(x) = 0.4 / 0.6.
+        model = FiniteModel(theta_labels=("a", "b"), prior=[1.0, 5e-324],
+                            likelihood=[[0.6, 0.4], [0.4, 0.6]],
+                            psi_map=[0, 1], psi_labels=("a", "b"))
+        tables = sample_space_tables(model)
+        assert tables.marg_post[1, 0] == 0.0
+        assert tables.rb[1, 0] == belief_tables(model, 0).rb[1] == 0.4 / 0.6
+
+    def test_a_ratio_past_the_largest_double_is_refused_by_name(self):
+        # b's posterior at x0 is 0.5, its prior 5e-324: the ratio is about 1e323.
+        model = FiniteModel(theta_labels=("a", "b"), prior=[1.0, 5e-324],
+                            likelihood=[[5e-324, 1.0], [1.0, 0.0]],
+                            psi_map=[0, 1], psi_labels=("a", "b"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0, 1):  # a query at either point builds every column
+                with pytest.raises(InvariantViolation, match=r"psi 'b' at sample point 0 is past"
+                                   r" the largest double \(1\.79769e\+308\)"):
+                    belief_tables(model, x)
+
     def test_sampling_row_of_a_subnormal_fiber_is_its_likelihood(self):
         # b's joint cells, 5e-324 times 0.6 and 0.4, round to 5e-324 and 0;
         # divided by b's prior they would read (1, 0), not b's likelihood row.

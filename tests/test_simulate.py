@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.special import betaincinv
@@ -246,11 +246,27 @@ class TestChunkedBlock:
            betas=st.lists(st.floats(0.05, 200.0), min_size=1, max_size=4, unique=True),
            mu=block_shifts, c=st.sampled_from((0, 1)), rows=block_rows,
            seed=st.integers(0, 2**32), block_index=st.integers(0, 20))
+    # Two runs of about 32,768 rows, each crossing a chunk boundary.
+    @example(n=1, alpha=1.0, betas=[1.0], mu=1.0, c=0, rows=BLOCK, seed=3, block_index=0)
+    # A run of 59,548 rows that covers the first three chunks, and short runs.
+    @example(n=10, alpha=1.0, betas=[100.0, 1.0], mu=-0.7, c=0, rows=BLOCK, seed=3,
+             block_index=0)
+    # Cutoffs of +-inf, and one run over the whole block.
+    @example(n=6, alpha=1.0, betas=[1.0, 14.0], mu=0.0, c=1, rows=BLOCK, seed=5, block_index=1)
+    @example(n=6, alpha=1.0, betas=[1.0, 14.0], mu=-0.0, c=0, rows=_CHUNK + 1, seed=5,
+             block_index=1)
+    @example(n=0, alpha=1.0, betas=[1.0], mu=1.0, c=1, rows=BLOCK, seed=2, block_index=0)
+    @example(n=4, alpha=1.0, betas=[1.0, 32.0], mu=2.0, c=1, rows=1, seed=9, block_index=7)
     def test_counts_equal_rowwise_oracle(self, n, alpha, betas, mu, c, rows, seed, block_index):
         cfgs = [SimConfig(alpha=alpha, beta=beta, mu=mu, n=n, seed=seed) for beta in betas]
-        got = _block_errors(cfgs, c, block_index, rows)
-        assert got == rowwise_block_errors(cfgs, c, block_index, rows)
-        assert [list(counts) for counts in got] == [list(METHODS)] * len(betas)
+        want = rowwise_block_errors(cfgs, c, block_index, rows)
+        # Every scenario counted per row (no run is few enough), then run by run.
+        for max_runs in (0, n + 1):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(simulate, "_MAX_RUNS", max_runs)
+                got = _block_errors(cfgs, c, block_index, rows)
+            assert got == want
+            assert [list(counts) for counts in got] == [list(METHODS)] * len(betas)
 
     @pytest.mark.parametrize("overfull", [False, True])
     @pytest.mark.parametrize("c", [0, 1])
