@@ -5,8 +5,11 @@ case runs there with ``--output-dir`` set to its ``id``.  A case passes when
 its exit code is the row's ``exit``, its stdout and stderr contain the row's
 ``stdout`` and ``stderr`` text, and its ``manifest.json`` reads the status
 of that exit code.  A successful run must have written every artifact its
-manifest lists, and a failed run nothing but the manifest.  A row with
-``"fail_on_runtime_warning": true`` runs under ``-W error::RuntimeWarning``.
+manifest lists and nothing to stderr, and a failed run nothing but the
+manifest.  Every process runs under ``-X dev -W error::ResourceWarning``, so
+a file or other resource left for exit-time cleanup prints to stderr; a row
+with ``"fail_on_runtime_warning": true`` also runs under
+``-W error::RuntimeWarning``.
 ``tests/test_cli_cases.py`` runs the same rows in-process, with these checks.
 
 Only the standard library is imported, so this runs wherever the package
@@ -57,6 +60,7 @@ def problems(case, code: int, out: str, err: str, directory: Path) -> list:
         found.append(f"manifest status {manifest['status']!r} after exit {code}")
     if code == 0:
         found += [f"artifact {a} missing" for a in manifest["artifacts"] if not (directory / a).is_file()]
+        found += [f"stderr after exit 0: {err!r}"] if err else []
     elif sorted(p.name for p in outdir.iterdir()) != ["manifest.json"]:
         found.append(f"a failed run left {sorted(p.name for p in outdir.iterdir())}")
     return found
@@ -68,7 +72,9 @@ def run_fresh(case, directory: Path) -> list:
     if env.get("PYTHONPATH"):  # relative entries would resolve against the case directory
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
-    flags = ["-W", "error::RuntimeWarning"] if case.get("fail_on_runtime_warning") else []
+    flags = ["-X", "dev", "-W", "error::ResourceWarning"]
+    if case.get("fail_on_runtime_warning"):
+        flags += ["-W", "error::RuntimeWarning"]
     proc = subprocess.run([sys.executable, *flags, "-m", "relbelief", *argv(case)],
                           cwd=directory, env=env, capture_output=True, encoding="utf-8",
                           errors="replace", timeout=600)

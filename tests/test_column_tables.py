@@ -178,23 +178,46 @@ def derived_blocks(source) -> dict:
 
 
 def test_a_one_point_query_builds_one_block_of_each_table():
-    model = FiniteModel(
-        theta_labels=tuple(f"t{i}" for i in range(4)),
-        prior=[0.1, 0.2, 0.3, 0.4],
-        likelihood=np.arange(1.0, 41.0).reshape(4, 10) % 7 + 1,
-        psi_map=[0, 1, 2, 2],
-        psi_labels=("a", "b", "c"),
-    )
-    with blocks_of(2 * model.n_psi):  # five blocks of two points
-        tables = belief_tables(model, 5)
-        lrse(tables)
-        rs_region(tables, 0.5)
-        source = sample_space_tables(model)
-        assert derived_blocks(source) == {"_rb_ties": [4], "_rb_ranking": [4]}
-        assert source._rb_ties[4].shape == (2, 3)
-        assert [a.shape for a in source._rb_ranking[4]] == [(2, 3), (2, 3)]
-        lrse_rule(model)
-        assert derived_blocks(source) == {"_rb_ties": [0, 2, 4, 6, 8], "_rb_ranking": [4]}
+    # A ranking block holds 16 times fewer cells than a tie-mask block; each
+    # block size gets a fresh model, whose source has built no block yet.
+    for cells_per_psi, tie_rows, ranking_rows in [(2, 2, 1), (32, 10, 2)]:
+        model = FiniteModel(
+            theta_labels=tuple(f"t{i}" for i in range(4)),
+            prior=[0.1, 0.2, 0.3, 0.4],
+            likelihood=np.arange(1.0, 41.0).reshape(4, 10) % 7 + 1,
+            psi_map=[0, 1, 2, 2],
+            psi_labels=("a", "b", "c"),
+        )
+        with blocks_of(cells_per_psi * model.n_psi):
+            tables = belief_tables(model, 5)
+            lrse(tables)
+            rs_region(tables, 0.5)
+            source = sample_space_tables(model)
+            ties_at, ranking_at = 5 - 5 % tie_rows, 5 - 5 % ranking_rows
+            assert derived_blocks(source) == {"_rb_ties": [ties_at], "_rb_ranking": [ranking_at]}
+            assert source._rb_ties[ties_at].shape == (tie_rows, 3)
+            assert [a.shape for a in source._rb_ranking[ranking_at]] == [(ranking_rows, 3)] * 2
+            lrse_rule(model)
+            assert derived_blocks(source) == {"_rb_ties": list(range(0, model.n_x, tie_rows)),
+                                              "_rb_ranking": [ranking_at]}
+
+
+def test_a_one_point_region_on_a_wide_model_ranks_at_most_4096_cells():
+    rng = np.random.default_rng(5)
+    n_psi, n_x = 1000, 100
+    model = FiniteModel(theta_labels=tuple(f"t{i}" for i in range(n_psi)),
+                        prior=rng.dirichlet(np.ones(n_psi)),
+                        likelihood=rng.dirichlet(np.ones(n_x), size=n_psi), psi_map=np.arange(n_psi),
+                        psi_labels=tuple(f"p{j}" for j in range(n_psi)))
+    tables = belief_tables(model, 50)
+    want = oracle_belief_tables(model, 50)
+    assert_identical(rs_region(tables, 0.5), oracle_ranked_region(want.rb, want.marg_post, 0.5))
+    assert_identical(lrse(tables), oracle_estimate(want, want.rb))
+    source = sample_space_tables(model)
+    assert derived_blocks(source) == {"_rb_ties": [0], "_rb_ranking": [48]}
+    assert source._rb_ties[0].shape == (65, n_psi)
+    ranked, cum = source._rb_ranking[48]
+    assert ranked.shape == cum.shape == (4, n_psi)  # 4,000 cells, not 65,000
 
 
 def assert_derived_tables(source):
