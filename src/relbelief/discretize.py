@@ -128,11 +128,13 @@ def build_grid(
 def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, RegularGrid]]:
     """:func:`build_grid` at several widths, from one quadrature of their union.
 
-    Edge ``j`` of an ``n``-bin grid is the rational ``j / n`` of the
-    interval, so the union of the widths' edges is formed on exact integers,
-    and each union edge takes its value from the finest grid that holds it:
-    one width integrates exactly its own edges.  Each bin's masses are the
-    sums of the union's pieces it covers, and each width keeps its own checks.
+    Edge ``j`` of an ``n``-bin grid is the fraction ``j / n`` of the
+    interval.  The widths' fractions are merged coarsest first, sorted with
+    repeats dropped (refused once past ``MAX_BINS``), and found again with
+    ``np.searchsorted``; each union edge takes its value from the finest
+    grid that holds it, so one width integrates exactly its own edges.
+    Each bin's masses are the sums of the union's pieces it covers, and
+    each width keeps its own checks.
     """
     a, b = cmodel.support
     counts = []
@@ -144,28 +146,21 @@ def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, 
             raise InvariantViolation(f"bin width {lam!r} on [{a!r}, {b!r}] needs {count:.6g} "
                                      f"bins, more than {MAX_BINS}")
         counts.append(int(round(count)))
-    # Edge j of the n-bin grid is left to a finer count m that holds it, where
-    # j * m / n is an integer.  Every product is at most MAX_BINS**2, far
-    # inside int64.
-    sizes = sorted(set(counts), reverse=True)
-    kept = []
-    for k, n in enumerate(sizes):
-        j = np.arange(n + 1)
-        kept.append(np.ones(n + 1, dtype=bool))
-        for m in sizes[:k]:
-            kept[k] &= j * m % n != 0
-    n_union = sum(int(keep.sum()) for keep in kept) - 1
-    if n_union > MAX_BINS:
-        raise InvariantViolation(f"bin widths {list(map(float, lams))} on [{a!r}, {b!r}] need "
-                                 f"{n_union} bins together, more than {MAX_BINS}")
-    # The union index of edge j of the n-bin grid counts the edges each grid
-    # m keeps below j / n: those below index ceil(j * m / n).
-    below = [(m, np.concatenate(([0], np.cumsum(keep)))) for m, keep in zip(sizes, kept)]
-    position = {n: sum(cum[-(-np.arange(n + 1) * m // n)] for m, cum in below if cum[-1])
-                for n in sizes}
-    union = np.empty(n_union + 1)
-    for n, keep in zip(sizes, kept):
-        union[position[n][keep]] = a + ((b - a) / n) * np.flatnonzero(keep)
+    # A quotient of two integers below 2**53 is correctly rounded, so equal
+    # fractions give one double and distinct fractions (at least
+    # 1 / MAX_BINS**2 apart) give distinct doubles: the merge is exact.
+    # Not np.union1d: numpy 2.4 imports numpy.ma for it, 20 ms of a cold process.
+    sizes = sorted(set(counts))
+    union = np.empty(0)
+    for n in sizes:
+        union = np.sort(np.concatenate([union, np.arange(n + 1) / n]))
+        union = union[np.append(True, union[1:] != union[:-1])]  # each fraction once
+        if union.size - 1 > MAX_BINS:
+            raise InvariantViolation(f"bin widths {list(map(float, lams))} on [{a!r}, {b!r}] "
+                                     f"need {union.size - 1} bins together, more than {MAX_BINS}")
+    position = {n: np.searchsorted(union, np.arange(n + 1) / n) for n in sizes}
+    for n in sizes:  # coarsest first, so each edge keeps the finest grid's value
+        union[position[n]] = a + ((b - a) / n) * np.arange(n + 1)
 
     shift = None  # the first pass's largest log-likelihood
 
@@ -220,8 +215,7 @@ def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, 
 
 def grid_tables(cmodel: ContinuousModel1D, x, lam: float) -> tuple[BeliefTables, RegularGrid]:
     """Belief tables of the discretized problem at one resolution."""
-    model, grid = build_grid(cmodel, x, lam)
-    return belief_tables(model, 0), grid
+    return _tables(cmodel, x, [lam])[0]
 
 
 def eta_schedule(grid: RegularGrid, lrse_bin: int) -> float:

@@ -37,20 +37,20 @@ from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points,
 TIE_RTOL = 1e-12
 
 
-def _spread_tol(values: np.ndarray, best):
-    """Tie tolerance along the last axis (per row of a table); ``best`` is the maximum.
+def _tie_tol(best, worst):
+    """Tie tolerance of values from ``worst`` to ``best`` (arrays: one per row).
 
     It is relative to the spread of the values, so criteria that differ only
     by an additive constant (ratios versus negated risks) give the same tie
     classes.
     """
-    return TIE_RTOL * (best - values.min(axis=-1))
+    return TIE_RTOL * (best - worst)
 
 
 def _tie_mask(values: np.ndarray) -> np.ndarray:
     """Entries tied with the maximum along the last axis (per row of a table)."""
     best = values.max(axis=-1)
-    return values >= (best - _spread_tol(values, best))[..., None]
+    return values >= (best - _tie_tol(best, values.min(axis=-1)))[..., None]
 
 
 def _rank(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

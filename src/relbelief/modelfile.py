@@ -53,7 +53,7 @@ import numpy as np
 
 from .errors import InvariantViolation, ModelSpecError
 from .losses import parse_number
-from .model import FiniteModel, _normal_log_likelihood
+from .model import FiniteModel, _normal_log_likelihood, _rows_per_block
 from .reporting import write_text
 
 PRIOR_WARN_TOL = 1e-9
@@ -101,9 +101,6 @@ def _theta(raw: dict):
         raise ModelSpecError("theta", "either all entries carry a coord or none do")
     return labels, (_numbers(coords, "theta") if coords else None)
 
-
-# Rows of a binomial table are built in blocks of about this many cells.
-_BLOCK_CELLS = 1 << 16
 
 # Stirling's error log(n!) - log(sqrt(2 pi n) (n / e)^n) at n = 0..15, below
 # which its asymptotic series is not accurate; entry 0 is never read.
@@ -183,7 +180,7 @@ def _binomial_log_pmf(trials: int, p: np.ndarray, counts) -> np.ndarray:
     and accurate to its own rounding, so the relative error does not grow
     with ``trials``.  The end points are ``trials log(1 - p)`` and
     ``trials log(p)``, exact at ``p = 0`` and ``p = 1``.  Rows are built in
-    blocks of about ``_BLOCK_CELLS`` cells, so the temporaries stay small.
+    blocks of about ``model.BLOCK_CELLS`` cells, so the temporaries stay small.
     """
     n = trials
     k = np.ravel(counts)
@@ -192,7 +189,7 @@ def _binomial_log_pmf(trials: int, p: np.ndarray, counts) -> np.ndarray:
     base = (_stirling_error(n) - _stirling_error(ki) - _stirling_error(n - ki)
             - 0.5 * np.log(2 * math.pi * (ki * (n - ki) / n)))
     table = np.empty((p.size, k.size))
-    rows = max(1, _BLOCK_CELLS // max(k.size, 1))
+    rows = _rows_per_block(k.size)
     for start in range(0, p.size, rows):
         block = p[start:start + rows, None]
         q = 1.0 - block

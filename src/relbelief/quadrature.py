@@ -47,8 +47,9 @@ _ABS_FLOOR = 1e-300  # guards the relative test when the integral underflows
 # Intervals refined per integrand call.  Bounds the memory of a pass, and
 # keeps an integrand that never converges (noise) from doubling its live
 # intervals at every level: the deepest intervals are refined first, so such
-# an integrand reaches the depth limit after max_depth passes.
+# an integrand reaches the depth limit after _MAX_DEPTH passes.
 _BATCH = 4096
+_MAX_DEPTH = 48  # bisections of a bin before it is given up
 
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -75,7 +76,7 @@ def _pass(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 half * _weighted_sum(values[..., 1::2, :], _GAUSS))
 
 
-def integrate_bins(f, edges, *, max_depth: int = 48) -> np.ndarray:
+def integrate_bins(f, edges) -> np.ndarray:
     """Integrate ``f`` over each bin ``[edges[i], edges[i + 1]]``.
 
     Each bin keeps its own error control: an interval is accepted when its
@@ -95,8 +96,6 @@ def integrate_bins(f, edges, *, max_depth: int = 48) -> np.ndarray:
         values, or to a stacked ``(k, m)`` array of ``k`` columns.
     edges : array_like
         Strictly increasing bin edges.
-    max_depth : int
-        Bisection depth limit before giving up.
 
     Returns
     -------
@@ -138,7 +137,7 @@ def integrate_bins(f, edges, *, max_depth: int = 48) -> np.ndarray:
         live = live & ~passed
         split = live.any(axis=0)
         if split.any():
-            if depth >= max_depth:
+            if depth >= _MAX_DEPTH:
                 bad = int(np.argmax(split))
                 raise QuadratureFailure(
                     f"no convergence on [{lo[bad]}, {hi[bad]}] after depth {depth}"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .estimators import TIE_RTOL, _derived, _gain_row, _spread_tol
+from .estimators import _derived, _gain_row, _tie_tol
 from .losses import CAPPED, LossSpec, _posterior_gain
 from .model import BeliefTables, _fsum
 
@@ -69,7 +69,7 @@ def _ranked_region(
         # First ranking position at which the accumulated mass reaches gamma.
         hit = min(int(cum.searchsorted(gamma - GAMMA_TOL, side="left")), values.size - 1)
     threshold = float(ranked[hit])
-    keep = values >= threshold - TIE_RTOL * (ranked[0] - ranked[-1])  # the max less the min
+    keep = values >= threshold - _tie_tol(ranked[0], ranked[-1])
     # fsum rounds the exact sum of the members' masses, whatever their order.
     return keep.nonzero()[0].tolist(), threshold, _fsum(masses[keep])
 
@@ -112,7 +112,7 @@ def tail_probability(tables: BeliefTables, psi0: int) -> float:
     if not 0 <= psi0 < tables.n_psi:
         raise UnknownPsi(f"psi index {psi0} out of range")
     cutoff = float(tables.rb[psi0])
-    keep = tables.rb <= cutoff + _spread_tol(tables.rb, tables.rb.max())
+    keep = tables.rb <= cutoff + _tie_tol(tables.rb.max(), tables.rb.min())
     return _fsum(tables.marg_post[keep])
 
 
@@ -128,7 +128,7 @@ def attainable_gammas(tables: BeliefTables, family: str = "rs") -> np.ndarray:
         raise InvariantViolation(f"unknown region family {family!r}")
     ranked, cum = _derived(tables, names[family], "ranking")
     # The last position of each tie class: the next value ranks strictly lower.
-    return cum[np.append(ranked[1:] < ranked[:-1] - TIE_RTOL * (ranked[0] - ranked[-1]), True)]
+    return cum[np.append(ranked[1:] < ranked[:-1] - _tie_tol(ranked[0], ranked[-1]), True)]
 
 
 # -- sweep of the capped loss toward the belief-ratio region ----------------

@@ -6,10 +6,10 @@ its exit code is the row's ``exit``, its stdout and stderr contain the row's
 ``stdout`` and ``stderr`` text, and its ``manifest.json`` reads the status
 of that exit code.  A successful run must have written every artifact its
 manifest lists and nothing to stderr, and a failed run nothing but the
-manifest.  Every process runs under ``-X dev -W error::ResourceWarning``, so
-a file or other resource left for exit-time cleanup prints to stderr; a row
-with ``"fail_on_runtime_warning": true`` also runs under
-``-W error::RuntimeWarning``.
+manifest.  Every process runs under ``-X dev -W error::ResourceWarning
+-W error::RuntimeWarning``, so a file or other resource left for exit-time
+cleanup prints to stderr, and a numpy overflow or invalid operation fails
+the case.
 ``tests/test_cli_cases.py`` runs the same rows in-process, with these checks.
 
 Only the standard library is imported, so this runs wherever the package
@@ -72,9 +72,7 @@ def run_fresh(case, directory: Path) -> list:
     if env.get("PYTHONPATH"):  # relative entries would resolve against the case directory
         env["PYTHONPATH"] = os.pathsep.join(
             os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
-    flags = ["-X", "dev", "-W", "error::ResourceWarning"]
-    if case.get("fail_on_runtime_warning"):
-        flags += ["-W", "error::RuntimeWarning"]
+    flags = ["-X", "dev", "-W", "error::ResourceWarning", "-W", "error::RuntimeWarning"]
     proc = subprocess.run([sys.executable, *flags, "-m", "relbelief", *argv(case)],
                           cwd=directory, env=env, capture_output=True, encoding="utf-8",
                           errors="replace", timeout=600)

@@ -1,10 +1,10 @@
 """Every case of ``cli_cases.json``, run in-process through ``cli.run``.
 
 ``smoke.py`` runs the same cases as fresh processes and holds the checks
-that both apply.
+that both apply.  The ``filterwarnings`` setting in ``pyproject.toml``
+makes a ``RuntimeWarning`` or a leaked resource fail the case here, as the
+``-W`` flags do there.
 """
-
-import warnings
 
 import pytest
 
@@ -27,10 +27,7 @@ def test_case_ids_are_unique():
 @pytest.mark.parametrize("case", smoke.CASES, ids=[case["id"] for case in smoke.CASES])
 def test_cli_case(case, case_dir, monkeypatch, capsys):
     monkeypatch.chdir(case_dir)
-    with warnings.catch_warnings():
-        if case.get("fail_on_runtime_warning"):
-            warnings.simplefilter("error", RuntimeWarning)
-        code = run(smoke.argv(case))
+    code = run(smoke.argv(case))
     out, err = capsys.readouterr()
     assert smoke.problems(case, code, out, err, case_dir) == []
 

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from relbelief import (
 )
 from relbelief.estimators import lrse, map_estimate
 import relbelief.discretize as discretize
+import relbelief.quadrature as quadrature
 from relbelief.cli import run
 from relbelief.discretize import check_peak_separation
 from relbelief.quadrature import integrate_bins
@@ -57,11 +59,10 @@ class TestQuadrature:
         exact = (1 - math.cos(40 * math.pi)) / 40
         assert val == pytest.approx(exact, abs=1e-10)
 
-    def test_depth_limit_failure(self):
+    def test_depth_limit_failure(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 3)
         with pytest.raises(QuadratureFailure):
-            integrate_bins(
-                lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), [0.0, 1.0], max_depth=3
-            )
+            integrate_bins(lambda t: 1.0 / np.sqrt(np.abs(t) + 1e-300), [0.0, 1.0])
 
 
 class TestBuildGrid:
@@ -462,6 +463,51 @@ class TestCommonRefinement:
         assert calls == [53 + 229 - 1, 160, 53 + 229 + 914 - 2]
 
 
+def merged_edges(a, b, counts):
+    """The union of the counts' edges as exact fractions of ``[a, b]``, sorted,
+    each valued as the finest count that holds it computes it."""
+    value = {}
+    for n in sorted(counts):  # finer counts overwrite
+        value.update((Fraction(j, n), a + ((b - a) / n) * j) for j in range(n + 1))
+    return sorted(value), value
+
+
+class TestEdgeMerge:
+    """The union of a run's edges and each width's place in it, with no quadrature."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.one_of(nested_counts,
+                            st.lists(st.integers(4, 3000), min_size=1, max_size=4, unique=True)),
+           a=st.floats(-10.0, 10.0), span=st.floats(0.5, 20.0))
+    def test_union_and_positions_match_the_fraction_oracle(self, counts, a, span):
+        b = a + span
+        seen = []
+
+        def pieces(f, edges):  # piece k of N: prior 1 / N, joint k / N
+            seen.append(edges)
+            return np.stack([np.full(edges.size - 1, 1.0 / (edges.size - 1)),
+                             np.arange(edges.size - 1) / (edges.size - 1)])
+
+        def never(*args):
+            raise AssertionError("the integrand was called")
+
+        cmodel = ContinuousModel1D(prior_density=never, likelihood=never, support=(a, b))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(discretize, "integrate_bins", pieces)
+            grids = discretize._build_grids(cmodel, 0.0, [span / n for n in counts])
+        fractions, value = merged_edges(cmodel.support[0], cmodel.support[1], counts)
+        (edges,) = seen
+        assert edges.tobytes() == np.array([value[q] for q in fractions]).tobytes()
+        index = {q: i for i, q in enumerate(fractions)}
+        pieces_total = len(fractions) - 1
+        for n, (model, grid) in zip(counts, grids):
+            position = np.array([index[Fraction(j, n)] for j in range(n + 1)])
+            # A bin's prior counts its pieces; its likelihood is their mean index.
+            np.testing.assert_array_equal(np.rint(grid.bin_prior * pieces_total), np.diff(position))
+            np.testing.assert_allclose(model.likelihood[:, 0],
+                                       (position[:-1] + position[1:] - 1) / 2, rtol=1e-12)
+
+
 class TestGridSizeLimit:
     """Grids above MAX_BINS bins are refused before anything is integrated."""
 
@@ -494,3 +540,11 @@ class TestGridSizeLimit:
             build_grid(uniform_model(), 0.0, 1 / 101)
         with pytest.raises(InvariantViolation, match="need 103 bins together, more than 100$"):
             discretize._build_grids(uniform_model(), 0.0, [1 / 51, 1 / 53])
+
+    def test_union_is_refused_at_the_width_that_passes_the_limit(self, monkeypatch):
+        # Merged coarsest first: 49 bins, then 49 and 53 give 101 together,
+        # refused before 59 and 61 are merged or anything is integrated.
+        monkeypatch.setattr(discretize, "MAX_BINS", 100)
+        monkeypatch.setattr(discretize, "integrate_bins", None)
+        with pytest.raises(InvariantViolation, match="need 101 bins together, more than 100$"):
+            discretize._build_grids(uniform_model(), 0.0, [1 / 61, 1 / 53, 1 / 59, 1 / 49])

@@ -236,11 +236,13 @@ class TestAgainstOracle:
             try:
                 want = oracle_integral(f, 0.0, 1.0, max_depth=depth)
             except QuadratureFailure:
-                with pytest.raises(QuadratureFailure):
-                    integrate_bins(f, [0.0, 1.0], max_depth=depth)
+                with mock.patch.object(quadrature, "_MAX_DEPTH", depth), \
+                        pytest.raises(QuadratureFailure):
+                    integrate_bins(f, [0.0, 1.0])
                 outcomes.append("fail")
             else:
-                got = integrate_bins(f, [0.0, 1.0], max_depth=depth)[0]
+                with mock.patch.object(quadrature, "_MAX_DEPTH", depth):
+                    got = integrate_bins(f, [0.0, 1.0])[0]
                 assert got == pytest.approx(want, rel=REL_TOL)
                 outcomes.append("ok")
         assert "fail" in outcomes and "ok" in outcomes
@@ -356,8 +358,9 @@ class TestStackedColumns:
         columns = [smooth, f] if smooth_first else [f, smooth]
         kinds = set()
         for depth in range(14):
-            alone = outcome(lambda: integrate_bins(f, edges, max_depth=depth))
-            together = outcome(lambda: integrate_bins(stacked(*columns), edges, max_depth=depth))
+            with mock.patch.object(quadrature, "_MAX_DEPTH", depth):
+                alone = outcome(lambda: integrate_bins(f, edges))
+                together = outcome(lambda: integrate_bins(stacked(*columns), edges))
             if isinstance(alone, tuple):
                 assert together == alone
                 kinds.add("fail")

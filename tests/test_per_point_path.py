@@ -41,7 +41,7 @@ from relbelief import (
     sample_space_tables,
 )
 import relbelief.model
-from relbelief.estimators import TIE_RTOL, _spread_tol, _tie_mask
+from relbelief.estimators import TIE_RTOL, _tie_mask, _tie_tol
 from relbelief.losses import _posterior_gain, loss_matrix, posterior_risk_vector
 from relbelief.model import _build_sample_space_tables, _check_identities
 from relbelief.regions import GAMMA_TOL, CredibleRegion
@@ -75,7 +75,7 @@ def oracle_ranked_region(values, masses, gamma) -> CredibleRegion:
         hit = int(np.searchsorted(cum, gamma - GAMMA_TOL, side="left"))
         hit = min(hit, values.size - 1)
     threshold = float(values[order[hit]])
-    keep = values >= threshold - _spread_tol(values, values.max())
+    keep = values >= threshold - _tie_tol(values.max(), values.min())
     members = tuple(int(i) for i in np.flatnonzero(keep))
     attained = math.fsum(masses[list(members)])
     return CredibleRegion(
