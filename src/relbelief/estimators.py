@@ -7,21 +7,21 @@ marginal support.  Ties are never resolved silently: results carry the whole
 argmax set and a flag, because the optimality statements for these
 estimators assume a unique maximizer.
 
-Per-point answers read their point's row of tables derived from the tables
-they came from (their *source*): the model's cached
-:class:`SampleSpaceTables` for a matrix model, the one-point tables of a
-callback's point, or a public :class:`BeliefTables` itself.  The derived
-tables are the tie masks of ``rb`` and ``marg_post`` (one byte per cell)
-and their rankings (the values in stable descending order and the
-posterior mass accumulated along it, 16 bytes per cell).  Each is built a
-block of points at a time on the first read of that block, and kept on the
-source; so a one-point query on a large model builds one block.  A tie-mask
-block holds at most :data:`relbelief.model.BLOCK_CELLS` cells and a ranking
-block, which sorts each of its rows, 16 times fewer.  The LRSE at ``x`` *is*
-entry ``x`` of :func:`lrse_rule`.  A Bayes rule ranks its point's posterior
-gains, :func:`relbelief.losses._posterior_gain`: under the prior-based
-loss these are the ratio, so it reads the LRSE's tie row; any other gain is
-ranked per call.
+Per-point answers rank one criterion at their point (``rb``, ``marg_post``
+or a loss's posterior gain, :func:`relbelief.losses._posterior_gain`)
+through one accessor, :func:`_row`.  Tables that
+:func:`relbelief.model.belief_tables` cuts from a whole-sample-space table
+of more than one point keep it as their *source*; their ``rb`` and
+``marg_post`` rows are read from tables derived from it and kept on it:
+tie masks (one byte per cell) and rankings (the values in stable
+descending order and the posterior accumulated along it, 16 bytes per
+cell), each built a block of points at a time on the first read of that
+block.  A tie-mask block holds at most :data:`relbelief.model.BLOCK_CELLS`
+cells and a ranking block 16 times fewer.  The LRSE at ``x`` *is* entry
+``x`` of :func:`lrse_rule`, and under the prior-based loss the gain is
+the tables' own ``rb``, so a Bayes rule reads the LRSE's tie row.  Every
+other gain, and every criterion of one-point tables (a callback's point,
+a one-column model, the public :class:`BeliefTables`), is ranked per call.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossSpec, _posterior_gain, _times_h, check_rule
-from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _points, _rows_per_block,
-                    _source_column, sample_space_tables)
+from .model import (BeliefTables, FiniteModel, _cached, _frozen, _fsum, _rows_per_block,
+                    sample_space_tables)
 
 TIE_RTOL = 1e-12
 
@@ -81,31 +81,31 @@ def _block(source, name: str, kind: str, start: int, rows: int):
     blocks = _cached(source, f"_{name}_{kind}", dict)
     built = blocks.get(start)
     if built is None:
-        values = _points(getattr(source, name))[start:start + rows]
+        values = getattr(source, name)[:, start:start + rows].T
         if kind == "ties":
             built = _frozen(_tie_mask(values))
         else:
-            ranked, cum = _rank(values, _points(source.marg_post)[start:start + rows])
+            ranked, cum = _rank(values, source.marg_post[:, start:start + rows].T)
             built = _frozen(ranked), _frozen(cum)
         built = blocks.setdefault(start, built)
     return built
 
 
-def _derived(tables: BeliefTables, name: str, kind: str):
-    """``tables``'s row of the ``kind`` table derived from its source's ``name`` table."""
-    source, col = _source_column(tables)
+def _row(tables: BeliefTables, values: np.ndarray, kind: str):
+    """The ``kind`` row (see :func:`_block`) of the criterion ``values`` at ``tables``' point.
+
+    The tables' own ``rb`` or ``marg_post`` is read from their source's
+    cached block when they keep a source; any other criterion, or any
+    criterion of tables without a source, is derived for this call.
+    """
+    source = tables.__dict__.get("_source")
+    name = "rb" if values is tables.rb else "marg_post" if values is tables.marg_post else None
+    if source is None or name is None:
+        return _tie_mask(values) if kind == "ties" else _rank(values, tables.marg_post)
     rows = _rows_per_block(tables.n_psi * (1 if kind == "ties" else _RANKING_CELL_BYTES))
-    i = col % rows
-    block = _block(source, name, kind, col - i, rows)
+    i = tables._column % rows
+    block = _block(source, name, kind, tables._column - i, rows)
     return block[i] if kind == "ties" else (block[0][i], block[1][i])
-
-
-def _gain_row(tables: BeliefTables, gain: np.ndarray, kind: str):
-    """The ``kind`` row of a posterior gain: the cached row when the gain is
-    the tables' own ratio (the prior-based loss), else built for this call."""
-    if gain is tables.rb:
-        return _derived(tables, "rb", kind)
-    return _tie_mask(gain) if kind == "ties" else _rank(gain, tables.marg_post)
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,14 @@ def _estimate(labels, values: np.ndarray, ties: np.ndarray) -> EstimateResult:
     return EstimateResult(argmax_set, labels[argmax_set[0]], float(values[argmax_set[0]]))
 
 
-def _column_estimate(tables: BeliefTables, name: str) -> EstimateResult:
-    return _estimate(tables.psi_labels, getattr(tables, name), _derived(tables, name, "ties"))
-
-
 def lrse(tables: BeliefTables) -> EstimateResult:
     """Least relative surprise estimator: argmax of the relative belief ratio."""
-    return _column_estimate(tables, "rb")
+    return _estimate(tables.psi_labels, tables.rb, _row(tables, tables.rb, "ties"))
 
 
 def map_estimate(tables: BeliefTables) -> EstimateResult:
     """MAP estimator: argmax of the marginal posterior."""
-    return _column_estimate(tables, "marg_post")
+    return _estimate(tables.psi_labels, tables.marg_post, _row(tables, tables.marg_post, "ties"))
 
 
 def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
@@ -157,7 +153,7 @@ def bayes_rule(loss: LossSpec, tables: BeliefTables) -> EstimateResult:
     the other estimators.
     """
     gain, total = _posterior_gain(loss, tables)
-    argmax_set = tuple(_gain_row(tables, gain, "ties").nonzero()[0].tolist())
+    argmax_set = tuple(_row(tables, gain, "ties").nonzero()[0].tolist())
     best = argmax_set[0]
     return EstimateResult(argmax_set, tables.psi_labels[best], float(-(total - gain[best])))
 

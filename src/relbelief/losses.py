@@ -229,7 +229,7 @@ def _posterior_gain(loss: LossSpec, tables: BeliefTables) -> tuple[np.ndarray, f
     Bayes rules and LPL regions rank the gain, which orders the actions as
     the risk does without the rounding of the subtraction.  Under the
     prior-based loss the gain ``h * post`` is the belief ratio: the tables'
-    own ``rb``, whose tie masks and rankings are cached with the tables.
+    own ``rb``, whose rows :func:`relbelief.estimators._row` reads from a source.
     """
     if loss.kind == BALL:
         return _ball_mass(loss.radius, tables.psi_coords, tables.marg_post), 1.0

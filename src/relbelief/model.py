@@ -183,10 +183,10 @@ class FiniteModel:
     The marginal prior and :func:`sample_space_tables` are computed on first
     use and cached on the instance; both are read-only.  The cache lives as
     long as the model: the tables' three ``(n_psi, n_x)`` arrays can take up
-    to three times the memory of the likelihood table.  Per-point answers
-    add tables derived from them a block of points at a time, only for the
-    blocks they read: tie masks (one byte per cell) and rankings (about 16
-    bytes per cell), see :mod:`relbelief.estimators`.
+    to three times the memory of the likelihood table.  On a matrix of more
+    than one column, per-point answers add tables derived from them a block
+    of points at a time, only for the blocks they read: tie masks (one byte
+    per cell) and rankings (about 16 bytes per cell), see :mod:`relbelief.estimators`.
     """
 
     theta_labels: tuple[str, ...]
@@ -342,9 +342,9 @@ class BeliefTables:
         a pushed-forward probability vector and ``rb`` its quotient by the
         prior, all aligned over the model's psi support, and the kernel has
         checked the paper's two identities on every column at once.  So none
-        of the public constructor's checks is repeated here.  The two vectors
-        are column ``column`` of ``source``'s tables; per-point answers read
-        that column's row of the tables derived from ``source``.
+        of the public constructor's checks is repeated here.  Given a
+        ``source``, the two vectors are its column ``column``, and per-point
+        answers read that column's rows of the tables derived from it.
         """
         self = object.__new__(cls)
         self.__dict__.update(
@@ -363,20 +363,6 @@ class BeliefTables:
         return len(self.psi_labels)
 
 
-def _source_column(tables: BeliefTables):
-    """The tables that ``tables`` is a column of, and that column's index.
-
-    A column from the kernel names the kernel's tables; the public
-    constructor's tables are their own one column.
-    """
-    return tables.__dict__.get("_source", tables), tables.__dict__.get("_column", 0)
-
-
-def _points(values: np.ndarray) -> np.ndarray:
-    """A source's ``(n_psi, k)`` table as one row per point; a vector is one point."""
-    return values.reshape(len(values), -1).T
-
-
 # -- the posterior kernel ----------------------------------------------------
 
 
@@ -387,9 +373,10 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     :func:`sample_space_tables`.  A callback is asked for its one
     log-likelihood column at ``x`` (at ``x``'s index on a finite sample
     space), which runs through the same kernel uncached into one-column
-    tables.  Either way the result keeps the tables it is a column of, and
-    per-point answers read their column's row of the tie masks and rankings
-    derived from them.
+    tables.  The result keeps the tables it is a column of as its source
+    only when they hold more than one point; per-point answers then read its
+    column's rows of the tie masks and rankings derived from the source, and
+    otherwise rank each criterion per call, as each is read once.
 
     Raises
     ------
@@ -406,7 +393,8 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
     else:
         at = x if model.n_x is None else model.x_index(x)
         col, tabs = 0, _build_sample_space_tables(model, at)[0]
-    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col], tabs, col)
+    source = tabs if tabs.rb.shape[1] > 1 else None
+    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col], source, col)
 
 
 @dataclass(frozen=True)
@@ -415,10 +403,11 @@ class SampleSpaceTables:
 
     Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
     ``sampling[j, x]`` is the fiber-averaged sampling probability of ``x``
-    when the j-th marginal value is true.  Tables derived from these are
-    kept on the instance, like the model's own cache: the tie masks and
-    rankings of ``rb`` and ``marg_post``, each built a block of columns at a
-    time on the first read of that block (see :mod:`relbelief.estimators`).
+    when the j-th marginal value is true.  When they hold more than one
+    point, tables derived from them are kept on the instance, like the
+    model's own cache: the tie masks and rankings of ``rb`` and
+    ``marg_post``, each built a block of columns at a time on the first read
+    of that block (see :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)

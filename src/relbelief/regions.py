@@ -7,12 +7,11 @@ Including boundary ties can push the attained mass above the request, so the
 sweep restricts itself to "attainable" credibility levels, where the
 attained mass equals the request exactly.
 
-The ranking of the belief ratio and of the posterior, with the posterior
-mass accumulated down it, is read from the tables' source, where it is built
-a block of points at a time and kept (see :mod:`relbelief.estimators`).  So
-RS and HPD regions and the attainable levels sort nothing per call, and
-neither does an LPL region under the prior-based loss, which ranks the
-ratio; the gains of every other loss are ranked per call.
+Each region ranks its criterion through :func:`relbelief.estimators._row`,
+which reads the ranking of the ratio or the posterior from the tables'
+source when they keep one.  So on a matrix model of more than one point,
+RS and HPD regions, the attainable levels and an LPL region under the
+prior-based loss, which ranks the ratio, sort nothing per call.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
-from .estimators import _derived, _gain_row, _tie_tol
+from .estimators import _row, _tie_tol
 from .losses import CAPPED, LossSpec, _posterior_gain
 from .model import BeliefTables, _fsum
 
@@ -52,15 +51,13 @@ class CredibleRegion:
 
 
 def _ranked_region(
-    values: np.ndarray, masses: np.ndarray, ranking, gamma: float
+    tables: BeliefTables, values: np.ndarray, gamma: float
 ) -> tuple[list[int], float, float]:
-    """Members, threshold and attained mass of the super-level region of
-    ``values`` holding posterior mass >= gamma; :class:`CredibleRegion` checks gamma.
-
-    ``ranking`` is ``values``' row from :func:`relbelief.estimators._rank`:
-    the values ranked, and ``masses`` accumulated down the ranking.
+    """Members, threshold and attained mass of the super-level region of the
+    criterion ``values`` holding posterior mass >= gamma; :class:`CredibleRegion`
+    checks gamma.  ``values`` is ranked as :func:`relbelief.estimators._row` ranks it.
     """
-    ranked, cum = ranking
+    ranked, cum = _row(tables, values, "ranking")
     if gamma >= 1.0 - GAMMA_TOL:
         # Full credibility is the whole support; the cumulative-mass search
         # below could drop members whose posterior mass rounds away.
@@ -71,7 +68,7 @@ def _ranked_region(
     threshold = float(ranked[hit])
     keep = values >= threshold - _tie_tol(ranked[0], ranked[-1])
     # fsum rounds the exact sum of the members' masses, whatever their order.
-    return keep.nonzero()[0].tolist(), threshold, _fsum(masses[keep])
+    return keep.nonzero()[0].tolist(), threshold, _fsum(tables.marg_post[keep])
 
 
 def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -79,14 +76,12 @@ def hpd_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
 
     As gamma drops to zero the region shrinks to the posterior mode set.
     """
-    return CredibleRegion(float(gamma), *_ranked_region(
-        tables.marg_post, tables.marg_post, _derived(tables, "marg_post", "ranking"), gamma))
+    return CredibleRegion(float(gamma), *_ranked_region(tables, tables.marg_post, gamma))
 
 
 def rs_region(tables: BeliefTables, gamma: float) -> CredibleRegion:
     """Relative-surprise region: super-level set of the belief ratio."""
-    return CredibleRegion(float(gamma), *_ranked_region(
-        tables.rb, tables.marg_post, _derived(tables, "rb", "ranking"), gamma))
+    return CredibleRegion(float(gamma), *_ranked_region(tables, tables.rb, gamma))
 
 
 def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRegion:
@@ -98,8 +93,7 @@ def lpl_region(loss: LossSpec, tables: BeliefTables, gamma: float) -> CredibleRe
     region).
     """
     gain, total = _posterior_gain(loss, tables)
-    members, threshold, attained = _ranked_region(
-        gain, tables.marg_post, _gain_row(tables, gain, "ranking"), gamma)
+    members, threshold, attained = _ranked_region(tables, gain, gamma)
     return CredibleRegion(float(gamma), members, float(total - threshold), attained)
 
 
@@ -123,10 +117,10 @@ def attainable_gammas(tables: BeliefTables, family: str = "rs") -> np.ndarray:
     ranking's tie classes; at any of them the constructed region holds
     exactly that much posterior mass.
     """
-    names = {"rs": "rb", "hpd": "marg_post"}
-    if family not in names:
+    criteria = {"rs": tables.rb, "hpd": tables.marg_post}
+    if family not in criteria:
         raise InvariantViolation(f"unknown region family {family!r}")
-    ranked, cum = _derived(tables, names[family], "ranking")
+    ranked, cum = _row(tables, criteria[family], "ranking")
     # The last position of each tie class: the next value ranks strictly lower.
     return cum[np.append(ranked[1:] < ranked[:-1] - _tie_tol(ranked[0], ranked[-1]), True)]
 

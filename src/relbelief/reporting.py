@@ -1,8 +1,9 @@
 """CSV reports with mirrored JSON documents.
 
 CSV is the canonical report format: a header row, '.' decimal separator,
-12 significant digits.  Every report is also mirrored as a JSON document
-with the same columns and rows for programmatic use.
+12 significant digits, and a text field holding a comma, a double quote or
+a line break quoted as RFC 4180 says.  Every report is also mirrored as a
+JSON document with the same columns and rows for programmatic use.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ def format_value(value) -> str:
         return format(value, ".12g")
     if value is None:
         return ""
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):  # RFC 4180: quote the field, double its quotes
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_report(base: str | Path, columns: list[str], rows: list[list]) -> list[Path]:

@@ -9,7 +9,9 @@ manifest lists and nothing to stderr, and a failed run nothing but the
 manifest.  Every process runs under ``-X dev -W error::ResourceWarning
 -W error::RuntimeWarning``, so a file or other resource left for exit-time
 cleanup prints to stderr, and a numpy overflow or invalid operation fails
-the case.
+the case.  The first entry of each process's ``PYTHONPATH`` holds a
+``scipy`` package that raises ``ImportError``, so a case fails if the
+command line imports scipy, which the runtime does not depend on.
 ``tests/test_cli_cases.py`` runs the same rows in-process, with these checks.
 
 Only the standard library is imported, so this runs wherever the package
@@ -28,6 +30,7 @@ from pathlib import Path
 TABLE = json.loads(Path(__file__).with_name("cli_cases.json").read_text(encoding="utf-8"))
 CASES = TABLE["cases"]
 STATUS = {0: "ok", 2: "validation-error", 1: "error"}
+NO_SCIPY = 'raise ImportError("relbelief runs on numpy alone; scipy is only a test extra")\n'
 
 
 def write_files(directory: Path) -> None:
@@ -68,10 +71,13 @@ def problems(case, code: int, out: str, err: str, directory: Path) -> list:
 
 def run_fresh(case, directory: Path) -> list:
     """Run ``case`` as a new process in ``directory``; its :func:`problems`."""
+    blocker = directory.absolute() / "no-scipy"
+    (blocker / "scipy").mkdir(parents=True, exist_ok=True)
+    (blocker / "scipy" / "__init__.py").write_text(NO_SCIPY)
     env = dict(os.environ)
-    if env.get("PYTHONPATH"):  # relative entries would resolve against the case directory
-        env["PYTHONPATH"] = os.pathsep.join(
-            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep) if p)
+    # Relative entries would resolve against the case directory.
+    paths = [os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([str(blocker), *paths])
     flags = ["-X", "dev", "-W", "error::ResourceWarning", "-W", "error::RuntimeWarning"]
     proc = subprocess.run([sys.executable, *flags, "-m", "relbelief", *argv(case)],
                           cwd=directory, env=env, capture_output=True, encoding="utf-8",

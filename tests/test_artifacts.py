@@ -7,6 +7,7 @@ before, and that a failing write ends the run with a message, not a
 traceback.
 """
 
+import csv
 import json
 import math
 import struct
@@ -63,6 +64,38 @@ class TestWriteText:
         path.write_text(before)
         write_text(path, text)
         assert path.read_bytes() == expected.read_bytes()
+
+
+class TestCsvQuoting:
+    LABELS = ["low, high", 'say "hi"', "two\nlines", "carriage\rreturn"]
+
+    @staticmethod
+    def read_csv(path) -> list[list[str]]:
+        with open(path, newline="", encoding="utf-8") as f:
+            return list(csv.reader(f))
+
+    def test_text_fields_parse_back_to_the_header_width(self, tmp_path):
+        folder = tmp_path / "models, one"
+        folder.mkdir()
+        model = folder / "m.json"
+        model.write_text(json.dumps({
+            "theta": self.LABELS, "prior": [0.1, 0.2, 0.3, 0.4], "psi_map": self.LABELS,
+            "likelihood": [[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]]}))
+        runs = {"estimate-0": ["estimate", "--x", "0", "--estimator", "lrse"],
+                "estimate-1": ["estimate", "--x", "1", "--estimator", "lrse"],
+                "region": ["region", "--x", "0", "--family", "rs", "--gamma", "1"],
+                "validate": ["validate"]}
+        tables = {}
+        for name, argv in runs.items():
+            outdir = tmp_path / name
+            assert run(["--output-dir", str(outdir), *argv, "--model", str(model)]) == 0
+            (report,) = outdir.glob("*.csv")
+            header, *rows = tables[name] = self.read_csv(report)
+            assert rows and all(len(row) == len(header) for row in rows), report
+        assert [row[4] for row in tables["estimate-0"][1:] + tables["estimate-1"][1:]] == [
+            self.LABELS[0], self.LABELS[3]]
+        assert [row[5] for row in tables["region"][1:]] == self.LABELS
+        assert tables["validate"][1:] == [[str(model), "ok"]]
 
 
 class TestRewrittenArtifacts:

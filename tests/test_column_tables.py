@@ -1,13 +1,15 @@
 """Per-point answers on tables derived a block of points at a time, against the per-point code.
 
-Per-point answers read one row of a tie mask or a ranking derived from
-their source: the model's cached sample-space tables, a callback's
-one-column tables, or a public ``BeliefTables`` itself.  The derived tables
-are built a block of points at a time; the properties below shrink the
-block so that the points span several blocks, the last maybe partial.
-Bayes rules, LPL regions and posterior risks of interleaved losses are
-checked on the same sources.  The oracles below compute each answer from
-one column alone, and every field must be exactly equal.
+Per-point answers on a column of a matrix model of more than one point read
+one row of a tie mask or a ranking derived from the model's cached
+sample-space tables, their source.  The derived tables are built a block of
+points at a time; the properties below shrink the block so that the points
+span several blocks, the last maybe partial.  Tables of one point (a
+callback's point, a one-column model, the public ``BeliefTables``) keep no
+source and derive each row per call, with the same bits.  Bayes rules, LPL
+regions and posterior risks of interleaved losses are checked on the same
+sources.  The oracles below compute each answer from one column alone, and
+every field must be exactly equal.
 """
 
 import dataclasses
@@ -39,7 +41,7 @@ from relbelief import (
 )
 from relbelief.estimators import TIE_RTOL, _block, _tie_mask
 from relbelief.losses import posterior_risk_vector
-from relbelief.model import _rows_per_block, _source_column
+from relbelief.model import _rows_per_block
 from conftest import oracle_h
 from test_per_point_path import (
     assert_identical,
@@ -143,7 +145,7 @@ def test_interleaved_losses_equal_the_oracle(model, data, gamma, eta):
     with blocks_of(block_cells(data, model)):
         for x, k in data.draw(st.permutations(pairs)):
             loss, want = losses[k], wants[x]
-            for tables in (belief_tables(model, x), want):  # a kernel column; its own source
+            for tables in (belief_tables(model, x), want):  # with a source; without
                 if loss is None:
                     assert_loss_free_answers(tables, want, gamma)
                     continue
@@ -173,8 +175,7 @@ def test_prior_based_answers_are_the_ratio_answers_at_a_subnormal_fiber(weight):
 
 def derived_blocks(source) -> dict:
     """The start point of every derived block kept on ``source``, by table."""
-    return {key: sorted(blocks) for key, blocks in vars(source).items()
-            if key in {f"_{name}_{kind}" for name, kind in DERIVED}}
+    return {key: sorted(blocks) for key, blocks in vars(source).items() if key.startswith("_")}
 
 
 def test_a_one_point_query_builds_one_block_of_each_table():
@@ -242,23 +243,45 @@ def assert_derived_tables(source):
                 arr[0, 0] = 0
 
 
-def read_every_table(tables):
-    pb = LossSpec.prior_based()
-    lrse(tables), map_estimate(tables), bayes_rule(pb, tables)
-    rs_region(tables, 0.5), hpd_region(tables, 0.5), lpl_region(pb, tables, 0.5)
+def losses_for(tables) -> list:
+    losses = [LossSpec.prior_based(), LossSpec.zero_one(), LossSpec.capped(0.2),
+              LossSpec.weighted([1.0 + j for j in range(tables.n_psi)])]
+    return losses + ([LossSpec.ball(1.0)] if tables.psi_coords is not None else [])
+
+
+def answers(tables, gamma=0.5) -> list:
+    """Every per-point answer of ``tables``: estimates, regions, tail
+    probabilities, attainable levels, and each loss's rule, region and risks."""
+    got = [lrse(tables), map_estimate(tables), rs_region(tables, gamma), hpd_region(tables, gamma),
+           *(tail_probability(tables, j) for j in range(tables.n_psi)),
+           *(attainable_gammas(tables, family).tobytes() for family in ("rs", "hpd"))]
+    for loss in losses_for(tables):
+        got += [bayes_rule(loss, tables), lpl_region(loss, tables, gamma),
+                posterior_risk_vector(loss, tables).tobytes()]
+    return got
+
+
+def assert_same_answers(got: list, want: list):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if dataclasses.is_dataclass(b):
+            assert_identical(a, b)
+        else:
+            assert type(a) is type(b) and repr(a) == repr(b)
 
 
 def test_derived_tables_are_read_only_and_built_once():
-    model = small_model()
+    model = dataclasses.replace(small_model(), psi_coords=[0.0, 1.0])
     tabs = sample_space_tables(model)
-    assert _source_column(belief_tables(model, 1)) == (tabs, 1)
+    assert vars(belief_tables(model, 1))["_source"] is tabs
     rows = _rows_per_block(model.n_psi)
     blocks = {key: _block(tabs, *key, 0, rows) for key in DERIVED}
     for x in range(model.n_x):
-        read_every_table(belief_tables(model, x))
-    lrse_rule(model), map_rule(model), attainable_gammas(belief_tables(model, 0), "hpd")
+        answers(belief_tables(model, x))
+    lrse_rule(model), map_rule(model)
     for key, block in blocks.items():
         assert _block(tabs, *key, 0, rows) is block
+    # Capped, weighted and ball gains are ranked per call, so nothing else is kept.
     assert derived_blocks(tabs) == {f"_{name}_{kind}": [0] for name, kind in DERIVED}
     assert_derived_tables(tabs)
 
@@ -266,11 +289,11 @@ def test_derived_tables_are_read_only_and_built_once():
 def test_replaced_model_and_tables_get_fresh_derived_tables():
     model = small_model()
     tabs = sample_space_tables(model)
-    read_every_table(belief_tables(model, 0))
+    answers(belief_tables(model, 0))
 
     other = dataclasses.replace(model, prior=[0.6, 0.2, 0.2])
     other_tabs = sample_space_tables(other)
-    read_every_table(belief_tables(other, 0))
+    answers(belief_tables(other, 0))
     for name, kind in DERIVED:
         key = f"_{name}_{kind}"
         assert getattr(other_tabs, key)[0] is not getattr(tabs, key)[0]
@@ -279,26 +302,45 @@ def test_replaced_model_and_tables_get_fresh_derived_tables():
         oracle_belief_tables(other, 0), oracle_belief_tables(other, 0).rb))
 
     tables = belief_tables(model, 0)
-    copy = dataclasses.replace(tables)
-    assert _source_column(copy) == (copy, 0)  # the public constructor: its own source
+    copy = dataclasses.replace(tables)  # the public constructor: one point, no source
+    assert_same_answers(answers(copy), answers(tables))
     assert derived_blocks(copy) == {}
-    read_every_table(copy)
-    assert derived_blocks(copy) == {f"_{name}_{kind}": [0] for name, kind in DERIVED}
-    assert copy._rb_ties[0] is not tabs._rb_ties[0]
-    assert_derived_tables(copy)
-    assert_identical(lrse(copy), lrse(tables))
-    assert_identical(rs_region(copy, 0.5), rs_region(tables, 0.5))
 
 
-def test_public_tables_are_their_own_one_column_source():
-    tables = BeliefTables(marg_prior=[0.5, 0.25, 0.25], marg_post=[0.25, 0.5, 0.25],
-                          rb=[0.5, 2.0, 1.0], psi_labels=("a", "b", "c"))
-    assert _source_column(tables) == (tables, 0)
-    assert lrse(tables).argmax_set == (1,)
-    assert tables._rb_ties[0].shape == (1, 3)
-    ties = tables._rb_ties[0]
-    assert bayes_rule(LossSpec.prior_based(), tables).argmax_set == (1,)  # the LRSE's tie row
-    assert rs_region(tables, 0.5).members == (1,)
-    assert derived_blocks(tables) == {"_rb_ties": [0], "_rb_ranking": [0]}
-    assert tables._rb_ties[0] is ties
-    assert_derived_tables(tables)
+def rebuilt(model, likelihood) -> FiniteModel:
+    """``model`` with another likelihood; models rebuilt from one model share their prior's bits."""
+    return FiniteModel(model.theta_labels, model.prior, likelihood, model.psi_map,
+                       model.psi_labels, psi_coords=model.psi_coords)
+
+
+def test_one_point_tables_keep_no_derived_blocks():
+    # With likelihoods of 0 and 1, a matrix column and its log-likelihood
+    # scale to the same doubles, so a density's point has the column's bits.
+    lik = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    base = FiniteModel(theta_labels=tuple("abcde"), prior=[0.1, 0.15, 0.2, 0.25, 0.3],
+                       likelihood=lik, psi_map=[0, 0, 1, 2, 2], psi_labels=("p", "q", "r"),
+                       psi_coords=[0.0, 0.5, 2.0])
+    model = rebuilt(base, lik)
+    for x in range(model.n_x):
+        want = belief_tables(model, x)
+        with np.errstate(divide="ignore"):
+            logs = np.log(lik[:, x])
+        one_column = rebuilt(base, lik[:, [x]])  # as a grid's model is
+        points = [
+            BeliefTables(want.marg_prior, want.marg_post, want.rb, want.psi_labels, want.psi_coords),
+            belief_tables(rebuilt(base, lambda _, logs=logs: logs), 0.5),
+            belief_tables(one_column, 0),
+        ]
+        for tables in points:
+            assert_same_answers(answers(tables), answers(want))
+            assert derived_blocks(tables) == {}
+        assert derived_blocks(sample_space_tables(one_column)) == {}
+
+
+@given(model=finite_models())
+@settings(max_examples=100, deadline=None)
+def test_every_point_answers_as_a_one_column_copy(model):
+    full = rebuilt(model, model.likelihood)
+    for x in range(model.n_x):
+        copy = belief_tables(rebuilt(model, model.likelihood[:, [x]]), 0)
+        assert_same_answers(answers(belief_tables(full, x)), answers(copy))

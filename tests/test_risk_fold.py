@@ -41,7 +41,7 @@ from relbelief import (
     lpl_region,
     rs_region,
 )
-from relbelief.estimators import TIE_RTOL, _rank, _tie_mask
+from relbelief.estimators import TIE_RTOL, _tie_mask
 from relbelief.losses import _ball_mass, posterior_risk_vector
 from relbelief.regions import _ranked_region
 from conftest import model_corpus, oracle_h
@@ -134,8 +134,7 @@ def test_fold_matches_the_five_branch_risk(model):
             continue
         assert bayes_rule(loss, tables).argmax_set == tuple(np.flatnonzero(_tie_mask(-want)))
         for gamma in GAMMAS:
-            ranking = _rank(-want, tables.marg_post)
-            members = tuple(_ranked_region(-want, tables.marg_post, ranking, gamma)[0])
+            members = tuple(_ranked_region(tables, -want, gamma)[0])
             assert lpl_region(loss, tables, gamma).members == members, (loss, gamma)
 
 
