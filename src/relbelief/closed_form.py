@@ -247,17 +247,39 @@ class BetaBernoulliPredictor:
     f_ratio: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise InvariantViolation("alpha and beta must be finite")
-        if not (self.alpha > 0 and self.beta > 0):
-            raise InvariantViolation("Beta parameters must be positive")
-        if self.n < 0 or not 0.0 <= self.cbar <= 1.0:
-            raise InvariantViolation("need n >= 0 and class mean in [0, 1]")
+        checked = _checked_prior(self.alpha, self.beta, self.n)
+        for name, value in zip(("alpha", "beta", "n"), checked):
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.cbar <= 1.0:
+            raise InvariantViolation("need a class mean in [0, 1]")
         k = self.n * self.cbar  # the class-1 count, up to the rounding of cbar = k / n
         if abs(k - round(k)) > 4 * math.ulp(self.n):
             raise InvariantViolation(f"cbar must be a count over n, but n * cbar = {k!r}")
         if not self.f_ratio >= 0:
             raise InvariantViolation("likelihood ratio must lie in [0, inf]")
+
+
+def _integer(name: str, value) -> int:
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvariantViolation(f"{name} must be an integer, got {value!r}")
+
+
+def _checked_prior(alpha, beta, n) -> tuple[float, float, int]:
+    """A Beta(alpha, beta) prior and ``n`` training cases as two floats and an int, once checked."""
+    alpha, beta, n = float(alpha), float(beta), _integer("n", n)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvariantViolation("alpha and beta must be finite")
+    if not (alpha > 0 and beta > 0):
+        raise InvariantViolation("Beta parameters must be positive")
+    if n < 0:
+        raise InvariantViolation("training sample size cannot be negative")
+    if n > sys.float_info.max:  # its float would be inf
+        raise InvariantViolation("n must be finite as a double")
+    return alpha, beta, n
 
 
 def decision_statistic(method: str, alpha: float, beta: float, n: int, k):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation, UnknownPsi
 from .model import (BeliefTables, FiniteModel, SampleSpaceTables, _fsum, _rows_per_block,
-                    _whole_sample_space)
+                    sample_space_tables)
 
 ZERO_ONE = "zero-one"
 PRIOR_BASED = "prior-based"
@@ -258,7 +258,7 @@ def posterior_risk_vector(loss: LossSpec, tables: BeliefTables) -> np.ndarray:
 
 def check_rule(rule, model: FiniteModel) -> tuple[np.ndarray, SampleSpaceTables]:
     """A decision rule as one valid psi index per sample point, and the model's tables."""
-    tabs = _whole_sample_space(model)[0]  # InfiniteSampleSpace for a density
+    tabs = sample_space_tables(model)  # InfiniteSampleSpace for a density
     arr = np.asarray(rule, dtype=np.intp)
     if arr.shape != (model.n_x,):
         raise InvariantViolation("decision rule must assign one psi per sample point")
@@ -272,10 +272,11 @@ def conditional_sampling_table(model: FiniteModel) -> np.ndarray:
 
     Row ``j`` is the distribution of the data when the j-th marginal value
     is true, averaging the per-theta sampling distributions under the prior
-    conditioned on the fiber: the kernel's ``sampling`` table (read-only).
+    conditioned on the fiber: the ``sampling`` table of the kernel's record
+    (read-only), whose ``theta_sums`` must each be one.
     """
-    tabs, theta_sums = _whole_sample_space(model)  # InfiniteSampleSpace for a density
-    if not np.all(np.abs(theta_sums - 1.0) <= 1e-9):
+    tabs = sample_space_tables(model)  # InfiniteSampleSpace for a density
+    if not np.all(np.abs(tabs.theta_sums - 1.0) <= 1e-9):
         raise InvariantViolation(
             "prior risk needs row-stochastic likelihoods (each theta a distribution over x)"
         )

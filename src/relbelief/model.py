@@ -331,33 +331,6 @@ class BeliefTables:
         if self.psi_coords is not None:
             object.__setattr__(self, "psi_coords", _checked_coords(self.psi_coords, n, "psi_coords"))
 
-    @classmethod
-    def _trusted(
-        cls, model: FiniteModel, marg_post: np.ndarray, rb: np.ndarray,
-        source: "SampleSpaceTables | None" = None, column: int = 0,
-    ) -> "BeliefTables":
-        """A column of the tables that the posterior kernel built from ``model``.
-
-        The model's marginal prior is positive and read-only, ``marg_post`` is
-        a pushed-forward probability vector and ``rb`` its quotient by the
-        prior, all aligned over the model's psi support, and the kernel has
-        checked the paper's two identities on every column at once.  So none
-        of the public constructor's checks is repeated here.  Given a
-        ``source``, the two vectors are its column ``column``, and per-point
-        answers read that column's rows of the tables derived from it.
-        """
-        self = object.__new__(cls)
-        self.__dict__.update(
-            marg_prior=model.marginal_prior(),
-            marg_post=_frozen(marg_post),
-            rb=_frozen(rb),
-            psi_labels=model.psi_labels,
-            psi_coords=model.psi_coords,
-        )
-        if source is not None:
-            self.__dict__.update(_source=source, _column=column)
-        return self
-
     @property
     def n_psi(self) -> int:
         return len(self.psi_labels)
@@ -367,14 +340,16 @@ class BeliefTables:
 
 
 def belief_tables(model: FiniteModel, x) -> BeliefTables:
-    """Belief tables at the observed ``x``.
+    """Belief tables at the observed ``x``: one column of the kernel's record.
 
-    On a matrix model these are column ``model.x_index(x)`` of the cached
-    :func:`sample_space_tables`.  A callback is asked for its one
+    On a matrix model the record is the cached :func:`sample_space_tables`
+    and the column is ``model.x_index(x)``.  A callback is asked for its one
     log-likelihood column at ``x`` (at ``x``'s index on a finite sample
-    space), which runs through the same kernel uncached into one-column
-    tables.  The result keeps the tables it is a column of as its source
-    only when they hold more than one point; per-point answers then read its
+    space), which runs through the same kernel uncached into a one-column
+    record.  The kernel has checked the paper's two identities on every
+    column at once, so none of the public constructor's checks is repeated:
+    the column is copied out, and the record is kept as the tables' source
+    only when it holds more than one point.  Per-point answers then read the
     column's rows of the tie masks and rankings derived from the source, and
     otherwise rank each criterion per call, as each is read once.
 
@@ -392,22 +367,30 @@ def belief_tables(model: FiniteModel, x) -> BeliefTables:
         col, tabs = model.x_index(x), sample_space_tables(model)
     else:
         at = x if model.n_x is None else model.x_index(x)
-        col, tabs = 0, _build_sample_space_tables(model, at)[0]
-    source = tabs if tabs.rb.shape[1] > 1 else None
-    return BeliefTables._trusted(model, tabs.marg_post[:, col], tabs.rb[:, col], source, col)
+        col, tabs = 0, _build_sample_space_tables(model, at)
+    tables = object.__new__(BeliefTables)
+    tables.__dict__.update(
+        marg_prior=model.marginal_prior(), marg_post=_frozen(tabs.marg_post[:, col]),
+        rb=_frozen(tabs.rb[:, col]), psi_labels=model.psi_labels, psi_coords=model.psi_coords,
+    )
+    if tabs.rb.shape[1] > 1:
+        tables.__dict__.update(_source=tabs, _column=col)
+    return tables
 
 
 @dataclass(frozen=True)
 class SampleSpaceTables:
-    """Belief tables at every point of a finite sample space at once.
+    """The kernel's one record: belief tables at every point of a finite sample space.
 
     Column ``x`` of ``marg_post`` and ``rb`` *is* ``belief_tables(model, x)``;
     ``sampling[j, x]`` is the fiber-averaged sampling probability of ``x``
-    when the j-th marginal value is true.  When they hold more than one
-    point, tables derived from them are kept on the instance, like the
-    model's own cache: the tie masks and rankings of ``rb`` and
-    ``marg_post``, each built a block of columns at a time on the first read
-    of that block (see :mod:`relbelief.estimators`).
+    when the j-th marginal value is true, and ``theta_sums[i]`` is theta
+    ``i``'s likelihood summed over the record's points, one for each theta
+    of a row-stochastic model.  When they hold more than one point, tables
+    derived from them are kept on the instance, like the model's own cache:
+    the tie masks and rankings of ``rb`` and ``marg_post``, each built a
+    block of columns at a time on the first read of that block (see
+    :mod:`relbelief.estimators`).
     """
 
     evidence: np.ndarray  # (n_x,)
@@ -415,30 +398,27 @@ class SampleSpaceTables:
     sampling: np.ndarray  # (n_psi, n_x)
     marg_post: np.ndarray  # (n_psi, n_x)
     rb: np.ndarray  # (n_psi, n_x)
+    theta_sums: np.ndarray  # (n_theta,)
 
 
 def sample_space_tables(model: FiniteModel) -> SampleSpaceTables:
-    """Evidence, sampling table, posterior and ratio for every ``x`` in one pass.
+    """Evidence, sampling table, posterior, ratio and theta sums for every ``x`` in one pass.
 
-    The tables are built once per model and cached on it, so every sweep
-    and every single-point query on the same model shares them; a finite log
-    source is read in one call.  Raises :class:`InfiniteSampleSpace` for a
-    density callback, :class:`ZeroEvidence` if some ``x`` is impossible and
+    The record is built once per model and cached on it, so every sweep,
+    every single-point query and every check on the same model shares it; a
+    finite log source is read in one call.  Raises
+    :class:`InfiniteSampleSpace` for a density callback,
+    :class:`ZeroEvidence` if some ``x`` is impossible and
     :class:`InvariantViolation` if some ratio is past the largest double.
     """
-    return _whole_sample_space(model)[0]
-
-
-def _whole_sample_space(model: FiniteModel) -> tuple[SampleSpaceTables, np.ndarray]:
-    """The cached tables of every column, and each theta's total likelihood."""
     if model.n_x is None:
         raise InfiniteSampleSpace("model has a density callback, not a finite sample space")
     return _cached(model, "_sample_space_tables",
                    lambda: _build_sample_space_tables(model, np.arange(model.n_x)))
 
 
-def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTables, np.ndarray]:
-    """Belief tables of a block of columns, and each theta's likelihood summed over them.
+def _build_sample_space_tables(model: FiniteModel, at) -> SampleSpaceTables:
+    """The kernel: one read-only record of the belief tables of a block of columns.
 
     A matrix is read whole, a callback at ``at``: a density's observed point
     or a finite log source's column indices.  A matrix column below one half
@@ -465,7 +445,8 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
         e = np.clip(np.ceil(top / np.log(2.0)), -4096, 4096).astype(np.intp)
         rest = np.exp(np.minimum(top - e * np.log(2.0), 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN sum fails every check
-        theta_sums = model.likelihood.sum(axis=1) if model.is_table else scaled @ np.ldexp(rest, e)
+        theta_sums = _frozen(model.likelihood.sum(axis=1) if model.is_table
+                             else scaled @ np.ldexp(rest, e))
     n_psi, k = model.n_psi, scaled.shape[1]
     # One bincount over (psi, x) cells adds each fiber in theta order.
     cells = (model.psi_map[:, None] * k + np.arange(k)).ravel()
@@ -499,7 +480,7 @@ def _build_sample_space_tables(model: FiniteModel, at) -> tuple[SampleSpaceTable
     _check_identities(marg_prior, rb)
     with np.errstate(over="ignore"):
         undone = [_frozen(np.ldexp(v * rest, e)) for v in (evidence, sampling)]
-    return SampleSpaceTables(undone[0], marg_prior, undone[1], marg_post, _frozen(rb)), theta_sums
+    return SampleSpaceTables(undone[0], marg_prior, undone[1], marg_post, _frozen(rb), theta_sums)
 
 
 def _check_identities(marg_prior: np.ndarray, rb: np.ndarray) -> None:

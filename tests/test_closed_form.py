@@ -449,6 +449,18 @@ class TestClassCountsAndExtremes:
         with pytest.raises(InvariantViolation, match="^cbar must be a count over n"):
             BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=n, cbar=cbar, f_ratio=1.0)
 
+    @pytest.mark.parametrize("n,match", [
+        (2.5, "n must be an integer"), (np.inf, "n must be an integer"),
+        (-1, "cannot be negative"), (10**400, "n must be finite"),
+    ])
+    def test_training_count_is_checked(self, n, match):
+        with pytest.raises(InvariantViolation, match=match):
+            BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=n, cbar=0.0, f_ratio=1.0)
+
+    def test_an_integral_float_count_is_read_as_an_int(self):
+        model = BetaBernoulliPredictor(alpha=1, beta=2, n=10.0, cbar=0.3, f_ratio=1.0)
+        assert (model.alpha, model.beta, model.n) == (1.0, 2.0, 10) and type(model.n) is int
+
     def test_every_rounded_count_is_accepted(self):
         BetaBernoulliPredictor(alpha=1.0, beta=1.0, n=10, cbar=0.3, f_ratio=1.0)
         for n in range(1, 300):
@@ -514,3 +526,13 @@ class TestNormalNormalTestbed:
     def test_parameters_validated(self):
         with pytest.raises(InvariantViolation):
             NormalNormalTestbed(tau=-1.0)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: classify(BinomialClassifier(0.2, 0.7, 0.1), 2, "lrse"), "observation must be 0 or 1"),
+    (lambda: classify(BinomialClassifier(0.2, 0.7, 0.1), 1, "mle"), "unknown method 'mle'"),
+    (lambda: decision_statistic("mle", 1.0, 1.0, 5, 2), "unknown method 'mle'"),
+], ids=["classify-x-2", "classify-method", "statistic-method"])
+def test_refusals(call, match):
+    with pytest.raises(InvariantViolation, match=match):
+        call()

@@ -31,7 +31,7 @@ from relbelief.estimators import lrse, map_estimate
 import relbelief.discretize as discretize
 import relbelief.quadrature as quadrature
 from relbelief.cli import run
-from relbelief.discretize import check_peak_separation
+from relbelief.discretize import RegularGrid, check_peak_separation
 from relbelief.quadrature import integrate_bins
 from relbelief.regions import lpl_region, rs_region
 from posterior_oracle import normal_posterior
@@ -548,3 +548,19 @@ class TestGridSizeLimit:
         monkeypatch.setattr(discretize, "integrate_bins", None)
         with pytest.raises(InvariantViolation, match="need 101 bins together, more than 100$"):
             discretize._build_grids(uniform_model(), 0.0, [1 / 61, 1 / 53, 1 / 59, 1 / 49])
+
+
+def unit_grid() -> RegularGrid:
+    return RegularGrid(lam=0.5, edges=np.array([0.0, 0.5, 1.0]),
+                       representatives=np.array([0.25, 0.75]), bin_prior=np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: ContinuousModel1D(prior_density=np.ones_like, likelihood=lambda t, x: t * 0.0,
+                               support=(1.0, 1.0)), "support must be a finite interval"),
+    (lambda: eta_schedule(unit_grid(), 2), "lrse_bin out of range"),
+    (lambda: eta_schedule(unit_grid(), -1), "lrse_bin out of range"),
+], ids=["empty-support", "bin-past-the-end", "negative-bin"])
+def test_refusals(call, match):
+    with pytest.raises(InvariantViolation, match=match):
+        call()

@@ -21,8 +21,8 @@ from relbelief import (
     unbiasedness_gap,
 )
 from relbelief.estimators import lrse_rule, map_rule
-from relbelief.losses import conditional_sampling_table, loss_matrix, posterior_risk_vector
-from relbelief.model import _whole_sample_space
+from relbelief.losses import (WEIGHTED, RiskReport, check_rule, conditional_sampling_table,
+                              loss_matrix, posterior_risk_vector)
 from conftest import model_corpus
 
 
@@ -248,8 +248,8 @@ def test_prior_risk_checks_the_risk_against_the_kernel_ratio():
                         likelihood=[[0.2, 0.8], [0.6, 0.4], [0.5, 0.5]],
                         psi_map=[0, 1, 2], psi_labels=("a", "b", "c"))
     prior_risk(LossSpec.prior_based(), lrse_rule(model), model)  # the true tables pass
-    tabs, theta_sums = _whole_sample_space(model)
-    model.__dict__["_sample_space_tables"] = (dataclasses.replace(tabs, rb=tabs.rb * 1.001), theta_sums)
+    tabs = sample_space_tables(model)
+    model.__dict__["_sample_space_tables"] = dataclasses.replace(tabs, rb=tabs.rb * 1.001)
     with pytest.raises(InvariantViolation, match="expected chosen ratio"):
         prior_risk(LossSpec.prior_based(), lrse_rule(model), model)
 
@@ -363,3 +363,24 @@ class TestPriorBelowTheReciprocalRange:
         assert not np.isnan(table).any()
         np.testing.assert_array_equal(np.diag(table), 0.0)
         assert table[2, 0] == table[2, 1] == np.inf
+
+
+def two_point_model() -> FiniteModel:
+    return FiniteModel(theta_labels=("a", "b"), prior=[0.5, 0.5],
+                       likelihood=[[0.7, 0.3], [0.2, 0.8]], psi_map=[0, 1], psi_labels=("a", "b"))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: check_rule([0], two_point_model()), InvariantViolation, "one psi per sample point"),
+    (lambda: check_rule([0, 2], two_point_model()), UnknownPsi, "outside the psi support"),
+    (lambda: LossSpec("nope"), InvariantViolation, "unknown loss kind 'nope'"),
+    (lambda: LossSpec(WEIGHTED), InvariantViolation, "weighted losses need a weight vector"),
+    (lambda: RiskReport(np.array([0.5, 1.5]), 2.0, 1.0, 1.0), InvariantViolation,
+     r"per-class errors must lie in \[0, 1\]"),
+    (lambda: RiskReport(np.array([0.5, 0.25]), 0.75, 0.8, 0.8), InvariantViolation,
+     "prior-weighted error cannot exceed the plain sum"),
+], ids=["rule-shape", "rule-index", "unknown-kind", "weighted-without-weights",
+        "error-above-one", "weighted-sum-above-plain-sum"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -343,3 +343,12 @@ class TestPredictives:
                 post_pred=[0.9, 0.3],
                 rb_pred=[1.8, 0.6],
             )
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: normalized([0, 0]), "probability vector has nonpositive total mass"),
+    (lambda: normalized([0.0, 0.0], what="prior"), "prior has nonpositive total mass"),
+], ids=["zero-weights", "zero-weights-named"])
+def test_refusals(call, match):
+    with pytest.raises(InvariantViolation, match=match):
+        call()

@@ -588,3 +588,11 @@ class TestCli:
                         "--x", "x0", "--estimator", "lrse"]) == 0
             assert capsys.readouterr().out == "q\n"
             np.testing.assert_array_equal(load_model(path).prior, [0.5, 0.5, 1e-308])
+
+
+def test_save_refuses_a_callback_model(tmp_path):
+    model = FiniteModel(theta_labels=("a", "b"), prior=[0.5, 0.5],
+                        likelihood=lambda x: np.zeros(2), psi_map=[0, 1], psi_labels=("a", "b"))
+    with pytest.raises(ModelSpecError, match="cannot serialize an anonymous likelihood callback"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()

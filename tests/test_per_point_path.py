@@ -219,7 +219,7 @@ def test_tables_are_built_once_and_read_only():
             arr[0] = 0.0
     assert not model.marginal_prior().flags.writeable
     fresh_model = small_model()
-    fresh, _ = _build_sample_space_tables(fresh_model, np.arange(fresh_model.n_x))
+    fresh = _build_sample_space_tables(fresh_model, np.arange(fresh_model.n_x))
     for field in dataclasses.fields(tabs):
         assert getattr(tabs, field.name).tobytes() == getattr(fresh, field.name).tobytes()
 
@@ -233,7 +233,7 @@ def test_replaced_model_gets_fresh_tables():
     assert other.marginal_prior() is not model.marginal_prior()
     np.testing.assert_array_equal(other.marginal_prior(), [0.8, 0.2])
     want_model = small_model([0.6, 0.2, 0.2])
-    want, _ = _build_sample_space_tables(want_model, np.arange(want_model.n_x))
+    want = _build_sample_space_tables(want_model, np.arange(want_model.n_x))
     np.testing.assert_array_equal(other_tabs.rb, want.rb)
     np.testing.assert_array_equal(sample_space_tables(model).rb, tabs.rb)
 
@@ -307,9 +307,8 @@ def test_public_constructor_accepts_the_good_table():
 def test_kernel_keeps_the_two_identities():
     model = small_model()
     marg_prior = model.marginal_prior()
-    post = np.array([0.25, 0.75])
-    rb = post / marg_prior
-    tables = BeliefTables._trusted(model, post, rb)
+    tables = belief_tables(model, 0)
+    rb = tables.rb
     assert not tables.rb.flags.writeable and not tables.marg_post.flags.writeable
     _check_identities(marg_prior, rb[:, None])
     # A bad column among good ones fails the whole block.

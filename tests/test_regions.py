@@ -332,3 +332,17 @@ def test_attainable_gammas_match_the_loop(model):
             got = attainable_gammas(tables, family)
             want = oracle_attainable_gammas(tables, family)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: CredibleRegion(gamma=1.5, members=(0,), threshold=1.0, attained_mass=1.0),
+     r"gamma must lie in \[0, 1\]"),
+    (lambda: CredibleRegion(gamma=0.9, members=(0,), threshold=1.0, attained_mass=0.5),
+     "attained mass fell below the requested credibility"),
+    (lambda: attainable_gammas(BeliefTables(marg_prior=[0.5, 0.5], marg_post=[0.25, 0.75],
+                                            rb=[0.5, 1.5], psi_labels=("a", "b")), "lpl"),
+     "unknown region family 'lpl'"),
+], ids=["gamma-above-one", "mass-below-gamma", "lpl-levels"])
+def test_refusals(call, match):
+    with pytest.raises(InvariantViolation, match=match):
+        call()

@@ -350,6 +350,23 @@ class TestScenarioTypes:
         with pytest.raises(InvariantViolation, match=f"{field} must be an integer"):
             SimConfig(**{field: value})
 
+    def test_a_count_above_the_bound_is_refused_before_any_array(self, monkeypatch):
+        def no_arrays(*args):
+            raise AssertionError("the training-count probabilities were built")
+
+        monkeypatch.setattr(simulate, "beta_binomial_pmf", no_arrays)
+        bound = simulate.MAX_N
+        for call in (lambda n: risk_table(reps=None, seed=0, n=n, betas=(14.0,)),
+                     lambda n: risk_table(reps=10, seed=0, n=n, betas=(14.0,)),
+                     lambda n: exact_conditional_risk(1.0, 14.0, 1.0, n, "map"),
+                     lambda n: SimConfig(n=n)):
+            with pytest.raises(InvariantViolation, match=f"^n = {bound + 1} is above .*, {bound}$"):
+                call(bound + 1)
+        with pytest.raises(InvariantViolation, match="n must be finite"):
+            SimConfig(n=10**400)
+        with pytest.raises(AssertionError, match="were built"):  # the bound itself passes
+            risk_table(reps=None, seed=0, n=bound, betas=(14.0,))
+
 
 class TestExactRisk:
     @pytest.mark.parametrize("from_table", [False, True, None])
