@@ -23,7 +23,7 @@ import numpy as np
 from .errors import HypothesisViolated, InvariantViolation, ZeroBinMass
 from .estimators import bayes_rule, lrse
 from .losses import LossSpec
-from .model import BeliefTables, FiniteModel, _fsum, belief_tables
+from .model import BeliefTables, FiniteModel, _frozen, _fsum, _grid_model, belief_tables
 from .quadrature import integrate_bins
 from .regions import CredibleRegion, lpl_region, rs_region, _check_schedule
 
@@ -62,7 +62,7 @@ class RegularGrid:
 
     ``bin_prior`` holds the raw quadrature prior masses (their total is the
     interval's prior mass, slightly below one after truncation).
-    Representatives are bin midpoints.
+    Representatives are bin midpoints.  :func:`build_grid` freezes all three arrays.
     """
 
     lam: float
@@ -197,19 +197,10 @@ def _build_grids(cmodel: ContinuousModel1D, x, lams) -> list[tuple[FiniteModel, 
             raise InvariantViolation(
                 f"grid prior mass {total_prior!r} outside the truncation budget"
             )
-        grid = RegularGrid(
-            lam=float(eff_lam), edges=edges, representatives=reps, bin_prior=prior_mass
-        )
-        labels = _bin_labels(n_bins)
-        model = FiniteModel(
-            theta_labels=labels,
-            prior=prior_mass,
-            likelihood=(joint_mass / prior_mass)[:, None],
-            psi_map=np.arange(n_bins),
-            psi_labels=labels,
-            psi_coords=reps,
-        )
-        grids.append((model, grid))
+        grid = RegularGrid(lam=float(eff_lam), edges=_frozen(edges), representatives=_frozen(reps),
+                           bin_prior=_frozen(prior_mass))
+        likelihood = (joint_mass / prior_mass)[:, None]
+        grids.append((_grid_model(_bin_labels(n_bins), prior_mass, likelihood, reps), grid))
     return grids
 
 

@@ -56,14 +56,15 @@ def normalized(weights, *, what: str = "probability vector") -> np.ndarray:
     arr = np.asarray(weights, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvariantViolation(f"{what} must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    low, high = arr.min(), arr.max()
+    if not -np.inf < low <= high < np.inf:  # NaN fails every comparison
         raise InvariantViolation(f"{what} contains non-finite entries")
-    if np.any(arr < 0):
+    if low < 0:
         raise InvariantViolation(f"{what} contains negative entries")
     with np.errstate(over="ignore"):
         total = float(arr.sum())
     if total == np.inf:  # the sum passes the largest double; the largest weight does not
-        arr = arr / arr.max()
+        arr = arr / high
         total = float(arr.sum())
     if total <= 0.0:
         raise InvariantViolation(f"{what} has nonpositive total mass")
@@ -228,13 +229,7 @@ class FiniteModel:
             lik = np.asarray(self.likelihood, dtype=float)
             if lik.ndim != 2 or lik.shape[0] != n_theta:
                 raise InvariantViolation("likelihood table must be (n_theta, n_x)")
-            if not np.all(np.isfinite(lik)) or np.any(lik < 0):
-                raise InvariantViolation("likelihood entries must be finite and >= 0")
-            if np.any(lik.max(axis=0) <= 0.0):
-                raise InvariantViolation(
-                    "every sample-space column needs at least one positive likelihood"
-                )
-            object.__setattr__(self, "likelihood", _frozen(lik))
+            object.__setattr__(self, "likelihood", _checked_table(lik))
             object.__setattr__(self, "n_x", lik.shape[1])
         if self.n_x is not None and (type(self.n_x) is not int or self.n_x < 1):
             raise InvariantViolation(f"n_x must be a positive integer, got {self.n_x!r}")
@@ -290,6 +285,32 @@ class FiniteModel:
             "_marginal_prior",
             lambda: _frozen(np.bincount(self.psi_map, weights=self.prior, minlength=self.n_psi)),
         )
+
+
+def _checked_table(lik: np.ndarray) -> np.ndarray:
+    """A likelihood table, read-only, once its entries are finite, ``>= 0`` and
+    each column holds a positive one.  NaN fails every comparison."""
+    top = lik.max(axis=0)
+    if not (lik.min(initial=0.0) >= 0.0 and top.max(initial=0.0) < np.inf):
+        raise InvariantViolation("likelihood entries must be finite and >= 0")
+    if not top.min(initial=1.0) > 0.0:
+        raise InvariantViolation("every sample-space column needs at least one positive likelihood")
+    return _frozen(lik)
+
+
+def _grid_model(labels: tuple[str, ...], prior_mass: np.ndarray, likelihood: np.ndarray,
+                coords: np.ndarray) -> FiniteModel:
+    """The one-column model of a grid's bins (bin ``i`` is theta and psi ``i``),
+    as the public constructor builds it.  The grid builder's checks of the
+    bin masses imply the constructor's prior and surjectivity checks."""
+    model = object.__new__(FiniteModel)
+    model.__dict__.update(
+        theta_labels=labels, prior=normalized(prior_mass, what="prior"),
+        likelihood=_checked_table(likelihood),
+        psi_map=_frozen(np.arange(len(labels), dtype=np.intp)), psi_labels=labels,
+        theta_coords=None, psi_coords=_frozen(coords), x_labels=None, family_spec=None, n_x=1,
+    )
+    return model
 
 
 @dataclass(frozen=True)

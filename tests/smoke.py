@@ -6,10 +6,12 @@ its exit code is the row's ``exit``, its stdout and stderr contain the row's
 ``stdout`` and ``stderr`` text, and its ``manifest.json`` reads the status
 of that exit code.  A successful run must have written every artifact its
 manifest lists and nothing to stderr, and a failed run nothing but the
-manifest.  Every process runs under ``-X dev -W error::ResourceWarning
--W error::RuntimeWarning``, so a file or other resource left for exit-time
-cleanup prints to stderr, and a numpy overflow or invalid operation fails
-the case.  The first entry of each process's ``PYTHONPATH`` holds a
+manifest.  The manifest and every JSON artifact it lists must read as
+``json.dumps(indent=2)`` writes their document, so the report writer's
+bytes are pinned on every case.  Every process runs under ``-X dev -W
+error::ResourceWarning -W error::RuntimeWarning``, so a file or other
+resource left for exit-time cleanup prints to stderr, and a numpy overflow
+or invalid operation fails the case.  The first entry of each process's ``PYTHONPATH`` holds a
 ``scipy`` package that raises ``ImportError``, so a case fails if the
 command line imports scipy, which the runtime does not depend on.
 ``tests/test_cli_cases.py`` runs the same rows in-process, with these checks.
@@ -61,11 +63,18 @@ def problems(case, code: int, out: str, err: str, directory: Path) -> list:
         return found + [f"no manifest: {exc}"]
     if manifest["status"] != STATUS.get(code):
         found.append(f"manifest status {manifest['status']!r} after exit {code}")
+    documents = [outdir / "manifest.json"]
     if code == 0:
         found += [f"artifact {a} missing" for a in manifest["artifacts"] if not (directory / a).is_file()]
         found += [f"stderr after exit 0: {err!r}"] if err else []
+        documents += [directory / a for a in manifest["artifacts"]
+                      if a.endswith(".json") and (directory / a).is_file()]
     elif sorted(p.name for p in outdir.iterdir()) != ["manifest.json"]:
         found.append(f"a failed run left {sorted(p.name for p in outdir.iterdir())}")
+    for path in documents:
+        text = path.read_text(encoding="utf-8")
+        if text != json.dumps(json.loads(text), indent=2) + "\n":
+            found.append(f"{path.name} is not laid out as json.dumps(indent=2) lays it out")
     return found
 
 

@@ -4,7 +4,9 @@ Every report, JSON mirror, manifest and saved model goes through
 ``reporting.write_text``, which rewrites a file in place; these tests pin
 that the bytes are those ``Path.write_text`` gives, whatever the file held
 before, and that a failing write ends the run with a message, not a
-traceback.
+traceback.  ``reporting.write_report`` formats each value once and writes
+the JSON mirror's text itself; its CSV and JSON bytes are pinned to the
+two-pass writer kept in ``report_oracle``.
 """
 
 import csv
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from relbelief import FiniteModel, load_model, save_model
 from relbelief.cli import run
 from relbelief.model import _fsum
-from relbelief.reporting import write_text
+from relbelief.reporting import write_report, write_text
+from report_oracle import report_texts
 
 # Any text the default encoding can write: no lone surrogates.
 TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=300)
@@ -64,6 +67,53 @@ class TestWriteText:
         path.write_text(before)
         write_text(path, text)
         assert path.read_bytes() == expected.read_bytes()
+
+
+# Floats at the edges of the double range, as Python floats and numpy scalars.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]),
+).flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+# Quotes, backslashes, control, non-ASCII and astral characters, and RFC 4180's specials.
+REPORT_TEXTS = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f,\r\né\u2028\U0001F600'),
+                                 st.characters(blacklist_categories=("Cs",))), max_size=12)
+VALUES = st.one_of(FLOATS, REPORT_TEXTS, st.booleans(), st.none(),
+                   st.integers(-10**30, 10**30))
+
+
+@st.composite
+def reports(draw):
+    columns = draw(st.lists(REPORT_TEXTS, max_size=5, unique=True))
+    row = st.lists(VALUES, min_size=len(columns), max_size=len(columns))
+    return columns, draw(st.lists(row, max_size=4))
+
+
+class TestWriteReport:
+    @settings(max_examples=200, deadline=None)
+    @given(report=reports())
+    @example(report=([], []))
+    @example(report=([], [[], []]))
+    @example(report=(["a", "b"], [[np.float64(0.1), math.nan], [-0.0, 10**30]]))
+    def test_bytes_equal_the_two_pass_writer(self, tmp_path_factory, report):
+        columns, rows = report
+        tmp = tmp_path_factory.mktemp("r")
+        csv_text, json_text = report_texts(columns, rows)
+        (tmp / "oracle.csv").write_text(csv_text)
+        (tmp / "oracle.json").write_text(json_text)
+        assert write_report(tmp / "report", columns, rows) == [tmp / "report.csv",
+                                                               tmp / "report.json"]
+        assert (tmp / "report.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+        assert (tmp / "report.json").read_bytes() == (tmp / "oracle.json").read_bytes()
+
+    @pytest.mark.parametrize("columns, rows", [
+        (["a", "a"], [[2.0, 2.5]]),
+        (["a", "b", "a"], []),
+        (["a", "b"], [[1.0, 2.0], [1.0]]),
+    ], ids=["repeated-column", "repeated-column-no-rows", "short-row"])
+    def test_a_report_the_mirror_cannot_hold_is_refused_unwritten(self, tmp_path, columns, rows):
+        with pytest.raises(ValueError, match="column name|row width"):
+            write_report(tmp_path / "report", columns, rows)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsvQuoting:

@@ -1,9 +1,11 @@
 """Quadrature, grid construction, and refinement experiments."""
 
+import dataclasses
 import json
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from scipy.stats import norm
 
 from relbelief import (
     ContinuousModel1D,
+    FiniteModel,
     HypothesisViolated,
     InvariantViolation,
     LossSpec,
     NormalNormalTestbed,
     QuadratureFailure,
     ZeroBinMass,
+    belief_tables,
     build_grid,
     capped_rule_refinement,
     eta_schedule,
@@ -129,6 +133,14 @@ class TestBuildGrid:
             errors.append(abs(approx - truth))
         slope = np.polyfit(np.log(lams), np.log(errors), 1)[0]
         assert slope >= 1.0
+
+    def test_grid_arrays_are_read_only(self):
+        _, grid = build_grid(NormalNormalTestbed(tau=1.0, sigma=1.0).continuous_model(), 1.0, 0.2)
+        eta = eta_schedule(grid, 40)
+        for name in ("edges", "representatives", "bin_prior"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(grid, name)[40] = 1.0
+        assert eta_schedule(grid, 40) == eta
 
     def test_rebinning_is_partition_inverse(self):
         tb = NormalNormalTestbed(tau=1.0, sigma=1.0)
@@ -461,6 +473,64 @@ class TestCommonRefinement:
         grid_lrse_refinement(cm, 1.0, [0.2, 0.1], 1.0)
         region_refinement(cm, 1.0, 0.9, [0.3, 0.07], [0.01])
         assert calls == [53 + 229 - 1, 160, 53 + 229 + 914 - 2]
+
+
+def public_grid_model(labels, prior_mass, likelihood, coords) -> FiniteModel:
+    """A grid's model through the public constructor, with every check it makes."""
+    return FiniteModel(theta_labels=labels, prior=prior_mass, likelihood=likelihood,
+                       psi_map=np.arange(len(labels)), psi_labels=labels, psi_coords=coords)
+
+
+def assert_same_model(model: FiniteModel, oracle: FiniteModel) -> None:
+    """Equal fields: arrays by bits, dtype, shape and read-only flag, the rest by value and type."""
+    for field in dataclasses.fields(FiniteModel):
+        got, want = getattr(model, field.name), getattr(oracle, field.name)
+        assert type(got) is type(want), field.name
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable and not want.flags.writeable, field.name
+        else:
+            assert got == want, field.name
+
+
+class TestTrustedGridModels:
+    """Each width's model skips only the public constructor's checks its grid implies."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(counts=st.one_of(nested_counts, any_counts), tau=st.floats(0.5, 2.0),
+           sigma=st.floats(0.3, 2.0), where=st.floats(-0.25, 0.25))
+    def test_each_width_equals_the_public_constructors_model(self, counts, tau, sigma, where):
+        cmodel = NormalNormalTestbed(tau=tau, sigma=sigma).continuous_model()
+        lo, hi = cmodel.support
+        lams, x = [(hi - lo) / n for n in counts], where * (hi - lo)
+        trusted = discretize._build_grids(cmodel, x, lams)
+        with mock.patch.object(discretize, "_grid_model", public_grid_model):
+            public = discretize._build_grids(cmodel, x, lams)
+        for (model, grid), (oracle, oracle_grid) in zip(trusted, public):
+            assert_same_model(model, oracle)
+            assert model.n_x == 1
+            # replace runs the public constructor, which renormalizes the prior.
+            assert_same_model(dataclasses.replace(model), dataclasses.replace(oracle))
+            assert grid.bin_prior.tobytes() == oracle_grid.bin_prior.tobytes()
+            assert belief_tables(model, 0).rb.tobytes() == belief_tables(oracle, 0).rb.tobytes()
+
+    @pytest.mark.parametrize("joint, message", [
+        ([0.25, np.nan, 0.25, 0.25], "likelihood entries must be finite and >= 0"),
+        ([0.25, np.inf, 0.25, 0.25], "likelihood entries must be finite and >= 0"),
+        ([0.25, 0.25, -np.inf, 0.25], "likelihood entries must be finite and >= 0"),
+        ([0.25, 0.25, 0.25, -1e-300], "likelihood entries must be finite and >= 0"),
+        ([0.0, -0.0, 0.0, 0.0], "every sample-space column needs at least one positive likelihood"),
+    ], ids=["nan", "inf", "minus-inf", "negative", "all-zero"])
+    def test_each_likelihood_refusal_still_fires(self, monkeypatch, joint, message):
+        pieces = np.array([np.full(4, 0.25), joint])
+        monkeypatch.setattr(discretize, "integrate_bins", lambda f, edges: pieces)
+        with mock.patch.object(discretize, "_grid_model", public_grid_model):
+            with pytest.raises(InvariantViolation) as public:
+                build_grid(uniform_model(), 0.0, 0.25)
+        with pytest.raises(InvariantViolation) as trusted:
+            build_grid(uniform_model(), 0.0, 0.25)
+        assert type(trusted.value) is type(public.value)
+        assert str(trusted.value) == str(public.value) == message
 
 
 def merged_edges(a, b, counts):

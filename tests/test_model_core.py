@@ -345,10 +345,27 @@ class TestPredictives:
             )
 
 
+def table_model(likelihood):
+    return FiniteModel(theta_labels=("a", "b"), prior=[0.5, 0.5], likelihood=likelihood,
+                       psi_map=[0, 1], psi_labels=("a", "b"))
+
+
 @pytest.mark.parametrize("call,match", [
     (lambda: normalized([0, 0]), "probability vector has nonpositive total mass"),
     (lambda: normalized([0.0, 0.0], what="prior"), "prior has nonpositive total mass"),
-], ids=["zero-weights", "zero-weights-named"])
+    (lambda: normalized([1.0, np.nan]), "probability vector contains non-finite entries$"),
+    (lambda: normalized([np.inf, 1.0]), "probability vector contains non-finite entries$"),
+    (lambda: normalized([-1.0, -np.inf]), "probability vector contains non-finite entries$"),
+    (lambda: normalized([-1.0, np.nan]), "probability vector contains non-finite entries$"),
+    (lambda: normalized([1.0, -1e-300]), "probability vector contains negative entries$"),
+    (lambda: table_model([[0.5, np.nan], [0.5, 0.5]]), "finite and >= 0$"),
+    (lambda: table_model([[0.5, 0.5], [np.inf, 0.5]]), "finite and >= 0$"),
+    (lambda: table_model([[0.5, -0.5], [0.5, 0.0]]), "finite and >= 0$"),
+    (lambda: table_model([[0.5, 0.0], [0.5, 0.0]]), "needs at least one positive likelihood$"),
+    (lambda: table_model(np.zeros((2, 0))), "n_x must be a positive integer, got 0$"),
+], ids=["zero-weights", "zero-weights-named", "nan-weight", "inf-weight", "minus-inf-weight",
+        "nan-before-negative", "negative-weight", "nan-likelihood", "inf-likelihood",
+        "negative-likelihood", "impossible-column", "no-columns"])
 def test_refusals(call, match):
     with pytest.raises(InvariantViolation, match=match):
         call()
